@@ -14,6 +14,7 @@ from .align import (
     map_runtime,
     sample_negative_bank,
     save_checkpoint,
+    side_maps,
     train,
     transform_profiles_offline,
 )
@@ -36,8 +37,8 @@ from .logit import (
     WeightMatrix,
     build_weight_matrix,
     compute_fusion_transform,
+    fusion_maps,
     logit_score_direct,
-    logit_score_fused,
     logit_score_fused_batch,
 )
 from .metrics import (
@@ -48,6 +49,7 @@ from .metrics import (
     gap_recovery,
     relative_impact,
     roc,
+    score_cosine,
     score_trials,
 )
 from .mlp import (
@@ -66,8 +68,6 @@ from .numerics import (
     cholesky_upper,
     cosine_similarity,
     length_normalize,
-    matmul,
-    matvec,
 )
 from .synth import GroundTruth, SynthConfig, generate, make_trials
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,34 +216,39 @@ class PairedData:
         if speaker_subset is not None:
             allowed = set(speaker_subset)
             speakers = [s for s in speakers if s in allowed]
-        if not speakers:
-            raise InsufficientData("no shared speakers between the two corpora")
         prof_x = {p.speaker_id: p.vector for p in corpus_x.profiles}
         prof_y = {p.speaker_id: p.vector for p in corpus_y.profiles}
-        self.speaker_ids = speakers
         self.d = corpus_x.dimension(model_x)
         if corpus_y.dimension(model_y) != self.d:
             raise DimensionMismatch("the two corpora must share the embedding dim")
-        self.e_x = np.stack([prof_x[s] for s in speakers])
-        self.e_y = np.stack([prof_y[s] for s in speakers])
 
-        speaker_pos = {s: i for i, s in enumerate(speakers)}
-        r_x_rows, r_y_rows, owner = [], [], []
-        self.utt_index = [[] for _ in speakers]
+        # Keep only speakers with both profiles and >= 1 paired runtime utt.
+        speaker_pos = {s: i for i, s in enumerate(speakers)
+                       if s in prof_x and s in prof_y}
+        r_x_rows, r_y_rows = [], []
+        utt_index = [[] for _ in speakers]
         for rec in corpus_x.records:
             si = speaker_pos.get(rec.speaker_id)
             if si is None or rec.split != "runtime" or rec.model_id != model_x:
                 continue
-            pair = corpus_y.record(model_y, rec.utterance_id, "runtime")
-            self.utt_index[si].append(len(r_x_rows))
+            try:
+                pair = corpus_y.record(model_y, rec.utterance_id, "runtime")
+            except KeyError:
+                continue
+            utt_index[si].append(len(r_x_rows))
             r_x_rows.append(rec.vector)
             r_y_rows.append(pair.vector)
-            owner.append(si)
-        if not r_x_rows:
-            raise InsufficientData("no paired runtime utterances")
+        keep = [i for i, utts in enumerate(utt_index) if utts]
+        if not keep:
+            raise InsufficientData(
+                "no shared speaker has a profile in both views and a paired "
+                "runtime utterance")
+        self.speaker_ids = [speakers[i] for i in keep]
+        self.utt_index = [utt_index[i] for i in keep]
+        self.e_x = np.stack([prof_x[s] for s in self.speaker_ids])
+        self.e_y = np.stack([prof_y[s] for s in self.speaker_ids])
         self.r_x = np.stack(r_x_rows)
         self.r_y = np.stack(r_y_rows)
-        self.utt_owner = np.array(owner)
 
     @property
     def n_speakers(self) -> int:
@@ -324,7 +329,7 @@ def train(config: NessaConfig, train_pair: PairedData,
     prng = Prng(config.seed)
     d = train_pair.d
     dims = [d, config.hidden, config.hidden, d]
-    schedule = LrSchedule(config.lr0, config.lr_decay, config.steps_per_epoch)
+    schedule = LrSchedule(config.lr0, config.lr_decay)
 
     f1 = mlp_init(dims, config.seed)
     f2 = mlp_init(dims, config.seed + 1) if config.variant == "m3" else None
@@ -350,14 +355,13 @@ def train(config: NessaConfig, train_pair: PairedData,
         if val_pair is None:
             return float("nan")
         batch = val_pair.full_batch()
-        if config.variant == "m1":
-            return loss_m1_eval(f1, batch)
-        if config.variant == "m2":
-            return loss_m2_eval(f1, batch)
-        loss, _, _, _ = loss_m3(f1, f2, float(w[0]), batch, val_bank,
-                                config.alpha, config.beta, config.gamma,
-                                want_grads=False)
-        return loss
+        if config.variant == "m3":
+            return loss_m3(f1, f2, float(w[0]), batch, val_bank, config.alpha,
+                           config.beta, config.gamma, want_grads=False)[0]
+        # The m1/m2 objectives without their backward pass.
+        x, target = ((batch.r_y, batch.r_x) if config.variant == "m1"
+                     else (batch.e_x, batch.e_y))
+        return _mse_and_grad(forward(f1, x)[0], target)[0]
 
     best = Checkpoint(config.variant, f1.copy(),
                       f2.copy() if f2 is not None else None,
@@ -411,40 +415,37 @@ def train(config: NessaConfig, train_pair: PairedData,
     return best
 
 
-def loss_m1_eval(f: Mlp, batch: PairBatch) -> float:
-    y, _ = forward(f, batch.r_y)
-    return float(np.mean((y - batch.r_x) ** 2))
-
-
-def loss_m2_eval(f: Mlp, batch: PairBatch) -> float:
-    y, _ = forward(f, batch.e_x)
-    return float(np.mean((y - batch.e_y) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Applying a trained aligner
 
 
+# Which network of a checkpoint maps which side: (enrollment, runtime).
+SIDE_NETWORKS = {"m1": (None, "f1"), "m2": ("f1", None), "m3": ("f1", "f2")}
+
+
+def _side_network(ckpt: Checkpoint, side: int, what: str) -> Mlp:
+    name = SIDE_NETWORKS[ckpt.variant][side]
+    if name is None:
+        raise VariantMismatch(f"variant {ckpt.variant!r} does not map {what}")
+    return getattr(ckpt, name)
+
+
 def map_profiles(ckpt: Checkpoint, vectors: np.ndarray) -> np.ndarray:
     """Map enrollment-side vectors (m2: F, m3: F1). Not defined for m1."""
-    if ckpt.variant == "m2":
-        out, _ = forward(ckpt.f1, vectors)
-        return out
-    if ckpt.variant == "m3":
-        out, _ = forward(ckpt.f1, vectors)
-        return out
-    raise VariantMismatch(f"variant {ckpt.variant!r} does not map profiles")
+    return forward(_side_network(ckpt, 0, "profiles"), vectors)[0]
 
 
 def map_runtime(ckpt: Checkpoint, vectors: np.ndarray) -> np.ndarray:
     """Map runtime-side vectors (m1: F, m3: F2). Not defined for m2."""
-    if ckpt.variant == "m1":
-        out, _ = forward(ckpt.f1, vectors)
-        return out
-    if ckpt.variant == "m3":
-        out, _ = forward(ckpt.f2, vectors)
-        return out
-    raise VariantMismatch(f"variant {ckpt.variant!r} does not map runtime embeddings")
+    return forward(_side_network(ckpt, 1, "runtime embeddings"), vectors)[0]
+
+
+def side_maps(ckpt: Checkpoint):
+    """(enrollment map, runtime map) for metrics.score_cosine; None for the
+    side the variant leaves in its own space."""
+    enroll, runtime = SIDE_NETWORKS[ckpt.variant]
+    return ((lambda v: map_profiles(ckpt, v)) if enroll else None,
+            (lambda v: map_runtime(ckpt, v)) if runtime else None)
 
 
 def transform_profiles_offline(ckpt: Checkpoint, profiles) -> list[VoiceProfile]:

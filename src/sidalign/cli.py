@@ -23,13 +23,10 @@ from .align import (
     loss_m1,
     loss_m2,
     loss_m3,
-    map_profiles,
-    map_runtime,
-    sample_negative_bank,
     save_checkpoint,
     save_training_log,
+    side_maps,
     train,
-    transform_profiles_offline,
 )
 from .data import (
     build_all_profiles,
@@ -41,28 +38,31 @@ from .data import (
     save_scores,
     save_trials,
 )
-from .errors import SidAlignError
+from .errors import ParseError, SidAlignError
 from .logit import (
     build_weight_matrix,
     compute_fusion_transform,
+    fusion_maps,
     load_fusion,
-    logit_score_fused_batch,
     save_fusion,
 )
-from .metrics import cosine_scorer, evaluate, far_key, save_report, score_trials
+from .metrics import evaluate, far_key, load_report, save_report, score_cosine
 from .mlp import gradient_check, mlp_init
 from .numerics import Prng
 from .synth import SynthConfig, generate, make_trials
 
-SCORERS = (
-    "cosine-sym-x",
-    "cosine-sym-y",
-    "cosine-asym-raw",
-    "logit-fused",
-    "nessa-m1",
-    "nessa-m2",
-    "nessa-m3",
-)
+# Every scorer is cosine(enroll_map(profile), runtime_map(runtime)). Scorer id
+# -> (profile view, runtime view, the artifact option whose file supplies the
+# two side maps; None compares the views as they are).
+SCORERS = {
+    "cosine-sym-x": ("x", "x", None),
+    "cosine-sym-y": ("y", "y", None),
+    "cosine-asym-raw": ("x", "y", None),
+    "logit-fused": ("x", "y", "fusion"),
+    "nessa-m1": ("x", "y", "checkpoint"),
+    "nessa-m2": ("x", "y", "checkpoint"),
+    "nessa-m3": ("x", "y", "checkpoint"),
+}
 
 
 _PATH_ARGS = frozenset({
@@ -202,60 +202,39 @@ def _with_profiles(corpus):
 
 
 def cmd_score(args) -> int:
-    corpus_x = load_embeddings(args.corpus_x)
-    corpus_y = load_embeddings(args.corpus_y)
-    trials = load_trials(args.trials)
-    model_x = corpus_x.model_ids[0]
-    model_y = corpus_y.model_ids[0]
-    prof_x = {p.speaker_id: p.vector for p in build_all_profiles(corpus_x, model_x)}
-    prof_y = {p.speaker_id: p.vector for p in build_all_profiles(corpus_y, model_y)}
-    run_x = {r.utterance_id: r.vector for r in corpus_x.records if r.split == "runtime"}
-    run_y = {r.utterance_id: r.vector for r in corpus_y.records if r.split == "runtime"}
-
     scorer_id = args.scorer
-    if scorer_id == "cosine-sym-x":
-        scored = score_trials(trials, cosine_scorer, prof_x, run_x)
-    elif scorer_id == "cosine-sym-y":
-        scored = score_trials(trials, cosine_scorer, prof_y, run_y)
-    elif scorer_id == "cosine-asym-raw":
-        scored = score_trials(trials, cosine_scorer, prof_x, run_y)
-    elif scorer_id == "logit-fused":
-        if not args.fusion:
-            raise SidAlignError("--fusion is required for the logit-fused scorer")
-        fusion = load_fusion(args.fusion)
-        scored = score_trials(
-            trials, lambda p, r: logit_score_fused_batch(p, r, fusion),
-            prof_x, run_y)
-    elif scorer_id in ("nessa-m1", "nessa-m2", "nessa-m3"):
-        if not args.checkpoint:
-            raise SidAlignError("--checkpoint is required for aligner scorers")
-        ckpt = load_checkpoint(args.checkpoint)
-        expected = scorer_id.split("-")[1]
-        if ckpt.variant != expected:
-            raise SidAlignError(
-                f"checkpoint variant {ckpt.variant!r} does not match {scorer_id}")
-        if ckpt.variant == "m1":
-            run_m = {k: map_runtime(ckpt, v) for k, v in run_y.items()}
-            scored = score_trials(trials, cosine_scorer, prof_x, run_m)
-        elif ckpt.variant == "m2":
-            prof_m = _map_dict(prof_x, lambda m: map_profiles(ckpt, m))
-            scored = score_trials(trials, cosine_scorer, prof_m, run_y)
-        else:
-            prof_m = _map_dict(prof_x, lambda m: map_profiles(ckpt, m))
-            run_m = _map_dict(run_y, lambda m: map_runtime(ckpt, m))
-            scored = score_trials(trials, cosine_scorer, prof_m, run_m)
-    else:
-        raise SidAlignError(f"unknown scorer {scorer_id!r}")
+    profile_view, runtime_view, source = SCORERS[scorer_id]
+    enroll_map, runtime_map = _side_maps(scorer_id, source, args)
+    paths = {"x": args.corpus_x, "y": args.corpus_y}
+    corpora = {v: load_embeddings(paths[v])
+               for v in dict.fromkeys((profile_view, runtime_view))}
+    trials = load_trials(args.trials)
+    profiles = corpora[profile_view]
+    profile_vectors = {p.speaker_id: p.vector
+                       for p in build_all_profiles(profiles, profiles.model_ids[0])}
+    runtime_vectors = {r.utterance_id: r.vector
+                       for r in corpora[runtime_view].records if r.split == "runtime"}
+    scored = score_cosine(trials, profile_vectors, runtime_vectors,
+                          enroll_map, runtime_map)
     save_scores(scored, args.out)
     print(f"scored {len(scored.trials)} trials with {scorer_id}", file=sys.stderr)
     return 0
 
 
-def _map_dict(vectors: dict, fn) -> dict:
-    keys = list(vectors)
-    mat = np.stack([vectors[k] for k in keys])
-    mapped = fn(mat)
-    return {k: mapped[i] for i, k in enumerate(keys)}
+def _side_maps(scorer_id: str, source: str | None, args):
+    """The (enrollment, runtime) maps a scorer reads from its artifact."""
+    if source is None:
+        return None, None
+    path = getattr(args, source)
+    if not path:
+        raise SidAlignError(f"--{source} is required for the {scorer_id} scorer")
+    if source == "fusion":
+        return fusion_maps(load_fusion(path))
+    ckpt = load_checkpoint(path)
+    if ckpt.variant != scorer_id.split("-")[1]:
+        raise SidAlignError(
+            f"checkpoint variant {ckpt.variant!r} does not match {scorer_id}")
+    return side_maps(ckpt)
 
 
 def cmd_eval(args) -> int:
@@ -264,14 +243,10 @@ def cmd_eval(args) -> int:
     baseline_frrs = None
     candidate_impacts = None
     if args.baseline_report:
-        base = json.load(open(args.baseline_report, encoding="utf-8"))
-        baseline_frrs = {far_key(e["target_far"]): e["frr"] for e in base["per_far"]}
+        baseline_frrs = _per_far(args.baseline_report, "frr", required=True)
     if args.candidate_report:
-        cand = json.load(open(args.candidate_report, encoding="utf-8"))
-        candidate_impacts = {
-            far_key(e["target_far"]): e["relative_impact"]
-            for e in cand["per_far"] if "relative_impact" in e
-        }
+        candidate_impacts = _per_far(args.candidate_report, "relative_impact",
+                                     required=False)
     report = evaluate(trials, args.scorer_id, far_targets,
                       baseline_frrs, candidate_impacts)
     report.update(_provenance(args))
@@ -281,6 +256,17 @@ def cmd_eval(args) -> int:
         print()
     print(f"eer {report['eer']:.4f}", file=sys.stderr)
     return 0
+
+
+def _per_far(path, key: str, required: bool) -> dict:
+    """{far key: entry[key]} over a saved report's per_far entries; entries
+    without the key are skipped unless it is required."""
+    report = load_report(path)
+    try:
+        return {far_key(e["target_far"]): e[key] for e in report["per_far"]
+                if required or key in e}
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: malformed report, missing {exc}") from exc
 
 
 def cmd_gradcheck(args) -> int:
@@ -401,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score a trial list")
-    p.add_argument("--scorer", choices=SCORERS, required=True)
+    p.add_argument("--scorer", choices=tuple(SCORERS), required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--corpus-x", required=True)
     p.add_argument("--corpus-y", required=True)

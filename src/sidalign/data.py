@@ -11,7 +11,7 @@ File formats:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,18 +101,6 @@ class Corpus:
 
     def record(self, model_id: str, utterance_id: str, split: str) -> EmbeddingRecord:
         return self._by_key[(model_id, utterance_id, split)]
-
-    def records_for(self, speaker_id: str, split: str | None = None, model_id=None):
-        out = []
-        for rec in self.records:
-            if rec.speaker_id != speaker_id:
-                continue
-            if split is not None and rec.split != split:
-                continue
-            if model_id is not None and rec.model_id != model_id:
-                continue
-            out.append(rec)
-        return out
 
     def speaker_ids(self, split: str | None = None):
         seen = []

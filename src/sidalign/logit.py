@@ -20,6 +20,7 @@ from .errors import (
     ModelMismatch,
     SpeakerOrderMismatch,
 )
+from .metrics import cosine_scorer
 from .numerics import cholesky_upper, cosine_similarity
 
 FUSION_FLOAT_FMT = "%.17g"
@@ -95,27 +96,25 @@ def compute_fusion_transform(w_x: WeightMatrix, w_y: WeightMatrix) -> FusionTran
     return FusionTransform(m, w_x.dim, w_x.n_speakers, jitter)
 
 
-def logit_score_fused(e_x, r_y, f: FusionTransform) -> float:
-    e_x = np.asarray(e_x, dtype=np.float64)
-    r_y = np.asarray(r_y, dtype=np.float64)
-    if e_x.shape[0] != f.d or r_y.shape[0] != f.d:
-        raise DimensionMismatch(f"expected dimension {f.d} inputs")
-    # Zero-padded products: m @ [e; 0] and m @ [0; r] reduce to column blocks.
-    a = f.m[:, : f.d] @ e_x
-    b = f.m[:, f.d :] @ r_y
-    return cosine_similarity(a, b)
+def fusion_maps(f: FusionTransform):
+    """(enrollment map, runtime map): the two column blocks of the fused
+    transform applied to (n, d) row batches. The zero-padded products
+    m @ [e; 0] and m @ [0; r] reduce to these blocks, so the cosine of the
+    two outputs is the logit score."""
+    def checked(rows):
+        if rows.shape[1] != f.d:
+            raise DimensionMismatch(f"expected dimension {f.d} inputs")
+        return rows
+    return (lambda e: checked(e) @ f.m[:, : f.d].T,
+            lambda r: checked(r) @ f.m[:, f.d :].T)
 
 
 def logit_score_fused_batch(e_batch: np.ndarray, r_batch: np.ndarray,
                             f: FusionTransform) -> np.ndarray:
-    """Vectorized fused scoring of parallel (profile, runtime) rows."""
-    if e_batch.shape[1] != f.d or r_batch.shape[1] != f.d:
-        raise DimensionMismatch(f"expected dimension {f.d} inputs")
-    a = e_batch @ f.m[:, : f.d].T
-    b = r_batch @ f.m[:, f.d :].T
-    num = np.sum(a * b, axis=1)
-    den = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    return num / den
+    """Fused scores of parallel (profile, runtime) rows: the cosine of the
+    two block products."""
+    enroll_map, runtime_map = fusion_maps(f)
+    return cosine_scorer(enroll_map(e_batch), runtime_map(r_batch))
 
 
 def save_fusion(f: FusionTransform, path, extra: dict | None = None) -> None:

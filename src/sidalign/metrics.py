@@ -18,8 +18,11 @@ from .errors import (
     BaselineZero,
     DegenerateGap,
     DegenerateTrialSet,
+    ParseError,
     UnknownId,
+    ZeroVector,
 )
+from .numerics import EPS_NORM
 
 DEFAULT_FAR_TARGETS = (0.125, 0.05, 0.02)
 
@@ -37,6 +40,9 @@ def roc(scores, labels) -> RocCurve:
     """Exact empirical FAR/FRR sweep; labels are 1 = target, 0 = imposter."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise DegenerateTrialSet(f"{bad} of {len(scores)} scores are not finite")
     tar = scores[labels == 1]
     imp = scores[labels == 0]
     if len(tar) == 0 or len(imp) == 0:
@@ -112,9 +118,30 @@ def score_trials(trialset: TrialSet, scorer, profile_vectors: dict,
 
 
 def cosine_scorer(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    num = np.sum(p * r, axis=1)
-    den = np.linalg.norm(p, axis=1) * np.linalg.norm(r, axis=1)
-    return num / den
+    """Row-wise cosine of parallel rows; a row of norm <= EPS_NORM (or NaN)
+    raises ZeroVector instead of scoring NaN."""
+    p_norm = np.linalg.norm(p, axis=1)
+    r_norm = np.linalg.norm(r, axis=1)
+    if not (np.all(p_norm > EPS_NORM) and np.all(r_norm > EPS_NORM)):
+        raise ZeroVector("cosine of a zero-norm or non-finite row")
+    return np.sum(p * r, axis=1) / (p_norm * r_norm)
+
+
+def score_cosine(trialset: TrialSet, profile_vectors: dict, runtime_vectors: dict,
+                 enroll_map=None, runtime_map=None) -> TrialSet:
+    """The one scoring rule: cosine(enroll_map(profile), runtime_map(runtime)).
+
+    A map takes an (n, d) block of one side's vectors and runs once over the
+    stacked unique vectors of that side (the offline-profile property of
+    m2/m3); None leaves that side as it is.
+    """
+    sides = []
+    for vectors, fn in ((profile_vectors, enroll_map), (runtime_vectors, runtime_map)):
+        if fn is not None and vectors:
+            keys = list(vectors)
+            vectors = dict(zip(keys, fn(np.stack([vectors[k] for k in keys]))))
+        sides.append(vectors)
+    return score_trials(trialset, cosine_scorer, *sides)
 
 
 def evaluate(trialset: TrialSet, scorer_id: str,
@@ -171,4 +198,7 @@ def save_report(report: dict, path) -> None:
 
 def load_report(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc

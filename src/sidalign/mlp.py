@@ -8,8 +8,7 @@ so the finite-difference checker can perturb them in place.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,7 +180,6 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
 class LrSchedule:
     lr0: float = 1e-3
     decay: float = 0.96
-    steps_per_epoch: int = 1
 
     def __post_init__(self):
         if self.lr0 <= 0 or not (0 < self.decay <= 1):
@@ -217,14 +215,3 @@ def mlp_from_dict(obj: dict) -> Mlp:
         weights.append(np.array(obj["weights"][i], dtype=np.float64).reshape(fan_out, fan_in))
         biases.append(np.array(obj["biases"][i], dtype=np.float64))
     return Mlp(dims, weights, biases)
-
-
-def save_mlp(m: Mlp, path, seed: int = 0, trained_epochs: int = 0) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(mlp_to_dict(m, seed, trained_epochs), fh)
-        fh.write("\n")
-
-
-def load_mlp(path) -> Mlp:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mlp_from_dict(json.load(fh))

@@ -59,22 +59,6 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(va, vb) / (na * nb))
 
 
-def matmul(a, b) -> np.ndarray:
-    ma = as_matrix(a)
-    mb = as_matrix(b)
-    if ma.shape[1] != mb.shape[0]:
-        raise DimensionMismatch(f"matmul {ma.shape} x {mb.shape}")
-    return ma @ mb
-
-
-def matvec(a, v) -> np.ndarray:
-    ma = as_matrix(a)
-    vv = as_vector(v)
-    if ma.shape[1] != vv.shape[0]:
-        raise DimensionMismatch(f"matvec {ma.shape} x {vv.shape}")
-    return ma @ vv
-
-
 def cholesky_upper(a, max_jitter_ladder=JITTER_LADDER) -> tuple[np.ndarray, float]:
     """Upper-triangular M with M^T M = a (+ jitter*I when a is near singular).
 
@@ -135,12 +119,6 @@ class Prng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def spawn(self) -> "Prng":
-        """Derive an independent child stream (deterministic per call order)."""
-        child = Prng(0)
-        child._gen = np.random.Generator(np.random.PCG64(self._gen.integers(0, 2**63)))
-        return child
 
 
 def random_orthogonal(rows: int, cols: int, prng: Prng) -> np.ndarray:

@@ -20,8 +20,7 @@ from sidalign.align import (
     loss_m1,
     loss_m2,
     loss_m3,
-    map_profiles,
-    map_runtime,
+    side_maps,
     train,
 )
 from sidalign.cli import main
@@ -29,18 +28,17 @@ from sidalign.data import VoiceProfile, build_all_profiles
 from sidalign.logit import (
     build_weight_matrix,
     compute_fusion_transform,
+    fusion_maps,
     logit_score_direct,
-    logit_score_fused,
     logit_score_fused_batch,
 )
 from sidalign.metrics import (
-    cosine_scorer,
     eer,
     frr_at_far,
     gap_recovery,
     relative_impact,
     roc,
-    score_trials,
+    score_cosine,
 )
 from sidalign.mlp import gradient_check, mlp_init
 from sidalign.numerics import Prng
@@ -85,13 +83,13 @@ def test_criterion_1_fused_direct_equivalence():
             wy = random_weight_matrix(prng, n, d, "Y")
             wy.speaker_order = wx.speaker_order
             fusion = compute_fusion_transform(wx, wy)
-            for _ in range(50):
-                e = prng.standard_normal(d)
-                r = prng.standard_normal(d)
-                direct = logit_score_direct(e, r, wx, wy)
-                fused = logit_score_fused(e, r, fusion)
-                worst = max(worst, abs(direct - fused))
-                cases += 1
+            pairs = [(prng.standard_normal(d), prng.standard_normal(d))
+                     for _ in range(50)]
+            e, r = (np.stack(side) for side in zip(*pairs))
+            direct = [logit_score_direct(a, b, wx, wy) for a, b in pairs]
+            fused = logit_score_fused_batch(e, r, fusion)
+            worst = max(worst, float(np.max(np.abs(fused - direct))))
+            cases += len(pairs)
     elapsed = time.monotonic() - t0
     ok = cases == 1000 and worst <= 1e-6 and elapsed < 10.0
     verdict(1, "fused scoring matches direct scoring", ok,
@@ -191,14 +189,8 @@ def vec_maps(corpus):
     return prof, run
 
 
-def map_dict(vectors, fn):
-    keys = list(vectors)
-    mapped = fn(np.stack([vectors[k] for k in keys]))
-    return {k: mapped[i] for i, k in enumerate(keys)}
-
-
-def curve_of(trials, prof, run, scorer=cosine_scorer):
-    ts = score_trials(trials, scorer, prof, run)
+def curve_of(trials, prof, run, enroll_map=None, runtime_map=None):
+    ts = score_cosine(trials, prof, run, enroll_map, runtime_map)
     return roc(ts.scores, ts.labels01())
 
 
@@ -227,16 +219,6 @@ def make_corpora(seed, distortion, nx, ny, gain, n_train, n_eval, d=32,
     return cx_t, cy_t, cx_e, cy_e, trials
 
 
-def aligned_curve(ckpt, trials, px, py, ry):
-    if ckpt.variant == "m1":
-        return curve_of(trials, px, map_dict(ry, lambda m: map_runtime(ckpt, m)))
-    if ckpt.variant == "m2":
-        return curve_of(trials, map_dict(px, lambda m: map_profiles(ckpt, m)), ry)
-    return curve_of(trials,
-                    map_dict(px, lambda m: map_profiles(ckpt, m)),
-                    map_dict(ry, lambda m: map_runtime(ckpt, m)))
-
-
 # ---------------------------------------------------------------------------
 # Criterion 4: a linear view change is recovered almost completely
 
@@ -257,7 +239,7 @@ def test_criterion_4_linear_recovery():
     cfg = NessaConfig(variant="m2", epochs=20, steps_per_epoch=50,
                       batch_size=256, hidden=64, seed=seed)
     ckpt = train(cfg, tp, vp)
-    eer_aligned = eer(aligned_curve(ckpt, trials, px, py, ry))
+    eer_aligned = eer(curve_of(trials, px, ry, *side_maps(ckpt)))
     elapsed = time.monotonic() - t0
 
     ok = (eer_aligned <= eer_sym_x
@@ -302,8 +284,7 @@ def nonlinear_results():
         wx = build_weight_matrix(profs_x, order)
         wy = build_weight_matrix(profs_y, order)
         fusion = compute_fusion_transform(wx, wy)
-        res["logit"] = impact(curve_of(
-            trials, px, ry, lambda p, r: logit_score_fused_batch(p, r, fusion)))
+        res["logit"] = impact(curve_of(trials, px, ry, *fusion_maps(fusion)))
 
         tp, vp = split_train_val(cx_t, cy_t, seed)
         runs = {
@@ -324,7 +305,7 @@ def nonlinear_results():
         }
         for name, cfg in runs.items():
             ckpt = train(cfg, tp, vp)
-            res[name] = impact(aligned_curve(ckpt, trials, px, py, ry))
+            res[name] = impact(curve_of(trials, px, ry, *side_maps(ckpt)))
         results[seed] = res
     return results
 

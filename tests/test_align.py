@@ -8,7 +8,6 @@ from sidalign.align import (
     PairedData,
     loss_m1,
     loss_m2,
-    loss_m2_eval,
     loss_m3,
     load_checkpoint,
     sample_negative_bank,
@@ -16,7 +15,8 @@ from sidalign.align import (
     train,
     transform_profiles_offline,
 )
-from sidalign.errors import ConfigInvalid, DisjointnessViolation
+from sidalign.data import Corpus
+from sidalign.errors import ConfigInvalid, DisjointnessViolation, InsufficientData
 from sidalign.mlp import forward, gradient_check, mlp_init
 from sidalign.numerics import Prng, cosine_similarity
 from sidalign.synth import SynthConfig, generate
@@ -213,6 +213,41 @@ class TestPairedData:
         paired = paired_from_synth()
         batch = paired.sample_batch(20, Prng(0))
         assert len(set(batch.speaker_ids)) == 20
+
+    def test_speaker_without_runtime_utterances_dropped(self):
+        cx, cy, _ = generate(SynthConfig(
+            n_speakers=20, n_enroll_utts=3, n_runtime_utts=2, latent_dim=6,
+            embed_dim=6, within_noise_x=0.2, within_noise_y=0.1,
+            distortion_x="orthogonal", distortion_y="orthogonal", seed=2))
+
+        def without_runtime(corpus, speakers):
+            return Corpus([r for r in corpus.records
+                           if r.split != "runtime" or r.speaker_id not in speakers],
+                          corpus.profiles)
+
+        gone = {cx.speaker_ids()[3]}
+        paired = PairedData(without_runtime(cx, gone), without_runtime(cy, gone))
+        kept = [s for s in cx.speaker_ids() if s not in gone]
+        assert paired.speaker_ids == kept
+        # same data, hence the same random stream, as leaving the speaker out
+        ref = PairedData(cx, cy, kept)
+        a, b = paired.sample_batch(8, Prng(0)), ref.sample_batch(8, Prng(0))
+        assert a.speaker_ids == b.speaker_ids
+        np.testing.assert_array_equal(a.r_y, b.r_y)
+        assert paired.full_batch().size == 19
+
+        # a speaker without a Y profile, and one whose runtime utterances
+        # have no Y pair, are left out the same way
+        no_profile, no_pair = cx.speaker_ids()[5], cx.speaker_ids()[7]
+        cy_cut = Corpus([r for r in cy.records
+                         if not (r.split == "runtime" and r.speaker_id == no_pair)],
+                        [p for p in cy.profiles if p.speaker_id != no_profile])
+        assert no_profile not in PairedData(cx, cy_cut).speaker_ids
+        assert no_pair not in PairedData(cx, cy_cut).speaker_ids
+
+        everyone = set(cx.speaker_ids())
+        with pytest.raises(InsufficientData):
+            PairedData(without_runtime(cx, everyone), without_runtime(cy, everyone))
 
     def test_bank_disjoint_from_batch(self):
         paired = paired_from_synth()

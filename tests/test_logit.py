@@ -9,7 +9,6 @@ from sidalign.logit import (
     compute_fusion_transform,
     load_fusion,
     logit_score_direct,
-    logit_score_fused,
     logit_score_fused_batch,
     save_fusion,
 )
@@ -107,20 +106,20 @@ class TestFusion:
         wy.speaker_order = wx.speaker_order
         f = compute_fusion_transform(wx, wy)
         assert f.jitter_applied == 0.0
-        for _ in range(100):
-            e = prng.standard_normal(d)
-            r = prng.standard_normal(d)
-            direct = logit_score_direct(e, r, wx, wy)
-            fused = logit_score_fused(e, r, f)
-            assert abs(direct - fused) <= 1e-6
+        pairs = [(prng.standard_normal(d), prng.standard_normal(d))
+                 for _ in range(100)]
+        e, r = (np.stack(side) for side in zip(*pairs))
+        fused = logit_score_fused_batch(e, r, f)
+        for (a, b), got in zip(pairs, fused):
+            assert abs(logit_score_direct(a, b, wx, wy) - got) <= 1e-6
 
     def test_identical_logit_vectors_score_one(self):
         prng = Prng(6)
         d = 4
         wx = random_weights(prng, 3 * d, d, "X")
         f = compute_fusion_transform(wx, wx)
-        e = length_normalize(prng.standard_normal(d))
-        assert logit_score_fused(e, e, f) == pytest.approx(1.0, abs=1e-9)
+        e = length_normalize(prng.standard_normal(d))[None, :]
+        assert logit_score_fused_batch(e, e, f)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_scale_invariance(self):
         prng = Prng(7)
@@ -131,8 +130,9 @@ class TestFusion:
         f = compute_fusion_transform(wx, wy)
         e = prng.standard_normal(d)
         r = prng.standard_normal(d)
-        base = logit_score_fused(e, r, f)
-        assert logit_score_fused(3.7 * e, 0.2 * r, f) == pytest.approx(base, abs=1e-9)
+        base = logit_score_fused_batch(e[None, :], r[None, :], f)[0]
+        scaled = logit_score_fused_batch(3.7 * e[None, :], 0.2 * r[None, :], f)[0]
+        assert scaled == pytest.approx(base, abs=1e-9)
         assert logit_score_direct(3.7 * e, 0.2 * r, wx, wy) == pytest.approx(
             logit_score_direct(e, r, wx, wy), abs=1e-9)
 
@@ -145,14 +145,16 @@ class TestFusion:
         f = compute_fusion_transform(wx, wy)
         e = unit_rows(prng, 10, d)
         r = unit_rows(prng, 10, d)
+        # a row scores the same alone as inside a batch
         batch = logit_score_fused_batch(e, r, f)
         for i in range(10):
-            assert batch[i] == pytest.approx(logit_score_fused(e[i], r[i], f), abs=1e-12)
+            single = logit_score_fused_batch(e[i:i + 1], r[i:i + 1], f)[0]
+            assert batch[i] == pytest.approx(single, abs=1e-12)
 
     def test_dim_mismatch(self):
         f = FusionTransform(np.eye(4), 2, 10, 0.0)
         with pytest.raises(DimensionMismatch):
-            logit_score_fused(np.ones(3), np.ones(2), f)
+            logit_score_fused_batch(np.ones((1, 3)), np.ones((1, 2)), f)
 
     def test_json_round_trip(self, tmp_path):
         prng = Prng(9)

@@ -9,6 +9,7 @@ from sidalign.errors import (
     DegenerateGap,
     DegenerateTrialSet,
     UnknownId,
+    ZeroVector,
 )
 from sidalign.metrics import (
     cosine_scorer,
@@ -19,8 +20,10 @@ from sidalign.metrics import (
     gap_recovery,
     relative_impact,
     roc,
+    score_cosine,
     score_trials,
 )
+from sidalign.mlp import forward, mlp_init
 from sidalign.numerics import Prng
 
 
@@ -71,6 +74,11 @@ class TestRoc:
     def test_degenerate(self):
         with pytest.raises(DegenerateTrialSet):
             roc([0.5, 0.6], [1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(DegenerateTrialSet):
+            roc([0.9, bad, 0.1, 0.2], [1, 1, 0, 0])
 
     def test_tie_counts_as_accept(self):
         # imposter tied with the threshold is accepted
@@ -177,6 +185,41 @@ class TestScoreTrials:
             expect = float(p[i] @ r[i] /
                            (np.linalg.norm(p[i]) * np.linalg.norm(r[i])))
             assert batch[i] == pytest.approx(expect, abs=1e-12)
+
+    def test_zero_row_raises(self):
+        p = np.array([[1.0, 0.0], [0.0, 0.0]])
+        r = np.ones((2, 2))
+        with pytest.raises(ZeroVector):
+            cosine_scorer(p, r)
+        with pytest.raises(ZeroVector):
+            cosine_scorer(r, p)
+
+    def test_dead_network_rows_raise(self):
+        # a fresh narrow net maps some inputs to exact zero rows (every
+        # hidden unit off, zero biases); they must not score NaN
+        mapped = forward(mlp_init([8, 8, 8, 8], 3), Prng(0).standard_normal(3000, 8))[0]
+        assert np.any(np.linalg.norm(mapped, axis=1) == 0.0)
+        with pytest.raises(ZeroVector):
+            cosine_scorer(mapped, np.ones_like(mapped))
+
+    def test_score_cosine_maps_each_side_once(self):
+        trials = [Trial("a", "u1", "target"), Trial("a", "u2", "imposter"),
+                  Trial("b", "u1", "imposter")]
+        prof = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        run = {"u1": np.array([1.0, 1.0]), "u2": np.array([1.0, -1.0])}
+        calls = []
+
+        def swap(rows):
+            calls.append(len(rows))
+            return rows[:, ::-1]
+
+        scored = score_cosine(TrialSet(trials), prof, run, enroll_map=swap)
+        assert calls == [2]
+        plain = score_trials(TrialSet(trials), cosine_scorer,
+                             {k: v[::-1] for k, v in prof.items()}, run)
+        assert scored.scores == plain.scores
+        assert score_cosine(TrialSet(trials), prof, run).scores == \
+            score_trials(TrialSet(trials), cosine_scorer, prof, run).scores
 
     def test_unknown_speaker(self):
         ts = TrialSet([Trial("ghost", "u1", "target")])

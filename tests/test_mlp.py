@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,10 @@ from sidalign.mlp import (
     backward,
     forward,
     gradient_check,
-    load_mlp,
     lr_at,
+    mlp_from_dict,
     mlp_init,
-    save_mlp,
+    mlp_to_dict,
 )
 from sidalign.numerics import Prng
 
@@ -214,8 +216,8 @@ class TestCheckpointIO:
     def test_round_trip_exact(self, tmp_path):
         m = mlp_init([4, 6, 6, 4], seed=11)
         path = tmp_path / "net.json"
-        save_mlp(m, path, seed=11, trained_epochs=3)
-        back = load_mlp(path)
+        path.write_text(json.dumps(mlp_to_dict(m, seed=11, trained_epochs=3)))
+        back = mlp_from_dict(json.loads(path.read_text()))
         assert back.layer_dims == m.layer_dims
         for a, b in zip(back.parameters(), m.parameters()):
             np.testing.assert_array_equal(a, b)

@@ -7,8 +7,6 @@ from sidalign.numerics import (
     cholesky_upper,
     cosine_similarity,
     length_normalize,
-    matmul,
-    matvec,
 )
 
 
@@ -110,32 +108,6 @@ class TestCholeskyUpper:
         b = rng.standard_normal(5, 5)
         m, _ = cholesky_upper(b.T @ b + np.eye(5))
         np.testing.assert_array_equal(m, np.triu(m))
-
-
-class TestMatmul:
-    def test_identity(self):
-        np.testing.assert_array_equal(
-            matmul(np.eye(2), [[1, 2], [3, 4]]), [[1, 2], [3, 4]]
-        )
-
-    def test_matvec(self):
-        np.testing.assert_array_equal(matvec([[1, 2], [3, 4]], [1, 1]), [3, 7])
-
-    def test_permutation_involution(self):
-        p = [[0, 1], [1, 0]]
-        np.testing.assert_array_equal(matmul(p, p), np.eye(2))
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = Prng(9)
-        for _ in range(20):
-            a, b, c = (rng.standard_normal(5, 5) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.linalg.norm(left - right) / np.linalg.norm(left) < 1e-9
 
 
 class TestPrng:
