@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     DisjointnessViolation,
     InsufficientData,
+    ParseError,
     VariantMismatch,
 )
 from .mlp import (
@@ -216,8 +217,10 @@ class PairedData:
         if speaker_subset is not None:
             allowed = set(speaker_subset)
             speakers = [s for s in speakers if s in allowed]
-        prof_x = {p.speaker_id: p.vector for p in corpus_x.profiles}
-        prof_y = {p.speaker_id: p.vector for p in corpus_y.profiles}
+        prof_x = {p.speaker_id: p.vector for p in corpus_x.profiles
+                  if p.model_id == model_x}
+        prof_y = {p.speaker_id: p.vector for p in corpus_y.profiles
+                  if p.model_id == model_y}
         self.d = corpus_x.dimension(model_x)
         if corpus_y.dimension(model_y) != self.d:
             raise DimensionMismatch("the two corpora must share the embedding dim")
@@ -453,12 +456,8 @@ def transform_profiles_offline(ckpt: Checkpoint, profiles) -> list[VoiceProfile]
     profiles = list(profiles)
     if not profiles:
         return []
-    mat = np.stack([p.vector for p in profiles])
-    mapped = map_profiles(ckpt, mat)
-    out = []
-    for p, v in zip(profiles, mapped):
-        out.append(VoiceProfile(p.speaker_id, "X→Y", length_normalize(v)))
-    return out
+    mapped = length_normalize(map_profiles(ckpt, np.stack([p.vector for p in profiles])))
+    return [VoiceProfile(p.speaker_id, "X→Y", v) for p, v in zip(profiles, mapped)]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +507,10 @@ def save_checkpoint(ckpt: Checkpoint, path, extra: dict | None = None) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
-        return checkpoint_from_dict(json.load(fh))
+        try:
+            return checkpoint_from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from exc
 
 
 def save_training_log(log, path) -> None:

@@ -48,7 +48,7 @@ from .logit import (
 )
 from .metrics import evaluate, far_key, load_report, save_report, score_cosine
 from .mlp import gradient_check, mlp_init
-from .numerics import Prng
+from .numerics import Prng, length_normalize
 from .synth import SynthConfig, generate, make_trials
 
 # Every scorer is cosine(enroll_map(profile), runtime_map(runtime)). Scorer id
@@ -108,12 +108,7 @@ def cmd_synth(args) -> int:
         model_seed=args.model_seed,
     )
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        for key, value in overrides.items():
-            if not hasattr(cfg, key):
-                raise SidAlignError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
+        _apply_config(cfg, args.config)
     corpus_x, corpus_y, _ = generate(cfg)
     save_embeddings(corpus_x, args.out_x)
     save_embeddings(corpus_y, args.out_y)
@@ -123,6 +118,28 @@ def cmd_synth(args) -> int:
         save_trials(trials, args.trials_out)
     print(f"wrote {len(corpus_x.records)} records per view", file=sys.stderr)
     return 0
+
+
+def _apply_config(cfg: SynthConfig, path) -> None:
+    """Override cfg with a JSON config file's settings. A value must have its
+    setting's type: an int is also a float, a bool is neither, and
+    model_seed (default None) takes an int or null."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            overrides = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ParseError(f"{path}: expected a JSON object of settings")
+    for key, value in overrides.items():
+        if not hasattr(cfg, key):
+            raise SidAlignError(f"unknown config key {key!r}")
+        default = getattr(SynthConfig(), key)
+        kinds = (int, float) if isinstance(default, float) else type(default or 0)
+        if not (isinstance(value, kinds) and not isinstance(value, bool)
+                or value is None and default is None):
+            raise ParseError(f"{path}: {key} = {value!r} has the wrong type")
+        setattr(cfg, key, value)
 
 
 def cmd_profile(args) -> int:
@@ -155,11 +172,9 @@ def cmd_logit_align(args) -> int:
 def cmd_train(args) -> int:
     corpus_x = load_embeddings(args.corpus_x)
     corpus_y = load_embeddings(args.corpus_y)
-    corpus_x = _with_profiles(corpus_x)
-    corpus_y = _with_profiles(corpus_y)
 
-    all_speakers = [s for s in corpus_x.speaker_ids()
-                    if s in set(corpus_y.speaker_ids())]
+    have_y = set(corpus_y.speaker_ids())
+    all_speakers = [s for s in corpus_x.speaker_ids() if s in have_y]
     n_val = int(round(args.val_fraction * len(all_speakers)))
     prng = Prng(args.seed + 7)
     order = prng.permutation(len(all_speakers))
@@ -194,13 +209,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _with_profiles(corpus):
-    from .data import Corpus
-
-    profiles = build_all_profiles(corpus, corpus.model_ids[0])
-    return Corpus(corpus.records, profiles)
-
-
 def cmd_score(args) -> int:
     scorer_id = args.scorer
     profile_view, runtime_view, source = SCORERS[scorer_id]
@@ -210,8 +218,8 @@ def cmd_score(args) -> int:
                for v in dict.fromkeys((profile_view, runtime_view))}
     trials = load_trials(args.trials)
     profiles = corpora[profile_view]
-    profile_vectors = {p.speaker_id: p.vector
-                       for p in build_all_profiles(profiles, profiles.model_ids[0])}
+    profile_vectors = {p.speaker_id: p.vector for p in profiles.profiles
+                       if p.model_id == profiles.model_ids[0]}
     runtime_vectors = {r.utterance_id: r.vector
                        for r in corpora[runtime_view].records if r.split == "runtime"}
     scored = score_cosine(trials, profile_vectors, runtime_vectors,
@@ -269,6 +277,17 @@ def _per_far(path, key: str, required: bool) -> dict:
         raise ParseError(f"{path}: malformed report, missing {exc}") from exc
 
 
+def _far_list(text: str) -> str:
+    """Check --far at parse time, so a bad list is a usage error; the text is
+    kept as given because the config hash covers it."""
+    try:
+        [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    return text
+
+
 def cmd_gradcheck(args) -> int:
     from .align import NegativeBank, PairBatch
 
@@ -281,20 +300,15 @@ def cmd_gradcheck(args) -> int:
         f2 = mlp_init([d, h, h, d], args.seed + 1)
         batch = PairBatch(
             [f"b{i}" for i in range(n)],
-            *(_unit_rows(prng, n, d) for _ in range(4)),
+            *(length_normalize(prng.standard_normal(n, d)) for _ in range(4)),
         )
-        bank = NegativeBank(["z0", "z1"], _unit_rows(prng, 2, d),
-                            _unit_rows(prng, 2, d))
-        if name == "m1":
-            params = f1.parameters()
-            _, grads = loss_m1(f1, batch)
-            err = gradient_check(params, lambda: loss_m1(f1, batch)[0], grads,
-                                 seed=args.seed)
-        elif name == "m2":
-            params = f1.parameters()
-            _, grads = loss_m2(f1, batch)
-            err = gradient_check(params, lambda: loss_m2(f1, batch)[0], grads,
-                                 seed=args.seed)
+        bank = NegativeBank(["z0", "z1"], length_normalize(prng.standard_normal(2, d)),
+                            length_normalize(prng.standard_normal(2, d)))
+        if name in ("m1", "m2"):
+            loss_fn = loss_m1 if name == "m1" else loss_m2
+            _, grads = loss_fn(f1, batch)
+            err = gradient_check(f1.parameters(), lambda: loss_fn(f1, batch)[0],
+                                 grads, seed=args.seed)
         else:
             w = np.array([5.0])
             params = f1.parameters() + f2.parameters() + [w]
@@ -312,11 +326,6 @@ def cmd_gradcheck(args) -> int:
         if err > tol:
             failures.append(name)
     return 1 if failures else 0
-
-
-def _unit_rows(prng: Prng, n: int, d: int) -> np.ndarray:
-    rows = prng.standard_normal(n, d)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compute EER and FRR@FAR report")
     p.add_argument("--scores", required=True)
     p.add_argument("--scorer-id", default="system")
-    p.add_argument("--far", default="0.125,0.05,0.02")
+    p.add_argument("--far", default="0.125,0.05,0.02", type=_far_list)
     p.add_argument("--baseline-report")
     p.add_argument("--candidate-report")
     p.add_argument("--stdout", action="store_true")

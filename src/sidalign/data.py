@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import (
     EmptyEnrollment,
     ModelMismatch,
     ParseError,
+    SidAlignError,
     UnknownLabel,
     ZeroVector,
 )
@@ -48,6 +50,10 @@ class EmbeddingRecord:
         if self.split not in SPLITS:
             raise ParseError(f"unknown split {self.split!r}")
         self.vector = np.asarray(self.vector, dtype=np.float64)
+        if self.vector.ndim != 1:
+            raise DimensionMismatch(
+                f"utterance {self.utterance_id!r} has a vector of shape "
+                f"{self.vector.shape}, expected 1-D")
         if not np.all(np.isfinite(self.vector)):
             raise ZeroVector(f"non-finite vector in utterance {self.utterance_id!r}")
 
@@ -68,16 +74,20 @@ class VoiceProfile:
 
 
 class Corpus:
-    """Immutable-after-construction collection of records and profiles."""
+    """Immutable-after-construction collection of embedding records."""
 
-    def __init__(self, records=None, profiles=None):
+    def __init__(self, records=None):
         self.records: list[EmbeddingRecord] = list(records or [])
-        self.profiles: list[VoiceProfile] = list(profiles or [])
         self._dims: dict[str, int] = {}
         self._by_key: dict[tuple[str, str, str], EmbeddingRecord] = {}
         for rec in self.records:
             self._index(rec)
-        self._profile_by_id = {(p.model_id, p.speaker_id): p for p in self.profiles}
+
+    @cached_property
+    def profiles(self) -> list[VoiceProfile]:
+        """The voice profile of every enrolled speaker of every model, built
+        from the enrollment records on first use."""
+        return [p for model in self.model_ids for p in build_all_profiles(self, model)]
 
     def _index(self, rec: EmbeddingRecord):
         d = rec.vector.shape[0]
@@ -102,21 +112,10 @@ class Corpus:
     def record(self, model_id: str, utterance_id: str, split: str) -> EmbeddingRecord:
         return self._by_key[(model_id, utterance_id, split)]
 
-    def speaker_ids(self, split: str | None = None):
-        seen = []
-        marked = set()
-        for rec in self.records:
-            if split is not None and rec.split != split:
-                continue
-            if rec.speaker_id not in marked:
-                marked.add(rec.speaker_id)
-                seen.append(rec.speaker_id)
-        return seen
-
-    def profile(self, speaker_id: str, model_id: str | None = None) -> VoiceProfile:
-        if model_id is None:
-            model_id = self.model_ids[0]
-        return self._profile_by_id[(model_id, speaker_id)]
+    def speaker_ids(self, split: str | None = None) -> list[str]:
+        """Speakers in first-record order, of one split or of all."""
+        return list(dict.fromkeys(rec.speaker_id for rec in self.records
+                                  if split is None or rec.split == split))
 
 
 @dataclass
@@ -151,32 +150,21 @@ def build_voice_profile(records) -> VoiceProfile:
     speaker = records[0].speaker_id
     model = records[0].model_id
     for rec in records:
-        if rec.speaker_id != speaker:
+        if (rec.speaker_id, rec.model_id) != (speaker, model):
             raise ModelMismatch(
-                f"mixed speakers {speaker!r} and {rec.speaker_id!r} in one profile"
-            )
-        if rec.model_id != model:
-            raise ModelMismatch(
-                f"mixed models {model!r} and {rec.model_id!r} in one profile"
-            )
-    stacked = np.stack([length_normalize(rec.vector) for rec in records])
-    mean = stacked.mean(axis=0)
+                f"record {rec.utterance_id!r} of {rec.speaker_id!r}/{rec.model_id!r} "
+                f"in the profile of {speaker!r}/{model!r}")
+    mean = length_normalize(np.stack([rec.vector for rec in records])).mean(axis=0)
     return VoiceProfile(speaker, model, length_normalize(mean))
 
 
 def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
-    profiles = []
+    """One profile per enrolled speaker of model_id, in first-record order."""
     by_speaker: dict[str, list[EmbeddingRecord]] = {}
-    order = []
     for rec in corpus.records:
         if rec.model_id == model_id and rec.split == "enroll":
-            if rec.speaker_id not in by_speaker:
-                by_speaker[rec.speaker_id] = []
-                order.append(rec.speaker_id)
-            by_speaker[rec.speaker_id].append(rec)
-    for speaker in order:
-        profiles.append(build_voice_profile(by_speaker[speaker]))
-    return profiles
+            by_speaker.setdefault(rec.speaker_id, []).append(rec)
+    return [build_voice_profile(recs) for recs in by_speaker.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +172,9 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
 
 
 def _record_to_json(rec: EmbeddingRecord) -> str:
-    obj = {
-        "speaker_id": rec.speaker_id,
-        "utterance_id": rec.utterance_id,
-        "model_id": rec.model_id,
-        "split": rec.split,
-        "vector": [float(format_float(x)) for x in rec.vector],
-    }
     # json.dumps would re-expand the rounded floats; emit the vector manually.
-    head = json.dumps(
-        {k: obj[k] for k in ("speaker_id", "utterance_id", "model_id", "split")}
-    )
+    head = json.dumps({"speaker_id": rec.speaker_id, "utterance_id": rec.utterance_id,
+                       "model_id": rec.model_id, "split": rec.split})
     vec = ",".join(format_float(x) for x in rec.vector)
     return head[:-1] + ', "vector": [' + vec + "]}"
 
@@ -214,14 +194,9 @@ def load_embeddings(path) -> Corpus:
                 continue
             try:
                 obj = json.loads(line)
-                rec = EmbeddingRecord(
-                    speaker_id=obj["speaker_id"],
-                    utterance_id=obj["utterance_id"],
-                    model_id=obj["model_id"],
-                    split=obj["split"],
-                    vector=obj["vector"],
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                rec = EmbeddingRecord(obj["speaker_id"], obj["utterance_id"],
+                                      obj["model_id"], obj["split"], obj["vector"])
+            except (ValueError, KeyError, TypeError, SidAlignError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             records.append(rec)
     return Corpus(records)
@@ -239,12 +214,13 @@ def save_profiles(profiles, path) -> None:
 
 
 def load_profiles(path) -> list[VoiceProfile]:
-    corpus = load_embeddings(path)
-    out = []
-    for rec in corpus.records:
-        # Re-normalize: 9-digit serialization perturbs the unit norm slightly.
-        out.append(VoiceProfile(rec.speaker_id, rec.model_id, length_normalize(rec.vector)))
-    return out
+    records = load_embeddings(path).records
+    if not records:
+        return []
+    # Re-normalize: 9-digit serialization perturbs the unit norm slightly.
+    vectors = length_normalize(np.stack([rec.vector for rec in records]))
+    return [VoiceProfile(rec.speaker_id, rec.model_id, v)
+            for rec, v in zip(records, vectors)]
 
 
 def load_trials(path) -> TrialSet:

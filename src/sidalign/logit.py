@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     MissingSpeaker,
     ModelMismatch,
+    ParseError,
     SpeakerOrderMismatch,
 )
 from .metrics import cosine_scorer
@@ -134,7 +135,10 @@ def save_fusion(f: FusionTransform, path, extra: dict | None = None) -> None:
 
 def load_fusion(path) -> FusionTransform:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    d = int(obj["d"])
-    m = np.array(obj["m"], dtype=np.float64).reshape(2 * d, 2 * d)
-    return FusionTransform(m, d, int(obj["N"]), float(obj["jitter_applied"]))
+        try:
+            obj = json.load(fh)
+            d = int(obj["d"])
+            m = np.array(obj["m"], dtype=np.float64).reshape(2 * d, 2 * d)
+            return FusionTransform(m, d, int(obj["N"]), float(obj["jitter_applied"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"{path}: malformed fusion transform: {exc!r}") from exc

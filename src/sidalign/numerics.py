@@ -20,42 +20,29 @@ EPS_NORM = 1e-12
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
 
-def as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ZeroVector("vector contains non-finite entries")
-    return arr
-
-
-def as_matrix(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ZeroVector("matrix contains non-finite entries")
-    return arr
-
-
 def length_normalize(v) -> np.ndarray:
-    """Return v / ||v||_2, raising ZeroVector for degenerate input."""
-    arr = as_vector(v)
-    norm = float(np.linalg.norm(arr))
-    if norm <= EPS_NORM:
-        raise ZeroVector(f"cannot normalize vector with norm {norm:g}")
-    return arr / norm
+    """Scale every row of a (d,) or (n, d) array to unit L2 norm; ZeroVector
+    if a row's norm is <= EPS_NORM or not finite. Each norm is reduced over
+    one contiguous row, so a row gives the same bits alone as in a block."""
+    arr = np.asarray(v, dtype=np.float64, order="C")
+    if arr.ndim not in (1, 2):
+        raise DimensionMismatch(f"expected a vector or rows, got shape {arr.shape}")
+    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
+    ok = (norms > EPS_NORM) & np.isfinite(norms)
+    if not ok.all():
+        raise ZeroVector(f"cannot normalize a row of norm {norms[~ok][0]:g}")
+    return arr / norms
 
 
 def cosine_similarity(a, b) -> float:
-    va = as_vector(a)
-    vb = as_vector(b)
-    if va.shape != vb.shape:
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
+    if va.ndim != 1 or va.shape != vb.shape:
         raise DimensionMismatch(f"cosine of {va.shape} vs {vb.shape}")
     na = float(np.linalg.norm(va))
     nb = float(np.linalg.norm(vb))
-    if na <= EPS_NORM or nb <= EPS_NORM:
-        raise ZeroVector("cosine similarity of a zero vector")
+    if not (EPS_NORM < na < np.inf and EPS_NORM < nb < np.inf):
+        raise ZeroVector("cosine similarity of a zero or non-finite vector")
     return float(np.dot(va, vb) / (na * nb))
 
 
@@ -66,10 +53,12 @@ def cholesky_upper(a, max_jitter_ladder=JITTER_LADDER) -> tuple[np.ndarray, floa
     ladder scaled by trace(a)/dim(a); NotDecomposable is raised only when the
     largest jitter still fails (indefinite input).
     """
-    ma = as_matrix(a)
-    n, m = ma.shape
-    if n != m:
+    ma = np.asarray(a, dtype=np.float64)
+    if ma.ndim != 2 or ma.shape[0] != ma.shape[1]:
         raise DimensionMismatch(f"cholesky of non-square matrix {ma.shape}")
+    if not np.all(np.isfinite(ma)):
+        raise ZeroVector("matrix contains non-finite entries")
+    n = ma.shape[0]
     scale = float(np.max(np.abs(ma)))
     asym = float(np.max(np.abs(ma - ma.T)))
     if asym > 1e-9 * max(scale, 1.0):

@@ -9,11 +9,12 @@ the quality gap between the models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, EmbeddingRecord, Trial, TrialSet, build_all_profiles
+from .data import Corpus, EmbeddingRecord, Trial, TrialSet
 from .errors import ConfigInvalid, InsufficientData
 from .numerics import Prng, length_normalize, random_orthogonal
 
@@ -79,14 +80,15 @@ class Distortion:
             raise ConfigInvalid(f"unknown distortion {kind!r}")
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """Map latent rows (n, latent_dim) to unit embedding rows (n, embed_dim)."""
         if self.kind == "identity":
             out = u
         elif self.kind == "orthogonal":
-            out = self.params["q"] @ u
+            out = u @ self.params["q"].T
         elif self.kind == "affine":
-            out = self.params["a"] @ u + self.params["b"]
+            out = u @ self.params["a"].T + self.params["b"]
         else:
-            out = self.params["w2"] @ np.tanh(self.params["w1"] @ u)
+            out = np.tanh(u @ self.params["w1"].T) @ self.params["w2"].T
         return length_normalize(out)
 
 
@@ -108,26 +110,32 @@ def generate(config: SynthConfig) -> tuple[Corpus, Corpus, GroundTruth]:
     dist_y = Distortion(config.distortion_y, config.latent_dim, config.embed_dim,
                         model_prng, config.nonlinear_gain)
 
-    latents = {}
+    # Per speaker: its identity draw, then one block of utterance noise in
+    # which row [u, 0] is utterance u's X noise and [u, 1] its Y noise.
+    n_utts = config.n_enroll_utts + config.n_runtime_utts
+    draws = [(prng.standard_normal(config.latent_dim),
+              prng.standard_normal(n_utts, 2, config.latent_dim))
+             for _ in range(config.n_speakers)]
+    z = length_normalize(np.stack([zi for zi, _ in draws]))
+    noise = np.stack([block for _, block in draws])  # (speaker, utt, view, dim)
+    views = []
+    for k, (sigma, dist) in enumerate(((config.within_noise_x, dist_x),
+                                       (config.within_noise_y, dist_y))):
+        noisy = z[:, None, :] + sigma * noise[:, :, k, :]
+        views.append(dist.apply(length_normalize(noisy.reshape(-1, config.latent_dim))))
+    vx, vy = views
+
+    speakers = [f"s{config.seed}_{i:05d}" for i in range(config.n_speakers)]
     recs_x, recs_y = [], []
-    for i in range(config.n_speakers):
-        speaker = f"s{config.seed}_{i:05d}"
-        z = length_normalize(prng.standard_normal(config.latent_dim))
-        latents[speaker] = z
-        n_utts = config.n_enroll_utts + config.n_runtime_utts
+    for i, speaker in enumerate(speakers):
         for u in range(n_utts):
             split = "enroll" if u < config.n_enroll_utts else "runtime"
             utt = f"{speaker}_u{u:04d}"
-            noisy_x = z + config.within_noise_x * prng.standard_normal(config.latent_dim)
-            noisy_y = z + config.within_noise_y * prng.standard_normal(config.latent_dim)
-            vx = dist_x.apply(length_normalize(noisy_x))
-            vy = dist_y.apply(length_normalize(noisy_y))
-            recs_x.append(EmbeddingRecord(speaker, utt, "X", split, vx))
-            recs_y.append(EmbeddingRecord(speaker, utt, "Y", split, vy))
-
-    corpus_x = Corpus(recs_x, build_all_profiles(Corpus(recs_x), "X"))
-    corpus_y = Corpus(recs_y, build_all_profiles(Corpus(recs_y), "Y"))
-    return corpus_x, corpus_y, GroundTruth(latents, dist_x, dist_y)
+            row = i * n_utts + u
+            recs_x.append(EmbeddingRecord(speaker, utt, "X", split, vx[row]))
+            recs_y.append(EmbeddingRecord(speaker, utt, "Y", split, vy[row]))
+    latents = dict(zip(speakers, z))
+    return Corpus(recs_x), Corpus(recs_y), GroundTruth(latents, dist_x, dist_y)
 
 
 def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> TrialSet:
@@ -139,22 +147,32 @@ def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> 
     runtime = [r for r in corpus_y.records if r.split == "runtime"]
 
     target_pool = [(r.speaker_id, r.utterance_id) for r in runtime]
-    imposter_pool = []
-    for spk in speakers:
-        for r in runtime:
-            if r.speaker_id != spk:
-                imposter_pool.append((spk, r.utterance_id))
+    # The imposter pool pairs each speaker in turn with every runtime
+    # utterance of the others, and is indexed through per-speaker cumulative
+    # sizes, not built. own[spk] holds p_m - m for the m-th runtime position
+    # p_m of spk: the count of other speakers' utterances before it.
+    own = {spk: [] for spk in speakers}
+    for pos, r in enumerate(runtime):
+        mine = own[r.speaker_id]
+        mine.append(pos - len(mine))
+    pool_ends = np.cumsum([len(runtime) - len(own[spk]) for spk in speakers])
+    n_pool = int(pool_ends[-1])
     if n_target > len(target_pool):
         raise InsufficientData(
             f"requested {n_target} target trials, only {len(target_pool)} available"
         )
-    if n_imposter > len(imposter_pool):
+    if n_imposter > n_pool:
         raise InsufficientData(
-            f"requested {n_imposter} imposter trials, only {len(imposter_pool)} available"
+            f"requested {n_imposter} imposter trials, only {n_pool} available"
         )
 
     t_idx = prng.choice(len(target_pool), n_target, replace=False)
-    i_idx = prng.choice(len(imposter_pool), n_imposter, replace=False)
+    i_idx = np.sort(prng.choice(n_pool, n_imposter, replace=False))
     trials = [Trial(*target_pool[j], "target") for j in sorted(t_idx)]
-    trials += [Trial(*imposter_pool[j], "imposter") for j in sorted(i_idx)]
+    for k, j in zip(np.searchsorted(pool_ends, i_idx, side="right"), i_idx):
+        spk = speakers[k]
+        offset = int(j) - (int(pool_ends[k - 1]) if k else 0)
+        # The offset-th foreign utterance follows each own one with <= offset before it.
+        skipped = bisect_right(own[spk], offset)
+        trials.append(Trial(spk, runtime[offset + skipped].utterance_id, "imposter"))
     return TrialSet(trials)

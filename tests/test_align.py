@@ -222,8 +222,7 @@ class TestPairedData:
 
         def without_runtime(corpus, speakers):
             return Corpus([r for r in corpus.records
-                           if r.split != "runtime" or r.speaker_id not in speakers],
-                          corpus.profiles)
+                           if r.split != "runtime" or r.speaker_id not in speakers])
 
         gone = {cx.speaker_ids()[3]}
         paired = PairedData(without_runtime(cx, gone), without_runtime(cy, gone))
@@ -236,12 +235,13 @@ class TestPairedData:
         np.testing.assert_array_equal(a.r_y, b.r_y)
         assert paired.full_batch().size == 19
 
-        # a speaker without a Y profile, and one whose runtime utterances
-        # have no Y pair, are left out the same way
+        # a speaker without a Y profile (no Y enrollment records), and one
+        # whose runtime utterances have no Y pair, are left out the same way
         no_profile, no_pair = cx.speaker_ids()[5], cx.speaker_ids()[7]
         cy_cut = Corpus([r for r in cy.records
-                         if not (r.split == "runtime" and r.speaker_id == no_pair)],
-                        [p for p in cy.profiles if p.speaker_id != no_profile])
+                         if not (r.split == "runtime" and r.speaker_id == no_pair)
+                         and not (r.split == "enroll" and r.speaker_id == no_profile)])
+        assert no_profile not in {p.speaker_id for p in cy_cut.profiles}
         assert no_profile not in PairedData(cx, cy_cut).speaker_ids
         assert no_pair not in PairedData(cx, cy_cut).speaker_ids
 

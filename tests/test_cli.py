@@ -200,6 +200,22 @@ class TestScorerParity:
             assert np.max(np.abs(got - direct)) <= 1e-6
 
 
+RECORD = ('{"speaker_id": "a", "utterance_id": "u1", "model_id": "X", '
+          '"split": "enroll", "vector": %s}\n')
+
+
+def without(path, key):
+    obj = json.loads(path.read_text())
+    del obj[key]
+    return json.dumps(obj)
+
+
+def shortened(path, key):
+    obj = json.loads(path.read_text())
+    obj[key] = obj[key][:-1]
+    return json.dumps(obj)
+
+
 class TestErrors:
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["profile", "--embeddings", str(tmp_path / "nope.jsonl"),
@@ -256,6 +272,51 @@ class TestErrors:
                      "--out", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("option, content, code", [
+        ("--embeddings", RECORD % '["a", "b"]', 1),
+        ("--embeddings", RECORD % "1.5", 1),
+        ("--embeddings", RECORD % "[[1, 2], [3]]", 1),
+        ("--fusion", lambda paths: without(paths["fusion"], "m"), 1),
+        ("--fusion", lambda paths: shortened(paths["fusion"], "m"), 1),
+        ("--checkpoint", lambda paths: without(paths["m2"], "layer_dims"), 1),
+        ("--checkpoint", '{"variant": "m2", ', 1),
+        ("--config", "n_speakers = 10", 1),
+        ("--config", '{"n_speakers": "ten"}', 1),
+        ("--far", None, 2),
+    ], ids=["vector-strings", "vector-scalar", "vector-ragged", "fusion-without-m",
+            "fusion-wrong-size", "checkpoint-without-layer-dims",
+            "checkpoint-not-json", "config-not-json", "config-wrong-type",
+            "far-not-numbers"])
+    def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
+                                            option, content, code):
+        paths = scored_fixture
+        bad = tmp_path / "bad_input"
+        bad.write_text(content(paths) if callable(content) else content or "")
+        out = str(tmp_path / "out")
+        corpora = ["--trials", str(paths["trials"]), "--corpus-x", str(paths["x"]),
+                   "--corpus-y", str(paths["y"]), "--out", out]
+        argv = {
+            "--embeddings": ["profile", "--embeddings", str(bad), "--out", out],
+            "--fusion": ["score", "--scorer", "logit-fused", "--fusion", str(bad)] + corpora,
+            "--checkpoint": ["score", "--scorer", "nessa-m2", "--checkpoint", str(bad)]
+                            + corpora,
+            "--config": ["synth", "--config", str(bad), "--out-x", out, "--out-y", out],
+            "--far": ["eval", "--scores", str(paths["scores"]), "--far", "abc", "--out", out],
+        }[option]
+        capsys.readouterr()
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if "error:" in line]
+        assert len(errors) == 1
+        if code == 1:
+            assert err == errors and err[0].startswith("error:")
+            assert "bad_input" in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_eval_closes_report_files(self, scored_fixture, tmp_path):
         paths = scored_fixture

@@ -35,6 +35,32 @@ class TestLengthNormalize:
             twice = length_normalize(once)
             assert np.max(np.abs(twice - once)) < 1e-15
 
+    @pytest.mark.parametrize("shape", [(1, 5), (6, 32), (200, 32), (9, 1), (40, 129)])
+    def test_rows_equal_vector_results_bitwise(self, shape):
+        rows = Prng(6).standard_normal(*shape) * 10.0 ** Prng(7).uniform(-3, 3, shape[0])[:, None]
+        # a transposed copy is not C-contiguous; it must give the same bits
+        for block in (rows, np.asfortranarray(rows)):
+            out = length_normalize(block)
+            assert out.shape == shape
+            for i in range(shape[0]):
+                np.testing.assert_array_equal(out[i], length_normalize(block[i]))
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_degenerate_row_anywhere_raises(self, bad, where):
+        rows = Prng(8).standard_normal(7, 4)
+        if bad == 0.0:
+            rows[where] = 0.0
+        else:
+            rows[where, 2] = bad
+        with pytest.raises(ZeroVector):
+            length_normalize(rows)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 1, 1), ()])
+    def test_not_vector_or_rows_raises(self, shape):
+        with pytest.raises(DimensionMismatch):
+            length_normalize(np.ones(shape))
+
 
 class TestCosineSimilarity:
     def test_identical(self):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from sidalign.data import Corpus
 from sidalign.errors import ConfigInvalid, InsufficientData
 from sidalign.metrics import cosine_scorer, eer, roc, score_trials
-from sidalign.synth import SynthConfig, generate, make_trials
+from sidalign.numerics import Prng
+from sidalign.synth import DISTORTIONS, Distortion, SynthConfig, generate, make_trials
 
 
 def small_config(**overrides):
@@ -27,6 +29,88 @@ def vec_maps(corpus):
     prof = {p.speaker_id: p.vector for p in corpus.profiles}
     run = {r.utterance_id: r.vector for r in corpus.records if r.split == "runtime"}
     return prof, run
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def reference_generate(config):
+    """Reference: one utterance and one view at a time, each map applied to a
+    column vector. Returns [(speaker, utterance, split, vector)] per view."""
+    prng = Prng(config.seed)
+    model_prng = Prng(config.seed if config.model_seed is None else config.model_seed)
+    views = [(sigma, Distortion(kind, config.latent_dim, config.embed_dim, model_prng,
+                                config.nonlinear_gain), [])
+             for sigma, kind in ((config.within_noise_x, config.distortion_x),
+                                 (config.within_noise_y, config.distortion_y))]
+    for i in range(config.n_speakers):
+        speaker = f"s{config.seed}_{i:05d}"
+        z = unit(prng.standard_normal(config.latent_dim))
+        for u in range(config.n_enroll_utts + config.n_runtime_utts):
+            split = "enroll" if u < config.n_enroll_utts else "runtime"
+            for sigma, dist, rows in views:
+                x = unit(z + sigma * prng.standard_normal(config.latent_dim))
+                rows.append((speaker, f"{speaker}_u{u:04d}", split, reference_map(dist, x)))
+    return [rows for _, _, rows in views]
+
+
+def reference_map(dist, x):
+    p = dist.params
+    if dist.kind == "identity":
+        return unit(x)
+    if dist.kind == "orthogonal":
+        return unit(p["q"] @ x)
+    if dist.kind == "affine":
+        return unit(p["a"] @ x + p["b"])
+    return unit(p["w2"] @ np.tanh(p["w1"] @ x))
+
+
+def reference_trials(corpus_y, n_target, n_imposter, seed):
+    """Reference: materialise every (speaker, foreign utterance) pair."""
+    prng = Prng(seed)
+    runtime = [r for r in corpus_y.records if r.split == "runtime"]
+    target_pool = [(r.speaker_id, r.utterance_id) for r in runtime]
+    imposter_pool = [(spk, r.utterance_id) for spk in corpus_y.speaker_ids(split="runtime")
+                     for r in runtime if r.speaker_id != spk]
+    t_idx = prng.choice(len(target_pool), n_target, replace=False)
+    i_idx = prng.choice(len(imposter_pool), n_imposter, replace=False)
+    return ([(*target_pool[j], "target") for j in sorted(t_idx)]
+            + [(*imposter_pool[j], "imposter") for j in sorted(i_idx)])
+
+
+def trial_tuples(ts):
+    return [(t.enroll_speaker_id, t.test_utterance_id, t.label) for t in ts.trials]
+
+
+class TestReference:
+    @pytest.mark.parametrize("distortion", DISTORTIONS)
+    def test_generate_matches_reference(self, distortion):
+        cfg = small_config(n_speakers=30, n_enroll_utts=4, n_runtime_utts=3,
+                           latent_dim=8, embed_dim=8, distortion_x=distortion,
+                           distortion_y=distortion, seed=5, model_seed=11)
+        corpora = generate(cfg)[:2]
+        for corpus, ref in zip(corpora, reference_generate(cfg)):
+            assert ([(r.speaker_id, r.utterance_id, r.split) for r in corpus.records]
+                    == [row[:3] for row in ref])
+            worst = max(np.max(np.abs(r.vector - row[3]))
+                        for r, row in zip(corpus.records, ref))
+            assert worst <= 1e-12
+
+    def test_trials_match_reference_in_any_record_order(self):
+        _, cy, _ = generate(small_config(n_speakers=25, n_runtime_utts=3))
+        # drop some runtime utterances so speakers have unequal pools
+        uneven = [r for i, r in enumerate(cy.records) if r.split == "enroll" or i % 4]
+        orders = {
+            "grouped": uneven,
+            "interleaved": sorted(uneven, key=lambda r: r.utterance_id[-4:]),
+            "reversed": uneven[::-1],
+        }
+        for name, records in orders.items():
+            corpus = Corpus(records)
+            for seed in (0, 1, 2):
+                got = trial_tuples(make_trials(corpus, 30, 200, seed))
+                assert got == reference_trials(corpus, 30, 200, seed), name
 
 
 class TestGenerate:
