@@ -89,8 +89,10 @@ class NessaConfig:
             raise ConfigInvalid(f"unknown variant {self.variant!r}")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ConfigInvalid("alpha, beta, gamma must be >= 0")
-        if min(self.epochs, self.steps_per_epoch, self.batch_size) < 0:
-            raise ConfigInvalid("epochs/steps/batch must be >= 0")
+        if self.epochs < 0:
+            raise ConfigInvalid("epochs must be >= 0")
+        if min(self.steps_per_epoch, self.batch_size) < 1:
+            raise ConfigInvalid("steps_per_epoch and batch_size must be >= 1")
         if self.bank_size < 0:
             raise ConfigInvalid("bank_size must be >= 0")
 
@@ -209,20 +211,16 @@ class PairedData:
 
     def __init__(self, corpus_x: Corpus, corpus_y: Corpus,
                  speaker_subset: list[str] | None = None):
-        model_x = corpus_x.model_ids[0]
-        model_y = corpus_y.model_ids[0]
         spk_x = corpus_x.speaker_ids()
         have_y = set(corpus_y.speaker_ids())
         speakers = [s for s in spk_x if s in have_y]
         if speaker_subset is not None:
             allowed = set(speaker_subset)
             speakers = [s for s in speakers if s in allowed]
-        prof_x = {p.speaker_id: p.vector for p in corpus_x.profiles
-                  if p.model_id == model_x}
-        prof_y = {p.speaker_id: p.vector for p in corpus_y.profiles
-                  if p.model_id == model_y}
-        self.d = corpus_x.dimension(model_x)
-        if corpus_y.dimension(model_y) != self.d:
+        prof_x = {p.speaker_id: p.vector for p in corpus_x.profiles}
+        prof_y = {p.speaker_id: p.vector for p in corpus_y.profiles}
+        self.d = corpus_x.dim
+        if corpus_y.dim != self.d:
             raise DimensionMismatch("the two corpora must share the embedding dim")
 
         # Keep only speakers with both profiles and >= 1 paired runtime utt.
@@ -232,10 +230,10 @@ class PairedData:
         utt_index = [[] for _ in speakers]
         for rec in corpus_x.records:
             si = speaker_pos.get(rec.speaker_id)
-            if si is None or rec.split != "runtime" or rec.model_id != model_x:
+            if si is None or rec.split != "runtime":
                 continue
             try:
-                pair = corpus_y.record(model_y, rec.utterance_id, "runtime")
+                pair = corpus_y.record(rec.utterance_id, "runtime")
             except KeyError:
                 continue
             utt_index[si].append(len(r_x_rows))

@@ -1,5 +1,4 @@
-"""Command-line surface: synth, profile, logit-align, train, score, eval,
-gradcheck.
+"""Command-line surface: synth, profile, logit-align, train, score, eval.
 
 Every command is deterministic given --seed. Diagnostics go to stderr; exit
 code 0 on success, 1 on data errors, 2 on usage errors. JSON artifacts embed
@@ -13,23 +12,17 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .align import (
     NessaConfig,
     PairedData,
     load_checkpoint,
-    loss_m1,
-    loss_m2,
-    loss_m3,
     save_checkpoint,
     save_training_log,
     side_maps,
     train,
 )
 from .data import (
-    build_all_profiles,
     load_embeddings,
     load_profiles,
     load_trials,
@@ -38,7 +31,7 @@ from .data import (
     save_scores,
     save_trials,
 )
-from .errors import ParseError, SidAlignError
+from .errors import ConfigInvalid, ParseError, SidAlignError
 from .logit import (
     build_weight_matrix,
     compute_fusion_transform,
@@ -47,8 +40,7 @@ from .logit import (
     save_fusion,
 )
 from .metrics import evaluate, far_key, load_report, save_report, score_cosine
-from .mlp import gradient_check, mlp_init
-from .numerics import Prng, length_normalize
+from .numerics import Prng
 from .synth import SynthConfig, generate, make_trials
 
 # Every scorer is cosine(enroll_map(profile), runtime_map(runtime)). Scorer id
@@ -143,9 +135,7 @@ def _apply_config(cfg: SynthConfig, path) -> None:
 
 
 def cmd_profile(args) -> int:
-    corpus = load_embeddings(args.embeddings)
-    model_id = args.model_id or corpus.model_ids[0]
-    profiles = build_all_profiles(corpus, model_id)
+    profiles = load_embeddings(args.embeddings).profiles
     save_profiles(profiles, args.out)
     print(f"wrote {len(profiles)} profiles", file=sys.stderr)
     return 0
@@ -170,6 +160,8 @@ def cmd_logit_align(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not 0 <= args.val_fraction < 1:
+        raise ConfigInvalid(f"--val-fraction {args.val_fraction} is not in [0, 1)")
     corpus_x = load_embeddings(args.corpus_x)
     corpus_y = load_embeddings(args.corpus_y)
 
@@ -217,9 +209,7 @@ def cmd_score(args) -> int:
     corpora = {v: load_embeddings(paths[v])
                for v in dict.fromkeys((profile_view, runtime_view))}
     trials = load_trials(args.trials)
-    profiles = corpora[profile_view]
-    profile_vectors = {p.speaker_id: p.vector for p in profiles.profiles
-                       if p.model_id == profiles.model_ids[0]}
+    profile_vectors = {p.speaker_id: p.vector for p in corpora[profile_view].profiles}
     runtime_vectors = {r.utterance_id: r.vector
                        for r in corpora[runtime_view].records if r.split == "runtime"}
     scored = score_cosine(trials, profile_vectors, runtime_vectors,
@@ -288,46 +278,6 @@ def _far_list(text: str) -> str:
     return text
 
 
-def cmd_gradcheck(args) -> int:
-    from .align import NegativeBank, PairBatch
-
-    d, h, n = args.dim, args.hidden, args.batch
-    prng = Prng(args.seed)
-    tol = args.tolerance
-    failures = []
-    for name in ("m1", "m2", "m3"):
-        f1 = mlp_init([d, h, h, d], args.seed)
-        f2 = mlp_init([d, h, h, d], args.seed + 1)
-        batch = PairBatch(
-            [f"b{i}" for i in range(n)],
-            *(length_normalize(prng.standard_normal(n, d)) for _ in range(4)),
-        )
-        bank = NegativeBank(["z0", "z1"], length_normalize(prng.standard_normal(2, d)),
-                            length_normalize(prng.standard_normal(2, d)))
-        if name in ("m1", "m2"):
-            loss_fn = loss_m1 if name == "m1" else loss_m2
-            _, grads = loss_fn(f1, batch)
-            err = gradient_check(f1.parameters(), lambda: loss_fn(f1, batch)[0],
-                                 grads, seed=args.seed)
-        else:
-            w = np.array([5.0])
-            params = f1.parameters() + f2.parameters() + [w]
-            _, g1, g2, dw = loss_m3(f1, f2, float(w[0]), batch, bank,
-                                    1.0, 0.5, 0.1)
-            grads = g1 + g2 + [np.array([dw])]
-            err = gradient_check(
-                params,
-                lambda: loss_m3(f1, f2, float(w[0]), batch, bank,
-                                1.0, 0.5, 0.1, want_grads=False)[0],
-                grads, seed=args.seed)
-        status = "ok" if err <= tol else "FAIL"
-        print(f"loss {name}: max relative error {err:.3g} [{status}]",
-              file=sys.stderr)
-        if err > tol:
-            failures.append(name)
-    return 1 if failures else 0
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -361,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="build voice profiles from a corpus")
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--model-id")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_profile)
 
@@ -414,14 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdout", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of all losses")
-    p.add_argument("--dim", type=int, default=6)
-    p.add_argument("--hidden", type=int, default=10)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 

@@ -74,43 +74,36 @@ class VoiceProfile:
 
 
 class Corpus:
-    """Immutable-after-construction collection of embedding records."""
+    """Immutable-after-construction records of one model, all of one dimension."""
 
     def __init__(self, records=None):
         self.records: list[EmbeddingRecord] = list(records or [])
-        self._dims: dict[str, int] = {}
-        self._by_key: dict[tuple[str, str, str], EmbeddingRecord] = {}
+        first = self.records[0] if self.records else None
+        self.model_id: str | None = first.model_id if first else None
+        self.dim: int | None = first.vector.shape[0] if first else None
+        self._by_key: dict[tuple[str, str], EmbeddingRecord] = {}
         for rec in self.records:
-            self._index(rec)
+            if rec.model_id != self.model_id:
+                raise ModelMismatch(
+                    f"utterance {rec.utterance_id!r} is of model {rec.model_id!r}, "
+                    f"the corpus holds model {self.model_id!r}")
+            if rec.vector.shape[0] != self.dim:
+                raise DimensionMismatch(
+                    f"utterance {rec.utterance_id!r} has dimension "
+                    f"{rec.vector.shape[0]}, the corpus uses {self.dim}")
+            key = (rec.utterance_id, rec.split)
+            if key in self._by_key:
+                raise ParseError(f"duplicate record {key}")
+            self._by_key[key] = rec
 
     @cached_property
     def profiles(self) -> list[VoiceProfile]:
-        """The voice profile of every enrolled speaker of every model, built
-        from the enrollment records on first use."""
-        return [p for model in self.model_ids for p in build_all_profiles(self, model)]
+        """The voice profile of every enrolled speaker, built from the
+        enrollment records on first use."""
+        return build_all_profiles(self, self.model_id)
 
-    def _index(self, rec: EmbeddingRecord):
-        d = rec.vector.shape[0]
-        known = self._dims.setdefault(rec.model_id, d)
-        if known != d:
-            raise DimensionMismatch(
-                f"utterance {rec.utterance_id!r} has dimension {d}, "
-                f"model {rec.model_id!r} uses {known}"
-            )
-        key = (rec.model_id, rec.utterance_id, rec.split)
-        if key in self._by_key:
-            raise ParseError(f"duplicate record {key}")
-        self._by_key[key] = rec
-
-    def dimension(self, model_id: str) -> int:
-        return self._dims[model_id]
-
-    @property
-    def model_ids(self):
-        return sorted(self._dims)
-
-    def record(self, model_id: str, utterance_id: str, split: str) -> EmbeddingRecord:
-        return self._by_key[(model_id, utterance_id, split)]
+    def record(self, utterance_id: str, split: str) -> EmbeddingRecord:
+        return self._by_key[(utterance_id, split)]
 
     def speaker_ids(self, split: str | None = None) -> list[str]:
         """Speakers in first-record order, of one split or of all."""
@@ -143,28 +136,38 @@ class TrialSet:
 
 
 def build_voice_profile(records) -> VoiceProfile:
-    """Normalize each enrollment embedding, average, normalize again."""
+    """The profile of one speaker's enrollment records."""
     records = list(records)
     if not records:
         raise EmptyEnrollment("cannot build a profile from zero records")
     speaker = records[0].speaker_id
-    model = records[0].model_id
     for rec in records:
-        if (rec.speaker_id, rec.model_id) != (speaker, model):
-            raise ModelMismatch(
-                f"record {rec.utterance_id!r} of {rec.speaker_id!r}/{rec.model_id!r} "
-                f"in the profile of {speaker!r}/{model!r}")
-    mean = length_normalize(np.stack([rec.vector for rec in records])).mean(axis=0)
-    return VoiceProfile(speaker, model, length_normalize(mean))
+        if rec.speaker_id != speaker:
+            raise ModelMismatch(f"record {rec.utterance_id!r} of {rec.speaker_id!r} "
+                                f"in the profile of {speaker!r}")
+    return build_all_profiles(Corpus(records), records[0].model_id)[0]
 
 
 def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
-    """One profile per enrolled speaker of model_id, in first-record order."""
-    by_speaker: dict[str, list[EmbeddingRecord]] = {}
+    """One profile per enrolled speaker, in first-record order: normalize
+    each enrollment embedding, average per speaker, normalize again."""
+    if model_id != corpus.model_id:
+        raise ModelMismatch(f"profiles of model {model_id!r} asked of a corpus "
+                            f"of model {corpus.model_id!r}")
+    by_speaker: dict[str, list[np.ndarray]] = {}
     for rec in corpus.records:
-        if rec.model_id == model_id and rec.split == "enroll":
-            by_speaker.setdefault(rec.speaker_id, []).append(rec)
-    return [build_voice_profile(recs) for recs in by_speaker.values()]
+        if rec.split == "enroll":
+            by_speaker.setdefault(rec.speaker_id, []).append(rec.vector)
+    if not by_speaker:
+        raise EmptyEnrollment("no enrollment records to build profiles from")
+    units = length_normalize(np.stack([v for vs in by_speaker.values() for v in vs]))
+    ends = np.cumsum([len(vs) for vs in by_speaker.values()])
+    # mean(axis=0) over each speaker's block: the same additions in the same
+    # order as over the speaker's rows alone, so the bits do not depend on
+    # the other speakers or on how the records interleave.
+    means = np.stack([block.mean(axis=0) for block in np.split(units, ends[:-1])])
+    return [VoiceProfile(speaker, model_id, v)
+            for speaker, v in zip(by_speaker, length_normalize(means))]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +202,10 @@ def load_embeddings(path) -> Corpus:
             except (ValueError, KeyError, TypeError, SidAlignError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             records.append(rec)
-    return Corpus(records)
+    try:
+        return Corpus(records)
+    except SidAlignError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_profiles(profiles, path) -> None:

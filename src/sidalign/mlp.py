@@ -30,10 +30,6 @@ class Mlp:
     def in_dim(self) -> int:
         return self.layer_dims[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layer_dims[-1]
-
     def parameters(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -192,14 +188,11 @@ def lr_at(schedule: LrSchedule, epoch: int) -> float:
     return schedule.lr0 * schedule.decay**epoch
 
 
-MLP_FLOAT_FMT = "%.17g"
-
-
 def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0) -> dict:
     return {
         "layer_dims": list(m.layer_dims),
-        "weights": [[float(MLP_FLOAT_FMT % x) for x in w.ravel()] for w in m.weights],
-        "biases": [[float(MLP_FLOAT_FMT % x) for x in b.ravel()] for b in m.biases],
+        "weights": [w.ravel().tolist() for w in m.weights],
+        "biases": [b.ravel().tolist() for b in m.biases],
         "activation": "relu",
         "output_activation": "linear",
         "seed": seed,

@@ -310,6 +310,7 @@ def nonlinear_results():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_5_ordering_and_gap_recovery(nonlinear_results):
     per_seed = []
     for seed, r in nonlinear_results.items():
@@ -341,6 +342,7 @@ def test_criterion_5_ordering_and_gap_recovery(nonlinear_results):
     assert ok, (nonlinear_results, per_seed)
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_direction(nonlinear_results):
     no_contrastive_votes = 0
     no_anchor_votes = 0

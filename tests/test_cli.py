@@ -135,7 +135,7 @@ def library_scores(scorer, paths, trials):
     """Per-trial scalar scoring with the library's own pieces: the oracle
     for what `sidalign score` writes."""
     corpora = {v: load_embeddings(paths[v]) for v in ("x", "y")}
-    prof = {v: {p.speaker_id: p.vector for p in build_all_profiles(c, c.model_ids[0])}
+    prof = {v: {p.speaker_id: p.vector for p in build_all_profiles(c, c.model_id)}
             for v, c in corpora.items()}
     run = {v: {r.utterance_id: r.vector for r in c.records if r.split == "runtime"}
            for v, c in corpora.items()}
@@ -216,6 +216,23 @@ def shortened(path, key):
     return json.dumps(obj)
 
 
+def one_error_line(capsys, argv, code=1):
+    """Run argv; assert its exit code and that stderr holds exactly one
+    `error:` line (and, for exit 1, nothing else). Returns that line."""
+    capsys.readouterr()
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if "error:" in line]
+    assert len(errors) == 1, err
+    if code == 1:
+        assert err == errors and err[0].startswith("error:")
+    return errors[0]
+
+
 class TestErrors:
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["profile", "--embeddings", str(tmp_path / "nope.jsonl"),
@@ -249,11 +266,8 @@ class TestErrors:
                           "a\tu2\ttarget\tnan\n"
                           "b\tu1\timposter\t0.1\n"
                           "b\tu2\timposter\t0.2\n")
-        capsys.readouterr()
-        assert main(["eval", "--scores", str(scores),
-                     "--out", str(tmp_path / "r.json")]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        one_error_line(capsys, ["eval", "--scores", str(scores),
+                                "--out", str(tmp_path / "r.json")])
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("content", [
@@ -266,12 +280,9 @@ class TestErrors:
         paths = scored_fixture
         base = tmp_path / "base.json"
         base.write_text(content)
-        capsys.readouterr()
-        assert main(["eval", "--scores", str(paths["scores"]),
-                     "--baseline-report", str(base),
-                     "--out", str(tmp_path / "r.json")]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        one_error_line(capsys, ["eval", "--scores", str(paths["scores"]),
+                                "--baseline-report", str(base),
+                                "--out", str(tmp_path / "r.json")])
 
     @pytest.mark.parametrize("option, content, code", [
         ("--embeddings", RECORD % '["a", "b"]', 1),
@@ -304,18 +315,9 @@ class TestErrors:
             "--config": ["synth", "--config", str(bad), "--out-x", out, "--out-y", out],
             "--far": ["eval", "--scores", str(paths["scores"]), "--far", "abc", "--out", out],
         }[option]
-        capsys.readouterr()
-        try:
-            got = main(argv)
-        except SystemExit as exc:
-            got = exc.code
-        assert got == code
-        err = capsys.readouterr().err.splitlines()
-        errors = [line for line in err if "error:" in line]
-        assert len(errors) == 1
+        line = one_error_line(capsys, argv, code)
         if code == 1:
-            assert err == errors and err[0].startswith("error:")
-            assert "bad_input" in err[0]
+            assert "bad_input" in line
         assert not (tmp_path / "out").exists()
 
     def test_eval_closes_report_files(self, scored_fixture, tmp_path):
@@ -331,10 +333,63 @@ class TestErrors:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
-class TestGradcheck:
-    def test_default_passes(self):
-        assert main(["gradcheck", "--dim", "6", "--hidden", "10"]) == 0
+class TestOneModelPerCorpus:
+    def commands(self, paths, corpus_x, out):
+        corpora = ["--corpus-x", str(corpus_x), "--corpus-y", str(paths["y"])]
+        return {
+            "profile": ["profile", "--embeddings", str(corpus_x), "--out", out],
+            "train": ["train", "--variant", "m2", "--epochs", "1", "--steps", "2",
+                      "--batch", "8", "--hidden", "8", "--out", out] + corpora,
+            "score": ["score", "--scorer", "cosine-sym-x", "--trials",
+                      str(paths["trials"]), "--out", out] + corpora,
+        }
 
-    def test_absurd_tolerance_fails(self):
-        assert main(["gradcheck", "--dim", "6", "--hidden", "10",
-                     "--tolerance", "1e-18"]) == 1
+    @pytest.mark.parametrize("command", ["profile", "train", "score"])
+    def test_mixed_models_exit_one(self, scored_fixture, tmp_path, capsys, command):
+        paths = scored_fixture
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(paths["x"].read_text() + paths["y"].read_text())
+        out = tmp_path / "out"
+        line = one_error_line(capsys, self.commands(paths, mixed, str(out))[command])
+        assert "mixed.jsonl" in line and "'Y'" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["profile", "train"])
+    def test_empty_file_exit_one(self, scored_fixture, tmp_path, capsys, command):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "out"
+        one_error_line(capsys, self.commands(scored_fixture, empty, str(out))[command])
+        assert not out.exists()
+
+    def test_profile_without_enrollment_exit_one(self, scored_fixture, tmp_path, capsys):
+        runtime_only = tmp_path / "runtime.jsonl"
+        runtime_only.write_text("".join(
+            line + "\n" for line in scored_fixture["x"].read_text().splitlines()
+            if '"split": "runtime"' in line))
+        out = tmp_path / "out"
+        one_error_line(capsys, ["profile", "--embeddings", str(runtime_only),
+                                "--out", str(out)])
+        assert not out.exists()
+
+
+class TestTrainSettings:
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch", "0"),
+        ("--steps", "0"),
+        ("--val-fraction", "-0.5"),
+        ("--val-fraction", "1"),
+        ("--val-fraction", "nan"),
+    ])
+    def test_invalid_setting_exit_one(self, scored_fixture, tmp_path, capsys,
+                                      flag, value):
+        paths = scored_fixture
+        out = tmp_path / "ckpt.json"
+        settings = {"--epochs": "1", "--steps": "2", "--batch": "8", "--hidden": "8",
+                    "--val-fraction": "0.1", flag: value}
+        argv = ["train", "--corpus-x", str(paths["x"]), "--corpus-y", str(paths["y"]),
+                "--variant", "m2", "--out", str(out)]
+        for option, setting in settings.items():
+            argv += [option, setting]
+        one_error_line(capsys, argv)
+        assert not out.exists()

@@ -6,6 +6,7 @@ from sidalign.data import (
     EmbeddingRecord,
     Trial,
     TrialSet,
+    build_all_profiles,
     build_voice_profile,
     load_embeddings,
     load_profiles,
@@ -23,6 +24,7 @@ from sidalign.errors import (
     UnknownLabel,
     ZeroVector,
 )
+from sidalign.numerics import length_normalize
 
 
 def rec(speaker, utt, vector, split="enroll", model="X"):
@@ -156,5 +158,89 @@ class TestCorpus:
 
     def test_lookup(self):
         c = Corpus([rec("a", "u1", [1, 0], "runtime")])
-        assert c.record("X", "u1", "runtime").speaker_id == "a"
-        assert c.dimension("X") == 2
+        assert c.record("u1", "runtime").speaker_id == "a"
+        assert (c.model_id, c.dim) == ("X", 2)
+
+    def test_empty(self):
+        c = Corpus([])
+        assert (c.model_id, c.dim) == (None, None)
+        with pytest.raises(EmptyEnrollment):
+            c.profiles
+
+    def test_second_model_rejected_naming_utterance(self):
+        with pytest.raises(ModelMismatch, match="u2"):
+            Corpus([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 1], model="Y")])
+
+    def test_load_names_file_of_mixed_models(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        save_embeddings(Corpus([rec("a", "u1", [1, 0])]), path)
+        with open(path, "a") as fh:
+            fh.write('{"speaker_id": "a", "utterance_id": "u2", "model_id": "Y", '
+                     '"split": "enroll", "vector": [0, 1]}\n')
+        with pytest.raises(ModelMismatch, match="mixed.jsonl.*u2"):
+            load_embeddings(path)
+
+
+def reference_profiles(corpus, model_id):
+    """Profiles one speaker at a time: normalize the speaker's stacked
+    enrollment records, average them, normalize the mean on its own."""
+    by_speaker = {}
+    for r in corpus.records:
+        if r.model_id == model_id and r.split == "enroll":
+            by_speaker.setdefault(r.speaker_id, []).append(r.vector)
+    return [(speaker, length_normalize(length_normalize(np.stack(vectors)).mean(axis=0)))
+            for speaker, vectors in by_speaker.items()]
+
+
+class TestBuildAllProfiles:
+    def records(self, order):
+        """Speakers with 1 to 6 enrollment and 2 runtime records each, in
+        grouped (one speaker after another) or interleaved order."""
+        rng = np.random.default_rng(4)
+        per_speaker = [
+            [rec(f"s{k}", f"s{k}_e{u}",
+                 rng.standard_normal(7) * 10.0 ** rng.integers(-3, 4))
+             for u in range(1 + k % 6)]
+            + [rec(f"s{k}", f"s{k}_r{u}", rng.standard_normal(7), "runtime")
+               for u in range(2)]
+            for k in range(40)]
+        if order == "grouped":
+            return [r for recs in per_speaker for r in recs]
+        return [recs[u] for u in range(8) for recs in per_speaker if u < len(recs)]
+
+    @pytest.mark.parametrize("order", ["grouped", "interleaved"])
+    def test_bitwise_equal_to_per_speaker_loop(self, order):
+        corpus = Corpus(self.records(order))
+        got = build_all_profiles(corpus, "X")
+        want = reference_profiles(corpus, "X")
+        assert [p.speaker_id for p in got] == [s for s, _ in want]
+        for p, (_, v) in zip(got, want):
+            assert p.model_id == "X"
+            np.testing.assert_array_equal(p.vector, v)
+        for p in got:
+            one = build_voice_profile(r for r in corpus.records
+                                      if r.speaker_id == p.speaker_id
+                                      and r.split == "enroll")
+            np.testing.assert_array_equal(one.vector, p.vector)
+
+    def test_zero_norm_runtime_vector_ignored(self):
+        records = self.records("interleaved")
+        records.append(rec("s0", "s0_zero", np.zeros(7), "runtime"))
+        got = Corpus(records).profiles
+        want = build_all_profiles(Corpus(self.records("interleaved")), "X")
+        assert len(got) == len(want) == 40
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.vector, b.vector)
+
+    def test_zero_norm_enrollment_vector_rejected(self):
+        with pytest.raises(ZeroVector):
+            build_all_profiles(Corpus([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 0])]),
+                               "X")
+
+    def test_other_model_rejected(self):
+        with pytest.raises(ModelMismatch):
+            build_all_profiles(Corpus([rec("a", "u1", [1, 0])]), "Y")
+
+    def test_no_enrollment_records(self):
+        with pytest.raises(EmptyEnrollment):
+            build_all_profiles(Corpus([rec("a", "u1", [1, 0], "runtime")]), "X")

@@ -221,3 +221,18 @@ class TestCheckpointIO:
         assert back.layer_dims == m.layer_dims
         for a, b in zip(back.parameters(), m.parameters()):
             np.testing.assert_array_equal(a, b)
+
+    def test_bytes_equal_to_17_digit_formatting(self):
+        """The writer once printed every parameter with "%.17g" and parsed it
+        back; for float64 that round trip is the identity, so the JSON bytes
+        of a checkpoint do not change."""
+        m = mlp_init([16, 64, 64, 16], seed=5)
+        rng = np.random.default_rng(5)
+        for p in m.parameters():
+            p += rng.standard_normal(p.shape) * 10.0 ** rng.integers(-300, 300, p.shape)
+        m.biases[0][:3] = [-0.0, 5e-324, np.finfo(float).max]
+        new = mlp_to_dict(m, seed=5, trained_epochs=2)
+        old = dict(new)
+        old["weights"] = [[float("%.17g" % x) for x in w.ravel()] for w in m.weights]
+        old["biases"] = [[float("%.17g" % x) for x in b.ravel()] for b in m.biases]
+        assert json.dumps(new) == json.dumps(old)
