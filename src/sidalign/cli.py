@@ -31,7 +31,13 @@ from .data import (
     save_scores,
     save_trials,
 )
-from .errors import ConfigInvalid, ParseError, SidAlignError
+from .errors import (
+    ConfigInvalid,
+    EmptyEnrollment,
+    ModelMismatch,
+    ParseError,
+    SidAlignError,
+)
 from .logit import (
     build_weight_matrix,
     compute_fusion_transform,
@@ -134,8 +140,26 @@ def _apply_config(cfg: SynthConfig, path) -> None:
         setattr(cfg, key, value)
 
 
+def _profiles(corpus, path):
+    """A corpus's voice profiles; a corpus without enrollment records is an
+    error that names its file."""
+    try:
+        return corpus.profiles
+    except EmptyEnrollment as exc:
+        raise EmptyEnrollment(f"{path}: {exc}") from exc
+
+
+def _two_models(corpus_x, corpus_y, args) -> None:
+    """--corpus-x and --corpus-y must hold two different models. (Which of
+    the two is X cannot be told from the files.)"""
+    if corpus_x.model_id is not None and corpus_x.model_id == corpus_y.model_id:
+        raise ModelMismatch(
+            f"{args.corpus_x} and {args.corpus_y} both hold model "
+            f"{corpus_x.model_id!r}; --corpus-x and --corpus-y need two models")
+
+
 def cmd_profile(args) -> int:
-    profiles = load_embeddings(args.embeddings).profiles
+    profiles = _profiles(load_embeddings(args.embeddings), args.embeddings)
     save_profiles(profiles, args.out)
     print(f"wrote {len(profiles)} profiles", file=sys.stderr)
     return 0
@@ -164,6 +188,11 @@ def cmd_train(args) -> int:
         raise ConfigInvalid(f"--val-fraction {args.val_fraction} is not in [0, 1)")
     corpus_x = load_embeddings(args.corpus_x)
     corpus_y = load_embeddings(args.corpus_y)
+    _two_models(corpus_x, corpus_y, args)
+    # PairedData reads both views' profiles; build them here, where an empty
+    # view can be named.
+    _profiles(corpus_x, args.corpus_x)
+    _profiles(corpus_y, args.corpus_y)
 
     have_y = set(corpus_y.speaker_ids())
     all_speakers = [s for s in corpus_x.speaker_ids() if s in have_y]
@@ -208,8 +237,11 @@ def cmd_score(args) -> int:
     paths = {"x": args.corpus_x, "y": args.corpus_y}
     corpora = {v: load_embeddings(paths[v])
                for v in dict.fromkeys((profile_view, runtime_view))}
+    if profile_view != runtime_view:
+        _two_models(corpora["x"], corpora["y"], args)
     trials = load_trials(args.trials)
-    profile_vectors = {p.speaker_id: p.vector for p in corpora[profile_view].profiles}
+    profiles = _profiles(corpora[profile_view], paths[profile_view])
+    profile_vectors = {p.speaker_id: p.vector for p in profiles}
     runtime_vectors = {r.utterance_id: r.vector
                        for r in corpora[runtime_view].records if r.split == "runtime"}
     scored = score_cosine(trials, profile_vectors, runtime_vectors,

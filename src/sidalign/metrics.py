@@ -48,10 +48,15 @@ def roc(scores, labels) -> RocCurve:
     if len(tar) == 0 or len(imp) == 0:
         raise DegenerateTrialSet("need at least one target and one imposter trial")
     thresholds = np.concatenate([np.unique(scores), [np.inf]])
-    # accept iff score >= threshold
-    far = np.array([np.count_nonzero(imp >= t) for t in thresholds]) / len(imp)
-    frr = np.array([np.count_nonzero(tar < t) for t in thresholds]) / len(tar)
-    return RocCurve(thresholds, far, frr, len(tar), len(imp))
+    # accept iff score >= threshold: with each class sorted once, the count of
+    # scores below a threshold is its left insertion point (Fawcett 2006, Alg. 1).
+    # tar and imp are copies already, so they are sorted in place.
+    tar.sort()
+    imp.sort()
+    n_imp = len(imp)
+    far = (n_imp - np.searchsorted(imp, thresholds, "left")) / n_imp
+    frr = np.searchsorted(tar, thresholds, "left") / len(tar)
+    return RocCurve(thresholds, far, frr, len(tar), n_imp)
 
 
 def frr_at_far(curve: RocCurve, target_far: float) -> tuple[float, float]:
@@ -71,15 +76,17 @@ def frr_at_far(curve: RocCurve, target_far: float) -> tuple[float, float]:
 def eer(curve: RocCurve) -> float:
     """FAR = FRR crossing with linear interpolation between curve points."""
     diff = curve.far - curve.frr
-    # diff starts >= 0 (FAR=1, FRR=0) and ends <= 0 (FAR=0, FRR=1).
-    for i in range(len(diff) - 1):
-        d0, d1 = diff[i], diff[i + 1]
-        if d0 == 0:
-            return float(curve.far[i])
-        if d0 > 0 >= d1:
-            t = d0 / (d0 - d1)
-            return float(curve.frr[i] + t * (curve.frr[i + 1] - curve.frr[i]))
-    return float(curve.far[-1])
+    # diff starts >= 0 (FAR=1, FRR=0) and ends <= 0 (FAR=0, FRR=1); the EER
+    # sits at the first point that is on the line or just before it crosses.
+    d0, d1 = diff[:-1], diff[1:]
+    hits = np.flatnonzero((d0 == 0) | ((d0 > 0) & (d1 <= 0)))
+    if len(hits) == 0:
+        return float(curve.far[-1])
+    i = hits[0]
+    if d0[i] == 0:
+        return float(curve.far[i])
+    t = d0[i] / (d0[i] - d1[i])
+    return float(curve.frr[i] + t * (curve.frr[i + 1] - curve.frr[i]))
 
 
 def relative_impact(frr_base: float, frr_sys: float) -> float:
@@ -103,18 +110,30 @@ def score_trials(trialset: TrialSet, scorer, profile_vectors: dict,
     profile_vectors maps enroll_speaker_id to a vector, runtime_vectors maps
     test_utterance_id to a vector. Score order matches trial order.
     """
-    if not trialset.trials:
+    trials = trialset.trials
+    if not trials:
         return TrialSet([], [])
-    p_rows, r_rows = [], []
-    for t in trialset.trials:
-        if t.enroll_speaker_id not in profile_vectors:
-            raise UnknownId(f"unknown enroll speaker {t.enroll_speaker_id!r}")
-        if t.test_utterance_id not in runtime_vectors:
-            raise UnknownId(f"unknown test utterance {t.test_utterance_id!r}")
-        p_rows.append(profile_vectors[t.enroll_speaker_id])
-        r_rows.append(runtime_vectors[t.test_utterance_id])
-    scores = scorer(np.stack(p_rows), np.stack(r_rows))
-    return TrialSet(list(trialset.trials), [float(s) for s in scores])
+    # One row per key, gathered by index arrays: np.intp arrays, not lists of
+    # Python ints, so a long trial list costs two allocations, not n objects.
+    p_row = {k: i for i, k in enumerate(profile_vectors)}
+    r_row = {k: i for i, k in enumerate(runtime_vectors)}
+    n = len(trials)
+    try:
+        pi = np.fromiter((p_row[t.enroll_speaker_id] for t in trials), np.intp, n)
+        ri = np.fromiter((r_row[t.test_utterance_id] for t in trials), np.intp, n)
+    except KeyError:
+        for t in trials:  # name the first unknown id in trial order
+            if t.enroll_speaker_id not in p_row:
+                raise UnknownId(
+                    f"unknown enroll speaker {t.enroll_speaker_id!r}") from None
+            if t.test_utterance_id not in r_row:
+                raise UnknownId(
+                    f"unknown test utterance {t.test_utterance_id!r}") from None
+        raise
+    p = np.stack(list(profile_vectors.values()))
+    r = np.stack(list(runtime_vectors.values()))
+    scores = scorer(p[pi], r[ri])
+    return TrialSet(list(trials), scores.tolist())
 
 
 def cosine_scorer(p: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -362,6 +362,47 @@ class TestOneModelPerCorpus:
         one_error_line(capsys, self.commands(scored_fixture, empty, str(out))[command])
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_empty_corpus_named(self, scored_fixture, tmp_path, capsys, command):
+        # the empty file is --corpus-y for train (both views give profiles)
+        # and --corpus-x for score (the profile view of cosine-sym-x)
+        paths = scored_fixture
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "out"
+        argv = self.commands(paths, empty, str(out))[command]
+        if command == "train":
+            argv[argv.index(str(empty))] = str(paths["x"])
+            argv[argv.index(str(paths["y"]))] = str(empty)
+        line = one_error_line(capsys, argv)
+        assert str(empty) in line and "no enrollment records" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, scorer", [
+        ("train", None), ("score", "cosine-asym-raw"), ("score", "nessa-m2")])
+    def test_same_model_twice_exit_one(self, scored_fixture, tmp_path, capsys,
+                                       command, scorer):
+        paths = scored_fixture
+        copy = tmp_path / "y_copy.jsonl"
+        copy.write_text(paths["y"].read_text())
+        out = tmp_path / "out"
+        argv = self.commands(paths, copy, str(out))[command]
+        if scorer is not None:
+            argv[argv.index("cosine-sym-x")] = scorer
+            argv += ["--checkpoint", str(paths["m2"])]
+        line = one_error_line(capsys, argv)
+        assert str(copy) in line and str(paths["y"]) in line and "'Y'" in line
+        assert not out.exists()
+
+    def test_same_model_twice_one_view_scorer_runs(self, scored_fixture, tmp_path):
+        # a scorer that reads one view does not look at the other corpus
+        paths = scored_fixture
+        out = tmp_path / "sym_y.tsv"
+        assert main(["score", "--scorer", "cosine-sym-y",
+                     "--trials", str(paths["trials"]), "--corpus-x", str(paths["y"]),
+                     "--corpus-y", str(paths["y"]), "--out", str(out)]) == 0
+        assert out.exists()
+
     def test_profile_without_enrollment_exit_one(self, scored_fixture, tmp_path, capsys):
         runtime_only = tmp_path / "runtime.jsonl"
         runtime_only.write_text("".join(

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sidalign.data import Trial, TrialSet
 from sidalign.errors import (
@@ -12,6 +14,7 @@ from sidalign.errors import (
     ZeroVector,
 )
 from sidalign.metrics import (
+    RocCurve,
     cosine_scorer,
     eer,
     evaluate,
@@ -44,6 +47,68 @@ def brute_force_best_frr(scores, labels, target_far):
         if fa <= target_far and (best is None or fr < best):
             best = fr
     return best
+
+
+def reference_roc(scores, labels):
+    """The per-threshold count sweep, O(n * unique): the oracle for roc."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    tar = scores[labels == 1]
+    imp = scores[labels == 0]
+    thresholds = np.concatenate([np.unique(scores), [np.inf]])
+    far = np.array([np.count_nonzero(imp >= t) for t in thresholds]) / len(imp)
+    frr = np.array([np.count_nonzero(tar < t) for t in thresholds]) / len(tar)
+    return thresholds, far, frr
+
+
+def reference_eer(curve):
+    """The point-by-point crossing search: the oracle for eer."""
+    diff = curve.far - curve.frr
+    for i in range(len(diff) - 1):
+        d0, d1 = diff[i], diff[i + 1]
+        if d0 == 0:
+            return float(curve.far[i])
+        if d0 > 0 >= d1:
+            t = d0 / (d0 - d1)
+            return float(curve.frr[i] + t * (curve.frr[i + 1] - curve.frr[i]))
+    return float(curve.far[-1])
+
+
+def reference_score_trials(trialset, scorer, profile_vectors, runtime_vectors):
+    """One stacked row per trial, looked up trial by trial: the oracle for
+    score_trials."""
+    p_rows, r_rows = [], []
+    for t in trialset.trials:
+        if t.enroll_speaker_id not in profile_vectors:
+            raise UnknownId(f"unknown enroll speaker {t.enroll_speaker_id!r}")
+        if t.test_utterance_id not in runtime_vectors:
+            raise UnknownId(f"unknown test utterance {t.test_utterance_id!r}")
+        p_rows.append(profile_vectors[t.enroll_speaker_id])
+        r_rows.append(runtime_vectors[t.test_utterance_id])
+    scores = scorer(np.stack(p_rows), np.stack(r_rows))
+    return [float(s) for s in scores]
+
+
+@st.composite
+def scored_labels(draw, max_n=300):
+    """(scores, labels) with both labels present; half the draws take their
+    scores from a handful of values, so ties are common."""
+    n = draw(st.integers(2, max_n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+    labels[i], labels[j + (j >= i)] = 0, 1
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        values = draw(st.lists(finite, min_size=1, max_size=4))
+        element = st.sampled_from(values)
+    else:
+        element = finite
+    scores = draw(st.lists(element, min_size=n, max_size=n))
+    return scores, labels
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_trialset(prng, n_max=20):
@@ -79,6 +144,33 @@ class TestRoc:
     def test_non_finite_score_rejected(self, bad):
         with pytest.raises(DegenerateTrialSet):
             roc([0.9, bad, 0.1, 0.2], [1, 1, 0, 0])
+
+    @given(scored_labels())
+    def test_equals_references(self, drawn):
+        # one draw checks roc against the count sweep and eer against the
+        # crossing search, bit for bit
+        scores, labels = drawn
+        curve = roc(scores, labels)
+        thresholds, far, frr = reference_roc(scores, labels)
+        assert same_bits(curve.thresholds, thresholds)
+        assert same_bits(curve.far, far)
+        assert same_bits(curve.frr, frr)
+        n_target = sum(labels)
+        assert (curve.n_target, curve.n_imposter) == (n_target, len(labels) - n_target)
+        assert eer(curve) == reference_eer(curve)
+
+    def test_roc_million_trials(self):
+        # the per-threshold sweep would take hours here
+        prng = Prng(11)
+        n = 1_000_000
+        trials = [Trial("s0", "u0", "imposter"), Trial("s0", "u1", "target")] * (n // 2)
+        scores = (prng.standard_normal(n) + np.arange(n) % 2).tolist()
+        t0 = time.monotonic()
+        report = evaluate(TrialSet(trials, scores), "million")
+        elapsed = time.monotonic() - t0
+        assert report["n_target"] == report["n_imposter"] == n // 2
+        assert 0.25 < report["eer"] < 0.35
+        assert elapsed < 10.0
 
     def test_tie_counts_as_accept(self):
         # imposter tied with the threshold is accepted
@@ -140,6 +232,20 @@ class TestEer:
         e1 = eer(roc(scores, labels))
         e2 = eer(roc([-s for s in scores], 1 - labels))
         assert e1 == pytest.approx(e2, abs=1e-9)
+
+    def test_step_onto_the_line_interpolates(self):
+        # FAR = FRR = 57/59 is first met at the threshold after a 31-target
+        # tie; the crossing search interpolates from the point before it, and
+        # 26/59 + (57/59 - 26/59) is one ulp below 57/59
+        scores = [-1.0] * 2 + [2.0] * 57 + [0.0] * 26 + [1.0] * 31 + [3.0] * 2
+        curve = roc(scores, [0] * 59 + [1] * 59)
+        assert eer(curve) == reference_eer(curve) != 57 / 59
+
+    def test_no_crossing_returns_last_far(self):
+        # a curve that never meets the FAR = FRR line keeps the loop's answer
+        curve = RocCurve(np.array([0.0, np.inf]), np.array([0.5, 0.25]),
+                         np.array([0.0, 0.125]), 1, 1)
+        assert eer(curve) == reference_eer(curve) == 0.25
 
     def test_between_zero_and_one(self):
         prng = Prng(5)
@@ -225,6 +331,33 @@ class TestScoreTrials:
         ts = TrialSet([Trial("ghost", "u1", "target")])
         with pytest.raises(UnknownId):
             score_trials(ts, cosine_scorer, {}, {"u1": np.ones(3)})
+
+    def test_unknown_utterance(self):
+        ts = TrialSet([Trial("a", "ghost", "target")])
+        with pytest.raises(UnknownId, match="unknown test utterance 'ghost'"):
+            score_trials(ts, cosine_scorer, {"a": np.ones(3)}, {"u1": np.ones(3)})
+
+    def test_first_unknown_id_in_trial_order_named(self):
+        ts = TrialSet([Trial("a", "u1", "target"), Trial("a", "ghost", "target"),
+                       Trial("nobody", "u1", "imposter")])
+        with pytest.raises(UnknownId, match="'ghost'"):
+            score_trials(ts, cosine_scorer, {"a": np.ones(3)}, {"u1": np.ones(3)})
+
+    @given(st.integers(1, 8), st.integers(1, 30), st.integers(1, 30),
+           st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_equals_per_trial_stacking(self, d, n_prof, n_run, n_trials, seed):
+        prng = Prng(seed)
+        prof = {f"s{i}": prng.standard_normal(d) for i in range(n_prof)}
+        run = {f"u{i}": prng.standard_normal(d) for i in range(n_run)}
+        trials = TrialSet([
+            Trial(f"s{int(prng.integers(0, n_prof))}", f"u{int(prng.integers(0, n_run))}",
+                  "target" if i % 2 else "imposter")
+            for i in range(n_trials)
+        ])
+        a, b = prng.standard_normal(d, d), prng.standard_normal(d, d)
+        for scorer in (cosine_scorer, lambda p, r: cosine_scorer(p @ a, r @ b)):
+            got = score_trials(trials, scorer, prof, run).scores
+            assert got == reference_score_trials(trials, scorer, prof, run)
 
     def test_order_preserved(self):
         trials = [Trial("a", "u1", "target"), Trial("b", "u2", "imposter")]
