@@ -44,9 +44,14 @@ VARIANTS = ("m1", "m2", "m3")
 
 @dataclass
 class PairBatch:
-    """Per-speaker views: profiles (e_x, e_y) and one runtime pair (r_x, r_y)."""
+    """Per-speaker views: profiles (e_x, e_y) and one runtime pair (r_x, r_y).
 
-    speaker_ids: list[str]
+    ``speakers`` numbers the speakers, as rows of the PairedData the batch
+    was drawn from; a bank contrasted with the batch numbers its speakers in
+    the same space.
+    """
+
+    speakers: np.ndarray
     e_x: np.ndarray
     e_y: np.ndarray
     r_x: np.ndarray
@@ -54,18 +59,18 @@ class PairBatch:
 
     @property
     def size(self) -> int:
-        return len(self.speaker_ids)
+        return len(self.speakers)
 
 
 @dataclass
 class NegativeBank:
-    speaker_ids: list[str]
+    speakers: np.ndarray
     e_x: np.ndarray
     e_y: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.speaker_ids)
+        return len(self.speakers)
 
 
 @dataclass
@@ -150,31 +155,42 @@ def loss_m3(f1: Mlp, f2: Mlp, w: float, batch: PairBatch,
     enrollment profiles of the whole batch plus the bank (the positive j = i
     is included). Softmax uses max-subtraction for stability. Bank profiles
     are mapped through the current f1 and receive gradients.
+
+    At alpha = 0 the contrastive term and its gradients are exactly zero, so
+    the bank is drawn and checked but not mapped: only the batch rows go
+    through f1, the cosine/softmax block is skipped and dL/dw is 0.0. The
+    result has the bits of mapping the bank too wherever BLAS maps the batch
+    rows alike with and without it (batch 256 with bank 512, for one), and
+    agrees with it to rounding elsewhere.
     """
     n = batch.size
     m_neg = bank.size if bank is not None else 0
     if n + m_neg < 2:
         raise InsufficientData("contrastive loss needs at least 2 candidates")
-    if bank is not None and set(bank.speaker_ids) & set(batch.speaker_ids):
+    if m_neg and np.isin(bank.speakers, batch.speakers).any():
         raise DisjointnessViolation("bank speakers overlap the batch")
 
-    if bank is not None and bank.size > 0:
-        a_in = np.vstack([batch.e_x, bank.e_x])
-    else:
-        a_in = batch.e_x
+    contrastive = alpha != 0
+    a_in = np.vstack([batch.e_x, bank.e_x]) if contrastive and m_neg else batch.e_x
     a_out, cache1 = forward(f1, a_in)
     b_out, cache2 = forward(f2, batch.r_y)
 
-    a_hat, a_norm = _normalize_rows(a_out)
-    b_hat, b_norm = _normalize_rows(b_out)
-    cosines = a_hat @ b_hat.T  # (n+M, n); column i = candidates for item i
-    scores = w * cosines
-    shifted = scores - scores.max(axis=0, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=0, keepdims=True)
-    p = exp / denom
-    log_p_pos = shifted[np.arange(n), np.arange(n)] - np.log(denom[0])
-    term1 = -(alpha / n) * float(np.sum(log_p_pos))
+    term1 = 0.0
+    if contrastive:
+        a_hat, a_norm = _normalize_rows(a_out)
+        b_hat, b_norm = _normalize_rows(b_out)
+        cosines = a_hat @ b_hat.T  # (n+M, n); column i = candidates for item i
+        # The softmax, then its gradient, work in place in one (n+M, n)
+        # block: the same operations in the same order as with a new array
+        # per step, so no bit changes.
+        p = w * cosines
+        p -= p.max(axis=0, keepdims=True)  # shifted scores
+        shifted_pos = p[np.arange(n), np.arange(n)]
+        np.exp(p, out=p)
+        denom = p.sum(axis=0, keepdims=True)
+        p /= denom
+        log_p_pos = shifted_pos - np.log(denom[0])
+        term1 = -(alpha / n) * float(np.sum(log_p_pos))
 
     mse2, dmse2 = _mse_and_grad(a_out[:n], batch.e_y)
     mse3, dmse3 = _mse_and_grad(b_out, batch.r_y)
@@ -183,19 +199,25 @@ def loss_m3(f1: Mlp, f2: Mlp, w: float, batch: PairBatch,
     if not want_grads:
         return loss, None, None, None
 
-    # d term1 / d scores
-    dscores = (alpha / n) * p
-    dscores[np.arange(n), np.arange(n)] -= alpha / n
-    dl_dw = float(np.sum(dscores * cosines))
-    dcos = w * dscores
+    if not contrastive:
+        da, db, dl_dw = beta * dmse2, gamma * dmse3, 0.0
+    else:
+        # d term1 / d scores, in p's block
+        dscores = p
+        dscores *= alpha / n
+        dscores[np.arange(n), np.arange(n)] -= alpha / n
+        # cosines is not read again
+        dl_dw = float(np.sum(np.multiply(cosines, dscores, out=cosines)))
+        dcos = dscores
+        dcos *= w
 
-    da_hat = dcos @ b_hat
-    db_hat = dcos.T @ a_hat
-    da = (da_hat - a_hat * np.sum(a_hat * da_hat, axis=1, keepdims=True)) / a_norm
-    db = (db_hat - b_hat * np.sum(b_hat * db_hat, axis=1, keepdims=True)) / b_norm
+        da_hat = dcos @ b_hat
+        db_hat = dcos.T @ a_hat
+        da = (da_hat - a_hat * np.sum(a_hat * da_hat, axis=1, keepdims=True)) / a_norm
+        db = (db_hat - b_hat * np.sum(b_hat * db_hat, axis=1, keepdims=True)) / b_norm
 
-    da[:n] += beta * dmse2
-    db += gamma * dmse3
+        da[:n] += beta * dmse2
+        db += gamma * dmse3
 
     gw1, gb1, _ = backward(f1, cache1, da)
     gw2, gb2, _ = backward(f2, cache2, db)
@@ -226,8 +248,7 @@ class PairedData:
         # Keep only speakers with both profiles and >= 1 paired runtime utt.
         speaker_pos = {s: i for i, s in enumerate(speakers)
                        if s in prof_x and s in prof_y}
-        r_x_rows, r_y_rows = [], []
-        utt_index = [[] for _ in speakers]
+        pairs = [[] for _ in speakers]  # (x, y) runtime vectors per speaker
         for rec in corpus_x.records:
             si = speaker_pos.get(rec.speaker_id)
             if si is None or rec.split != "runtime":
@@ -236,20 +257,21 @@ class PairedData:
                 pair = corpus_y.record(rec.utterance_id, "runtime")
             except KeyError:
                 continue
-            utt_index[si].append(len(r_x_rows))
-            r_x_rows.append(rec.vector)
-            r_y_rows.append(pair.vector)
-        keep = [i for i, utts in enumerate(utt_index) if utts]
+            pairs[si].append((rec.vector, pair.vector))
+        keep = [i for i, utts in enumerate(pairs) if utts]
         if not keep:
             raise InsufficientData(
                 "no shared speaker has a profile in both views and a paired "
                 "runtime utterance")
         self.speaker_ids = [speakers[i] for i in keep]
-        self.utt_index = [utt_index[i] for i in keep]
         self.e_x = np.stack([prof_x[s] for s in self.speaker_ids])
         self.e_y = np.stack([prof_y[s] for s in self.speaker_ids])
-        self.r_x = np.stack(r_x_rows)
-        self.r_y = np.stack(r_y_rows)
+        # Runtime pairs grouped by speaker, in record order: speaker s owns
+        # rows utt_start[s]:utt_start[s] + utt_count[s] of r_x and r_y.
+        self.utt_count = np.array([len(pairs[i]) for i in keep])
+        self.utt_start = np.cumsum(self.utt_count) - self.utt_count
+        self.r_x = np.stack([x for i in keep for x, _ in pairs[i]])
+        self.r_y = np.stack([y for i in keep for _, y in pairs[i]])
 
     @property
     def n_speakers(self) -> int:
@@ -259,13 +281,11 @@ class PairedData:
         """Distinct speakers, one runtime utterance each."""
         size = min(size, self.n_speakers)
         spk_idx = prng.choice(self.n_speakers, size, replace=False)
-        utt_idx = []
-        for si in spk_idx:
-            utts = self.utt_index[int(si)]
-            utt_idx.append(utts[int(prng.integers(0, len(utts)))])
-        utt_idx = np.array(utt_idx)
+        # One draw per speaker from one call: the same draws, in the same
+        # order, as one scalar integers() call per speaker.
+        utt_idx = self.utt_start[spk_idx] + prng.integers(0, self.utt_count[spk_idx])
         return PairBatch(
-            [self.speaker_ids[int(i)] for i in spk_idx],
+            spk_idx,
             self.e_x[spk_idx],
             self.e_y[spk_idx],
             self.r_x[utt_idx],
@@ -274,10 +294,10 @@ class PairedData:
 
     def full_batch(self) -> PairBatch:
         """One deterministic batch: every speaker with its first runtime utt."""
-        utt_idx = np.array([self.utt_index[i][0] for i in range(self.n_speakers)])
+        utt_idx = self.utt_start
         spk_idx = np.arange(self.n_speakers)
         return PairBatch(
-            list(self.speaker_ids),
+            spk_idx,
             self.e_x[spk_idx],
             self.e_y[spk_idx],
             self.r_x[utt_idx],
@@ -285,24 +305,22 @@ class PairedData:
         )
 
 
-def sample_negative_bank(paired: PairedData, batch_speaker_ids, m: int,
+def sample_negative_bank(paired: PairedData, excluded, m: int,
                          prng: Prng) -> NegativeBank:
-    """Uniform sample without replacement from speakers outside the batch."""
+    """Uniform sample without replacement from the speakers of ``paired``
+    outside ``excluded`` (speaker rows, e.g. a batch's ``speakers``)."""
     if m == 0:
-        return NegativeBank([], np.zeros((0, paired.d)), np.zeros((0, paired.d)))
-    excluded = set(batch_speaker_ids)
-    candidates = [i for i, s in enumerate(paired.speaker_ids) if s not in excluded]
-    if m > len(candidates):
+        return NegativeBank(np.zeros(0, dtype=np.intp),
+                            np.zeros((0, paired.d)), np.zeros((0, paired.d)))
+    outside = np.ones(paired.n_speakers, dtype=bool)
+    outside[excluded] = False
+    candidates = np.flatnonzero(outside)
+    if m > candidates.size:
         raise InsufficientData(
-            f"bank of {m} requested, only {len(candidates)} disjoint speakers"
+            f"bank of {m} requested, only {candidates.size} disjoint speakers"
         )
-    picks = prng.choice(len(candidates), m, replace=False)
-    idx = np.array([candidates[int(i)] for i in picks])
-    return NegativeBank(
-        [paired.speaker_ids[int(i)] for i in idx],
-        paired.e_x[idx],
-        paired.e_y[idx],
-    )
+    idx = candidates[prng.choice(candidates.size, m, replace=False)]
+    return NegativeBank(idx, paired.e_x[idx], paired.e_y[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +360,18 @@ def train(config: NessaConfig, train_pair: PairedData,
         params.append(w)
     state = AdamState(params)
 
-    # Fixed validation bank: sampled once from training speakers.
+    # Fixed validation bank: sampled once from the training speakers that
+    # are not validation speakers. Its speakers are numbered after the
+    # validation batch's (0..n-1), the space loss_m3 checks them in.
     val_bank = None
     if config.variant == "m3" and val_pair is not None:
-        bank_prng = Prng(config.seed + 101)
-        excluded = set(val_pair.speaker_ids)
-        avail = sum(1 for s in train_pair.speaker_ids if s not in excluded)
-        val_m = min(config.bank_size, avail)
-        val_bank = sample_negative_bank(train_pair, val_pair.speaker_ids,
-                                        val_m, bank_prng)
+        val_ids = set(val_pair.speaker_ids)
+        in_val = [i for i, s in enumerate(train_pair.speaker_ids) if s in val_ids]
+        val_m = min(config.bank_size, train_pair.n_speakers - len(in_val))
+        bank = sample_negative_bank(train_pair, in_val, val_m,
+                                    Prng(config.seed + 101))
+        val_bank = NegativeBank(val_pair.n_speakers + np.arange(bank.size),
+                                bank.e_x, bank.e_y)
 
     def val_loss():
         if val_pair is None:
@@ -384,7 +405,7 @@ def train(config: NessaConfig, train_pair: PairedData,
                 loss, grads = loss_m2(f1, batch)
             else:
                 bank = sample_negative_bank(
-                    train_pair, batch.speaker_ids,
+                    train_pair, batch.speakers,
                     min(config.bank_size,
                         train_pair.n_speakers - batch.size),
                     prng)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +81,7 @@ class Corpus:
         self.model_id: str | None = first.model_id if first else None
         self.dim: int | None = first.vector.shape[0] if first else None
         self._by_key: dict[tuple[str, str], EmbeddingRecord] = {}
+        self._profiles: list[VoiceProfile] | None = None  # set by build_all_profiles
         for rec in self.records:
             if rec.model_id != self.model_id:
                 raise ModelMismatch(
@@ -96,7 +96,7 @@ class Corpus:
                 raise ParseError(f"duplicate record {key}")
             self._by_key[key] = rec
 
-    @cached_property
+    @property
     def profiles(self) -> list[VoiceProfile]:
         """The voice profile of every enrolled speaker, built from the
         enrollment records on first use."""
@@ -150,10 +150,13 @@ def build_voice_profile(records) -> VoiceProfile:
 
 def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
     """One profile per enrolled speaker, in first-record order: normalize
-    each enrollment embedding, average per speaker, normalize again."""
+    each enrollment embedding, average per speaker, normalize again. Built
+    once per corpus; later calls return the same list."""
     if model_id != corpus.model_id:
         raise ModelMismatch(f"profiles of model {model_id!r} asked of a corpus "
                             f"of model {corpus.model_id!r}")
+    if corpus._profiles is not None:
+        return corpus._profiles
     by_speaker: dict[str, list[np.ndarray]] = {}
     for rec in corpus.records:
         if rec.split == "enroll":
@@ -166,8 +169,9 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
     # order as over the speaker's rows alone, so the bits do not depend on
     # the other speakers or on how the records interleave.
     means = np.stack([block.mean(axis=0) for block in np.split(units, ends[:-1])])
-    return [VoiceProfile(speaker, model_id, v)
-            for speaker, v in zip(by_speaker, length_normalize(means))]
+    corpus._profiles = [VoiceProfile(speaker, model_id, v)
+                        for speaker, v in zip(by_speaker, length_normalize(means))]
+    return corpus._profiles
 
 
 # ---------------------------------------------------------------------------

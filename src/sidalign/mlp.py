@@ -143,11 +143,15 @@ def gradient_check(params, loss_fn, analytic_grads, h=1e-5, n_samples=200,
 
 
 class AdamState:
-    """First/second moment accumulators mirroring a parameter list."""
+    """First/second moment accumulators mirroring a parameter list, plus two
+    scratch buffers, each as large as the largest parameter, that adam_step
+    computes in."""
 
     def __init__(self, params, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        size = max((p.size for p in params), default=0)
+        self.scratch = (np.empty(size), np.empty(size))
         self.t = 0
         self.beta1 = beta1
         self.beta2 = beta2
@@ -155,7 +159,13 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """In-place Adam update with bias correction."""
+    """In-place Adam update with bias correction.
+
+    Computes in the state's scratch buffers, so no parameter-sized temporary
+    is allocated, with the operations and their grouping of the textbook form
+    ``p -= (lr * m_hat) / (sqrt(v_hat) + eps)`` (multiplication commutes
+    exactly in IEEE arithmetic, so ``g * c`` has the bits of ``c * g``).
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("params/grads/state length mismatch")
     state.t += 1
@@ -163,13 +173,18 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ShapeMismatch(f"parameter {p.shape} vs gradient {g.shape}")
+        a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch)
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=a)  # (1 - b1) * g
         v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**state.t)
-        v_hat = v / (1 - b2**state.t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, 1 - b2, out=a)
+        v += np.multiply(a, g, out=a)  # ((1 - b2) * g) * g
+        np.divide(v, 1 - b2**state.t, out=a)  # v_hat
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(m, 1 - b1**state.t, out=b)  # m_hat
+        b *= lr
+        p -= np.divide(b, a, out=b)
 
 
 @dataclass

@@ -6,8 +6,11 @@ heavier experiments (4-6) train real aligners on synthetic corpora and take
 a few minutes in total.
 """
 
+import multiprocessing
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -259,55 +262,79 @@ def test_criterion_4_linear_recovery():
 
 @pytest.fixture(scope="module")
 def nonlinear_results():
-    results = {}
-    for seed in (0, 1, 2):
-        cx_t, cy_t, cx_e, cy_e, trials = make_corpora(
-            seed, "mlp_nonlinear", nx=0.45, ny=0.25, gain=1.5,
-            n_train=10_000, n_eval=500)
-        px, rx = vec_maps(cx_e)
-        py, ry = vec_maps(cy_e)
+    # The 15 trainings do not depend on each other: two spawned worker
+    # processes run them, each with one BLAS thread (the variable is read
+    # when a worker imports numpy), while this process builds the next
+    # seed's corpora. Results are gathered in the fixed run order.
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(
+                max_workers=2,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            seeds = {seed: nonlinear_seed(seed, pool) for seed in (0, 1, 2)}
+            return {seed: collect(*pending) for seed, pending in seeds.items()}
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
 
-        base_frr, _ = frr_at_far(curve_of(trials, px, rx), 0.05)
 
-        def impact(curve):
-            frr, _ = frr_at_far(curve, 0.05)
-            return relative_impact(base_frr, frr)
+def nonlinear_seed(seed, pool):
+    """One seed's baselines, and its five trainings submitted to ``pool``."""
+    cx_t, cy_t, cx_e, cy_e, trials = make_corpora(
+        seed, "mlp_nonlinear", nx=0.45, ny=0.25, gain=1.5,
+        n_train=10_000, n_eval=500)
+    px, rx = vec_maps(cx_e)
+    py, ry = vec_maps(cy_e)
 
-        res = {
-            "sym_y": impact(curve_of(trials, py, ry)),
-            "raw": impact(curve_of(trials, px, ry)),
-        }
+    base_frr, _ = frr_at_far(curve_of(trials, px, rx), 0.05)
 
-        profs_x = build_all_profiles(cx_t, "X")
-        profs_y = build_all_profiles(cy_t, "Y")
-        order = [p.speaker_id for p in profs_x][:1000]
-        wx = build_weight_matrix(profs_x, order)
-        wy = build_weight_matrix(profs_y, order)
-        fusion = compute_fusion_transform(wx, wy)
-        res["logit"] = impact(curve_of(trials, px, ry, *fusion_maps(fusion)))
+    def impact(curve):
+        frr, _ = frr_at_far(curve, 0.05)
+        return relative_impact(base_frr, frr)
 
-        tp, vp = split_train_val(cx_t, cy_t, seed)
-        runs = {
-            "m1": NessaConfig(variant="m1", epochs=12, steps_per_epoch=200,
-                              batch_size=256, hidden=256, seed=seed),
-            "m2": NessaConfig(variant="m2", epochs=12, steps_per_epoch=200,
-                              batch_size=256, hidden=256, seed=seed),
-            "m3": NessaConfig(variant="m3", epochs=12, steps_per_epoch=200,
-                              batch_size=256, bank_size=512, hidden=256,
-                              seed=seed),
-            "m3_no_contrastive": NessaConfig(
-                variant="m3", alpha=0.0, epochs=12, steps_per_epoch=200,
-                batch_size=256, bank_size=512, hidden=256, seed=seed),
-            "m3_no_anchors": NessaConfig(
-                variant="m3", beta=0.0, gamma=0.0, epochs=12,
-                steps_per_epoch=200, batch_size=256, bank_size=512,
-                hidden=256, seed=seed),
-        }
-        for name, cfg in runs.items():
-            ckpt = train(cfg, tp, vp)
-            res[name] = impact(curve_of(trials, px, ry, *side_maps(ckpt)))
-        results[seed] = res
-    return results
+    res = {
+        "sym_y": impact(curve_of(trials, py, ry)),
+        "raw": impact(curve_of(trials, px, ry)),
+    }
+
+    profs_x = build_all_profiles(cx_t, "X")
+    profs_y = build_all_profiles(cy_t, "Y")
+    order = [p.speaker_id for p in profs_x][:1000]
+    wx = build_weight_matrix(profs_x, order)
+    wy = build_weight_matrix(profs_y, order)
+    fusion = compute_fusion_transform(wx, wy)
+    res["logit"] = impact(curve_of(trials, px, ry, *fusion_maps(fusion)))
+
+    tp, vp = split_train_val(cx_t, cy_t, seed)
+    runs = {
+        "m1": NessaConfig(variant="m1", epochs=12, steps_per_epoch=200,
+                          batch_size=256, hidden=256, seed=seed),
+        "m2": NessaConfig(variant="m2", epochs=12, steps_per_epoch=200,
+                          batch_size=256, hidden=256, seed=seed),
+        "m3": NessaConfig(variant="m3", epochs=12, steps_per_epoch=200,
+                          batch_size=256, bank_size=512, hidden=256,
+                          seed=seed),
+        "m3_no_contrastive": NessaConfig(
+            variant="m3", alpha=0.0, epochs=12, steps_per_epoch=200,
+            batch_size=256, bank_size=512, hidden=256, seed=seed),
+        "m3_no_anchors": NessaConfig(
+            variant="m3", beta=0.0, gamma=0.0, epochs=12,
+            steps_per_epoch=200, batch_size=256, bank_size=512,
+            hidden=256, seed=seed),
+    }
+    futures = {name: pool.submit(train, cfg, tp, vp) for name, cfg in runs.items()}
+    return res, futures, impact, (trials, px, ry)
+
+
+def collect(res, futures, impact, scoring):
+    """The seed's impacts, with each trained aligner's in run order."""
+    trials, px, ry = scoring
+    for name, future in futures.items():
+        res[name] = impact(curve_of(trials, px, ry, *side_maps(future.result())))
+    return res
 
 
 @pytest.mark.slow

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sidalign.errors import BadDims, DimensionMismatch, ShapeMismatch
 from sidalign.mlp import (
@@ -195,6 +197,53 @@ class TestAdam:
         state = AdamState(p)
         with pytest.raises(ShapeMismatch):
             adam_step(p, [np.zeros(4)], state, lr=1e-3)
+
+    @given(shapes=st.lists(st.sampled_from([(1,), (3,), (4, 2), (5, 3), (2, 2, 2)]),
+                           min_size=1, max_size=4),
+           steps=st.integers(1, 6),
+           lr=st.sampled_from([0.0, 1e-3, 0.37, 5.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_temporaries_reference(self, shapes, steps, lr, seed):
+        # Parameters and moments after several steps equal, bit for bit,
+        # those of the update written with temporaries.
+        prng = Prng(seed)
+        params = [prng.standard_normal(*s) for s in shapes]
+        ref_params = [p.copy() for p in params]
+        state, ref = AdamState(params), ReferenceAdam(ref_params)
+        for _ in range(steps):
+            grads = []
+            for s in shapes:
+                g = prng.standard_normal(*s) * 10.0 ** float(prng.integers(-8, 4))
+                g[prng.uniform(0, 1, g.size).reshape(s) < 0.2] = 0.0
+                grads.append(g)
+            adam_step(params, grads, state, lr)
+            ref.step(ref_params, grads, lr)
+        assert state.t == ref.t == steps
+        for got, want in zip(params + state.m + state.v, ref_params + ref.m + ref.v):
+            assert got.tobytes() == want.tobytes()
+
+
+class ReferenceAdam:
+    """The Adam update as it was written before scratch buffers: one
+    temporary per operation."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1**self.t)
+            v_hat = v / (1 - b2**self.t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class TestLrSchedule:
