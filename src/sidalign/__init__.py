@@ -16,7 +16,6 @@ from .align import (
     save_checkpoint,
     side_maps,
     train,
-    transform_profiles_offline,
 )
 from .data import (
     Corpus,
@@ -25,7 +24,6 @@ from .data import (
     TrialSet,
     VoiceProfile,
     build_all_profiles,
-    build_voice_profile,
     load_embeddings,
     load_trials,
     save_embeddings,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Corpus, VoiceProfile
+from .data import Corpus
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -37,7 +37,7 @@ from .mlp import (
     mlp_init,
     mlp_to_dict,
 )
-from .numerics import Prng, length_normalize
+from .numerics import Prng
 
 VARIANTS = ("m1", "m2", "m3")
 
@@ -92,6 +92,9 @@ class NessaConfig:
     def validate(self):
         if self.variant not in VARIANTS:
             raise ConfigInvalid(f"unknown variant {self.variant!r}")
+        for name in ("alpha", "beta", "gamma", "w_init", "lr0", "lr_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigInvalid(f"{name} = {getattr(self, name)!r} is not finite")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ConfigInvalid("alpha, beta, gamma must be >= 0")
         if self.epochs < 0:
@@ -233,45 +236,38 @@ class PairedData:
 
     def __init__(self, corpus_x: Corpus, corpus_y: Corpus,
                  speaker_subset: list[str] | None = None):
-        spk_x = corpus_x.speaker_ids()
-        have_y = set(corpus_y.speaker_ids())
-        speakers = [s for s in spk_x if s in have_y]
-        if speaker_subset is not None:
-            allowed = set(speaker_subset)
-            speakers = [s for s in speakers if s in allowed]
         prof_x = {p.speaker_id: p.vector for p in corpus_x.profiles}
         prof_y = {p.speaker_id: p.vector for p in corpus_y.profiles}
         self.d = corpus_x.dim
         if corpus_y.dim != self.d:
             raise DimensionMismatch("the two corpora must share the embedding dim")
 
-        # Keep only speakers with both profiles and >= 1 paired runtime utt.
-        speaker_pos = {s: i for i, s in enumerate(speakers)
-                       if s in prof_x and s in prof_y}
-        pairs = [[] for _ in speakers]  # (x, y) runtime vectors per speaker
-        for rec in corpus_x.records:
-            si = speaker_pos.get(rec.speaker_id)
-            if si is None or rec.split != "runtime":
-                continue
-            try:
-                pair = corpus_y.record(rec.utterance_id, "runtime")
-            except KeyError:
-                continue
-            pairs[si].append((rec.vector, pair.vector))
-        keep = [i for i, utts in enumerate(pairs) if utts]
-        if not keep:
+        # Keep only speakers with both profiles and >= 1 paired runtime utt,
+        # in X's order: join the runtime rows of X to those of Y by utterance id.
+        speakers = [s for s in corpus_x.speaker_ids() if s in prof_x and s in prof_y]
+        if speaker_subset is not None:
+            allowed = set(speaker_subset)
+            speakers = [s for s in speakers if s in allowed]
+        speaker_pos = {s: i for i, s in enumerate(speakers)}
+        y_row = {corpus_y.utterances[j]: j for j in corpus_y.rows("runtime")}
+        joined = [(speaker_pos[corpus_x.speakers[i]], i, y_row[corpus_x.utterances[i]])
+                  for i in corpus_x.rows("runtime")
+                  if corpus_x.speakers[i] in speaker_pos
+                  and corpus_x.utterances[i] in y_row]
+        if not joined:
             raise InsufficientData(
                 "no shared speaker has a profile in both views and a paired "
                 "runtime utterance")
+        # Runtime pairs grouped by speaker, in row order: speaker s owns
+        # rows utt_start[s]:utt_start[s] + utt_count[s] of r_x and r_y.
+        owner, rows_x, rows_y = np.array(sorted(joined, key=lambda t: t[0])).T
+        keep, self.utt_count = np.unique(owner, return_counts=True)
+        self.utt_start = np.cumsum(self.utt_count) - self.utt_count
         self.speaker_ids = [speakers[i] for i in keep]
         self.e_x = np.stack([prof_x[s] for s in self.speaker_ids])
         self.e_y = np.stack([prof_y[s] for s in self.speaker_ids])
-        # Runtime pairs grouped by speaker, in record order: speaker s owns
-        # rows utt_start[s]:utt_start[s] + utt_count[s] of r_x and r_y.
-        self.utt_count = np.array([len(pairs[i]) for i in keep])
-        self.utt_start = np.cumsum(self.utt_count) - self.utt_count
-        self.r_x = np.stack([x for i in keep for x, _ in pairs[i]])
-        self.r_y = np.stack([y for i in keep for _, y in pairs[i]])
+        self.r_x = corpus_x.vectors[rows_x]
+        self.r_y = corpus_y.vectors[rows_y]
 
     @property
     def n_speakers(self) -> int:
@@ -468,15 +464,6 @@ def side_maps(ckpt: Checkpoint):
     enroll, runtime = SIDE_NETWORKS[ckpt.variant]
     return ((lambda v: map_profiles(ckpt, v)) if enroll else None,
             (lambda v: map_runtime(ckpt, v)) if runtime else None)
-
-
-def transform_profiles_offline(ckpt: Checkpoint, profiles) -> list[VoiceProfile]:
-    """Batch-map enrollment profiles into the target space (m2 offline mode)."""
-    profiles = list(profiles)
-    if not profiles:
-        return []
-    mapped = length_normalize(map_profiles(ckpt, np.stack([p.vector for p in profiles])))
-    return [VoiceProfile(p.speaker_id, "X→Y", v) for p, v in zip(profiles, mapped)]
 
 
 # ---------------------------------------------------------------------------

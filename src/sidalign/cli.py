@@ -34,6 +34,7 @@ from .data import (
 from .errors import (
     ConfigInvalid,
     EmptyEnrollment,
+    InsufficientData,
     ModelMismatch,
     ParseError,
     SidAlignError,
@@ -114,7 +115,7 @@ def cmd_synth(args) -> int:
         trials = make_trials(corpus_y, args.n_target, args.n_imposter,
                              args.trial_seed if args.trial_seed is not None else cfg.seed)
         save_trials(trials, args.trials_out)
-    print(f"wrote {len(corpus_x.records)} records per view", file=sys.stderr)
+    print(f"wrote {len(corpus_x)} records per view", file=sys.stderr)
     return 0
 
 
@@ -149,13 +150,13 @@ def _profiles(corpus, path):
         raise EmptyEnrollment(f"{path}: {exc}") from exc
 
 
-def _two_models(corpus_x, corpus_y, args) -> None:
-    """--corpus-x and --corpus-y must hold two different models. (Which of
-    the two is X cannot be told from the files.)"""
-    if corpus_x.model_id is not None and corpus_x.model_id == corpus_y.model_id:
+def _two_models(model_x, model_y, path_x, path_y) -> None:
+    """The X and Y inputs must hold two different models. (Which of the two
+    is X cannot be told from the files.)"""
+    if model_x is not None and model_x == model_y:
         raise ModelMismatch(
-            f"{args.corpus_x} and {args.corpus_y} both hold model "
-            f"{corpus_x.model_id!r}; --corpus-x and --corpus-y need two models")
+            f"{path_x} and {path_y} both hold model {model_x!r}; "
+            f"the X and Y inputs need two models")
 
 
 def cmd_profile(args) -> int:
@@ -170,6 +171,11 @@ def cmd_logit_align(args) -> int:
     profiles_y = load_profiles(args.profiles_y)
     have_y = {p.speaker_id for p in profiles_y}
     shared = [p.speaker_id for p in profiles_x if p.speaker_id in have_y]
+    if not shared:
+        raise InsufficientData(
+            f"{args.profiles_x} and {args.profiles_y} share no speaker")
+    _two_models(profiles_x[0].model_id, profiles_y[0].model_id,
+                args.profiles_x, args.profiles_y)
     if args.n_speakers and args.n_speakers < len(shared):
         prng = Prng(args.seed)
         picks = sorted(prng.choice(len(shared), args.n_speakers, replace=False))
@@ -188,7 +194,7 @@ def cmd_train(args) -> int:
         raise ConfigInvalid(f"--val-fraction {args.val_fraction} is not in [0, 1)")
     corpus_x = load_embeddings(args.corpus_x)
     corpus_y = load_embeddings(args.corpus_y)
-    _two_models(corpus_x, corpus_y, args)
+    _two_models(corpus_x.model_id, corpus_y.model_id, args.corpus_x, args.corpus_y)
     # PairedData reads both views' profiles; build them here, where an empty
     # view can be named.
     _profiles(corpus_x, args.corpus_x)
@@ -238,12 +244,14 @@ def cmd_score(args) -> int:
     corpora = {v: load_embeddings(paths[v])
                for v in dict.fromkeys((profile_view, runtime_view))}
     if profile_view != runtime_view:
-        _two_models(corpora["x"], corpora["y"], args)
+        _two_models(corpora["x"].model_id, corpora["y"].model_id,
+                    args.corpus_x, args.corpus_y)
     trials = load_trials(args.trials)
     profiles = _profiles(corpora[profile_view], paths[profile_view])
     profile_vectors = {p.speaker_id: p.vector for p in profiles}
-    runtime_vectors = {r.utterance_id: r.vector
-                       for r in corpora[runtime_view].records if r.split == "runtime"}
+    runtime = corpora[runtime_view]
+    runtime_vectors = {runtime.utterances[i]: runtime.vectors[i]
+                       for i in runtime.rows("runtime")}
     scored = score_cosine(trials, profile_vectors, runtime_vectors,
                           enroll_map, runtime_map)
     save_scores(scored, args.out)

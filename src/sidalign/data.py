@@ -22,7 +22,6 @@ from .errors import (
     ParseError,
     SidAlignError,
     UnknownLabel,
-    ZeroVector,
 )
 from .numerics import length_normalize
 
@@ -37,78 +36,133 @@ def format_float(x: float) -> str:
     return FLOAT_FMT % x
 
 
+# A record's fields in file order, the three ids first: the JSONL keys.
+FIELDS = ("speaker_id", "utterance_id", "model_id", "split", "vector")
+
+
 @dataclass
 class EmbeddingRecord:
+    """One row of a corpus, as a plain value; the corpus checks it."""
+
     speaker_id: str
     utterance_id: str
     model_id: str
     split: str
     vector: np.ndarray
 
-    def __post_init__(self):
-        if self.split not in SPLITS:
-            raise ParseError(f"unknown split {self.split!r}")
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise DimensionMismatch(
-                f"utterance {self.utterance_id!r} has a vector of shape "
-                f"{self.vector.shape}, expected 1-D")
-        if not np.all(np.isfinite(self.vector)):
-            raise ZeroVector(f"non-finite vector in utterance {self.utterance_id!r}")
-
 
 @dataclass
 class VoiceProfile:
     speaker_id: str
     model_id: str
-    vector: np.ndarray
+    vector: np.ndarray  # unit norm
 
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        norm = np.linalg.norm(self.vector)
-        if abs(norm - 1.0) > 1e-9:
-            raise ZeroVector(
-                f"profile for {self.speaker_id!r} has norm {norm:.12g}, expected 1"
-            )
+
+def _row_error(kind, row: int, message: str) -> SidAlignError:
+    """A failed corpus check; ``row`` lets load_embeddings name the line."""
+    exc = kind(message)
+    exc.row = row
+    return exc
+
+
+def _vector_matrix(vectors, utterances) -> np.ndarray:
+    """The (n, d) float64 matrix of n >= 1 vectors, or an error naming the first
+    utterance whose vector is not 1-D and numeric or not of row 0's dimension."""
+    try:
+        matrix = np.asarray(vectors, dtype=np.float64)
+        if matrix.ndim == 2:
+            return matrix
+    except (ValueError, TypeError):
+        pass
+    # Rows of one 1-D shape would have formed a matrix: one of them is bad.
+    for i, vector in enumerate(vectors):
+        try:
+            shape = np.asarray(vector, dtype=np.float64).shape
+        except (ValueError, TypeError):
+            shape = ()
+        if len(shape) != 1:
+            raise _row_error(ParseError, i, f"utterance {utterances[i]!r} has no 1-D "
+                                            f"numeric vector")
+        if shape != np.shape(vectors[0]):
+            raise _row_error(DimensionMismatch, i, f"utterance {utterances[i]!r} has "
+                                                   f"dimension {shape[0]}, the corpus "
+                                                   f"uses {len(vectors[0])}")
 
 
 class Corpus:
-    """Immutable-after-construction records of one model, all of one dimension."""
+    """The embeddings of one model as parallel columns: row i is utterance
+    ``utterances[i]`` of speaker ``speakers[i]``, of the enrollment split if
+    ``enroll[i]`` (else runtime), with vector ``vectors[i]`` of an (n, d)
+    float64 matrix. The columns are checked once, on construction, and each
+    failed check names the first bad utterance; nothing changes them after.
+    """
 
-    def __init__(self, records=None):
-        self.records: list[EmbeddingRecord] = list(records or [])
-        first = self.records[0] if self.records else None
-        self.model_id: str | None = first.model_id if first else None
-        self.dim: int | None = first.vector.shape[0] if first else None
-        self._by_key: dict[tuple[str, str], EmbeddingRecord] = {}
+    def __init__(self, records=()):
+        records = list(records)
+        self._set_columns(*([getattr(rec, f) for rec in records] for f in FIELDS))
+
+    @classmethod
+    def from_columns(cls, speakers, utterances, model_ids, splits, vectors) -> Corpus:
+        """A corpus of per-row lists; ``vectors`` may be an (n, d) array."""
+        corpus = cls.__new__(cls)
+        corpus._set_columns(speakers, utterances, model_ids, splits, vectors)
+        return corpus
+
+    def _set_columns(self, speakers, utterances, model_ids, splits, vectors):
+        n = len(utterances)
+        self.speakers: list[str] = speakers
+        self.utterances: list[str] = utterances
         self._profiles: list[VoiceProfile] | None = None  # set by build_all_profiles
-        for rec in self.records:
-            if rec.model_id != self.model_id:
-                raise ModelMismatch(
-                    f"utterance {rec.utterance_id!r} is of model {rec.model_id!r}, "
-                    f"the corpus holds model {self.model_id!r}")
-            if rec.vector.shape[0] != self.dim:
-                raise DimensionMismatch(
-                    f"utterance {rec.utterance_id!r} has dimension "
-                    f"{rec.vector.shape[0]}, the corpus uses {self.dim}")
-            key = (rec.utterance_id, rec.split)
-            if key in self._by_key:
-                raise ParseError(f"duplicate record {key}")
-            self._by_key[key] = rec
+        if splits.count("enroll") + splits.count("runtime") != n:
+            i = next(i for i, split in enumerate(splits) if split not in SPLITS)
+            raise _row_error(ParseError, i, f"utterance {utterances[i]!r} has unknown "
+                                            f"split {splits[i]!r}")
+        self.enroll = np.array([split == "enroll" for split in splits], dtype=bool)
+        self.vectors = _vector_matrix(vectors, utterances) if n else np.zeros((0, 0))
+        finite = np.isfinite(self.vectors).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise _row_error(ParseError, i,
+                             f"non-finite vector in utterance {utterances[i]!r}")
+        self.model_id: str | None = model_ids[0] if n else None
+        self.dim: int | None = self.vectors.shape[1] if n else None
+        if model_ids.count(self.model_id) != n:
+            i = next(i for i, m in enumerate(model_ids) if m != self.model_id)
+            raise _row_error(ModelMismatch, i,
+                             f"utterance {utterances[i]!r} is of model {model_ids[i]!r}, "
+                             f"the corpus holds model {self.model_id!r}")
+        if len(set(utterances)) != n:  # then look for a repeated (utterance, split)
+            seen = {}
+            for i, key in enumerate(zip(utterances, splits)):
+                if seen.setdefault(key, i) != i:
+                    raise _row_error(ParseError, i, f"duplicate record {key}")
+
+    def __len__(self) -> int:
+        return len(self.utterances)
+
+    @property
+    def records(self) -> list[EmbeddingRecord]:
+        """The rows as records, built on each access."""
+        return [EmbeddingRecord(speaker, utt, self.model_id,
+                                "enroll" if enroll else "runtime", vector)
+                for speaker, utt, enroll, vector in zip(
+                    self.speakers, self.utterances, self.enroll.tolist(), self.vectors)]
 
     @property
     def profiles(self) -> list[VoiceProfile]:
-        """The voice profile of every enrolled speaker, built from the
-        enrollment records on first use."""
+        """The voice profile of every enrolled speaker, built on first use."""
         return build_all_profiles(self, self.model_id)
 
-    def record(self, utterance_id: str, split: str) -> EmbeddingRecord:
-        return self._by_key[(utterance_id, split)]
+    def rows(self, split: str) -> list[int]:
+        """The row numbers of one split, in order."""
+        mask = {"enroll": self.enroll, "runtime": ~self.enroll}[split]
+        return np.flatnonzero(mask).tolist()
 
     def speaker_ids(self, split: str | None = None) -> list[str]:
-        """Speakers in first-record order, of one split or of all."""
-        return list(dict.fromkeys(rec.speaker_id for rec in self.records
-                                  if split is None or rec.split == split))
+        """Speakers in first-row order, of one split or of all."""
+        speakers = (self.speakers if split is None
+                    else [self.speakers[i] for i in self.rows(split)])
+        return list(dict.fromkeys(speakers))
 
 
 @dataclass
@@ -135,21 +189,8 @@ class TrialSet:
         return np.array([1 if t.label == "target" else 0 for t in self.trials])
 
 
-def build_voice_profile(records) -> VoiceProfile:
-    """The profile of one speaker's enrollment records."""
-    records = list(records)
-    if not records:
-        raise EmptyEnrollment("cannot build a profile from zero records")
-    speaker = records[0].speaker_id
-    for rec in records:
-        if rec.speaker_id != speaker:
-            raise ModelMismatch(f"record {rec.utterance_id!r} of {rec.speaker_id!r} "
-                                f"in the profile of {speaker!r}")
-    return build_all_profiles(Corpus(records), records[0].model_id)[0]
-
-
 def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
-    """One profile per enrolled speaker, in first-record order: normalize
+    """One profile per enrolled speaker, in first-row order: normalize
     each enrollment embedding, average per speaker, normalize again. Built
     once per corpus; later calls return the same list."""
     if model_id != corpus.model_id:
@@ -157,17 +198,17 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
                             f"of model {corpus.model_id!r}")
     if corpus._profiles is not None:
         return corpus._profiles
-    by_speaker: dict[str, list[np.ndarray]] = {}
-    for rec in corpus.records:
-        if rec.split == "enroll":
-            by_speaker.setdefault(rec.speaker_id, []).append(rec.vector)
+    by_speaker: dict[str, list[int]] = {}
+    for i in corpus.rows("enroll"):
+        by_speaker.setdefault(corpus.speakers[i], []).append(i)
     if not by_speaker:
         raise EmptyEnrollment("no enrollment records to build profiles from")
-    units = length_normalize(np.stack([v for vs in by_speaker.values() for v in vs]))
-    ends = np.cumsum([len(vs) for vs in by_speaker.values()])
+    units = length_normalize(corpus.vectors[[i for rows in by_speaker.values()
+                                             for i in rows]])
+    ends = np.cumsum([len(rows) for rows in by_speaker.values()])
     # mean(axis=0) over each speaker's block: the same additions in the same
     # order as over the speaker's rows alone, so the bits do not depend on
-    # the other speakers or on how the records interleave.
+    # the other speakers or on how the rows interleave.
     means = np.stack([block.mean(axis=0) for block in np.split(units, ends[:-1])])
     corpus._profiles = [VoiceProfile(speaker, model_id, v)
                         for speaker, v in zip(by_speaker, length_normalize(means))]
@@ -178,22 +219,22 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
 # File IO
 
 
-def _record_to_json(rec: EmbeddingRecord) -> str:
-    # json.dumps would re-expand the rounded floats; emit the vector manually.
-    head = json.dumps({"speaker_id": rec.speaker_id, "utterance_id": rec.utterance_id,
-                       "model_id": rec.model_id, "split": rec.split})
-    vec = ",".join(format_float(x) for x in rec.vector)
-    return head[:-1] + ', "vector": [' + vec + "]}"
-
-
 def save_embeddings(corpus: Corpus, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in corpus.records:
-            fh.write(_record_to_json(rec) + "\n")
+        for speaker, utt, enroll, vector in zip(corpus.speakers, corpus.utterances,
+                                                corpus.enroll.tolist(), corpus.vectors):
+            # json.dumps would re-expand the rounded floats; emit the vector manually.
+            head = json.dumps({"speaker_id": speaker, "utterance_id": utt,
+                               "model_id": corpus.model_id,
+                               "split": "enroll" if enroll else "runtime"})
+            vec = ",".join(format_float(x) for x in vector.tolist())
+            fh.write(head[:-1] + ', "vector": [' + vec + "]}\n")
 
 
 def load_embeddings(path) -> Corpus:
-    records = []
+    """A corpus of a JSONL file; an error names the file and the line."""
+    columns = tuple([] for _ in FIELDS)
+    linenos = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -201,15 +242,18 @@ def load_embeddings(path) -> Corpus:
                 continue
             try:
                 obj = json.loads(line)
-                rec = EmbeddingRecord(obj["speaker_id"], obj["utterance_id"],
-                                      obj["model_id"], obj["split"], obj["vector"])
-            except (ValueError, KeyError, TypeError, SidAlignError) as exc:
+                row = [obj[key] for key in FIELDS]
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            records.append(rec)
+            if not all(isinstance(value, str) for value in row[:3]):  # the ids
+                raise ParseError(f"{path}:{lineno}: ids must be strings")
+            for column, value in zip(columns, row):
+                column.append(value)
+            linenos.append(lineno)
     try:
-        return Corpus(records)
+        return Corpus.from_columns(*columns)
     except SidAlignError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise type(exc)(f"{path}:{linenos[exc.row]}: {exc}") from exc
 
 
 def save_profiles(profiles, path) -> None:
@@ -224,13 +268,12 @@ def save_profiles(profiles, path) -> None:
 
 
 def load_profiles(path) -> list[VoiceProfile]:
-    records = load_embeddings(path).records
-    if not records:
+    corpus = load_embeddings(path)
+    if not len(corpus):
         return []
     # Re-normalize: 9-digit serialization perturbs the unit norm slightly.
-    vectors = length_normalize(np.stack([rec.vector for rec in records]))
-    return [VoiceProfile(rec.speaker_id, rec.model_id, v)
-            for rec, v in zip(records, vectors)]
+    return [VoiceProfile(speaker, corpus.model_id, v)
+            for speaker, v in zip(corpus.speakers, length_normalize(corpus.vectors))]
 
 
 def load_trials(path) -> TrialSet:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDims, DimensionMismatch, ShapeMismatch
+from .errors import BadDims, ConfigInvalid, DimensionMismatch, ShapeMismatch
 from .numerics import Prng
 
 ADAM_BETA1 = 0.9
@@ -193,6 +193,8 @@ class LrSchedule:
     decay: float = 0.96
 
     def __post_init__(self):
+        if not (np.isfinite(self.lr0) and np.isfinite(self.decay)):
+            raise ConfigInvalid(f"lr0 {self.lr0!r} and decay {self.decay!r} must be finite")
         if self.lr0 <= 0 or not (0 < self.decay <= 1):
             raise BadDims("lr0 must be > 0 and decay in (0, 1]")
 

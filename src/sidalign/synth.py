@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, EmbeddingRecord, Trial, TrialSet
+from .data import Corpus, Trial, TrialSet
 from .errors import ConfigInvalid, InsufficientData
 from .numerics import Prng, length_normalize, random_orthogonal
 
@@ -94,7 +94,6 @@ class Distortion:
 
 @dataclass
 class GroundTruth:
-    latents: dict[str, np.ndarray]
     distortion_x: Distortion
     distortion_y: Distortion
 
@@ -125,17 +124,17 @@ def generate(config: SynthConfig) -> tuple[Corpus, Corpus, GroundTruth]:
         views.append(dist.apply(length_normalize(noisy.reshape(-1, config.latent_dim))))
     vx, vy = views
 
+    # One id column of each kind, shared by both views.
     speakers = [f"s{config.seed}_{i:05d}" for i in range(config.n_speakers)]
-    recs_x, recs_y = [], []
-    for i, speaker in enumerate(speakers):
-        for u in range(n_utts):
-            split = "enroll" if u < config.n_enroll_utts else "runtime"
-            utt = f"{speaker}_u{u:04d}"
-            row = i * n_utts + u
-            recs_x.append(EmbeddingRecord(speaker, utt, "X", split, vx[row]))
-            recs_y.append(EmbeddingRecord(speaker, utt, "Y", split, vy[row]))
-    latents = dict(zip(speakers, z))
-    return Corpus(recs_x), Corpus(recs_y), GroundTruth(latents, dist_x, dist_y)
+    speaker_col = [speaker for speaker in speakers for _ in range(n_utts)]
+    suffixes = [f"_u{u:04d}" for u in range(n_utts)]
+    utterances = [speaker + suffix for speaker in speakers for suffix in suffixes]
+    splits = (["enroll"] * config.n_enroll_utts
+              + ["runtime"] * config.n_runtime_utts) * config.n_speakers
+    n = len(utterances)
+    return (Corpus.from_columns(speaker_col, utterances, ["X"] * n, splits, vx),
+            Corpus.from_columns(speaker_col, utterances, ["Y"] * n, splits, vy),
+            GroundTruth(dist_x, dist_y))
 
 
 def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> TrialSet:
@@ -144,18 +143,20 @@ def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> 
     speakers = corpus_y.speaker_ids(split="runtime")
     if len(speakers) < 2:
         raise InsufficientData("need at least 2 speakers with runtime utterances")
-    runtime = [r for r in corpus_y.records if r.split == "runtime"]
+    rows = corpus_y.rows("runtime")
+    runtime_speakers = [corpus_y.speakers[i] for i in rows]
+    runtime_utts = [corpus_y.utterances[i] for i in rows]
 
-    target_pool = [(r.speaker_id, r.utterance_id) for r in runtime]
+    target_pool = list(zip(runtime_speakers, runtime_utts))
     # The imposter pool pairs each speaker in turn with every runtime
     # utterance of the others, and is indexed through per-speaker cumulative
     # sizes, not built. own[spk] holds p_m - m for the m-th runtime position
     # p_m of spk: the count of other speakers' utterances before it.
     own = {spk: [] for spk in speakers}
-    for pos, r in enumerate(runtime):
-        mine = own[r.speaker_id]
+    for pos, speaker in enumerate(runtime_speakers):
+        mine = own[speaker]
         mine.append(pos - len(mine))
-    pool_ends = np.cumsum([len(runtime) - len(own[spk]) for spk in speakers])
+    pool_ends = np.cumsum([len(rows) - len(own[spk]) for spk in speakers])
     n_pool = int(pool_ends[-1])
     if n_target > len(target_pool):
         raise InsufficientData(
@@ -174,5 +175,5 @@ def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> 
         offset = int(j) - (int(pool_ends[k - 1]) if k else 0)
         # The offset-th foreign utterance follows each own one with <= offset before it.
         skipped = bisect_right(own[spk], offset)
-        trials.append(Trial(spk, runtime[offset + skipped].utterance_id, "imposter"))
+        trials.append(Trial(spk, runtime_utts[offset + skipped], "imposter"))
     return TrialSet(trials)

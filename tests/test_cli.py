@@ -270,6 +270,19 @@ class TestErrors:
                                 "--out", str(tmp_path / "r.json")])
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("which", ["empty", "disjoint"])
+    def test_logit_align_without_shared_speakers_exit_one(self, scored_fixture, tmp_path,
+                                                          capsys, which):
+        paths = scored_fixture
+        other = tmp_path / f"{which}.jsonl"
+        other.write_text("" if which == "empty"
+                         else paths["prof_y"].read_text().replace('"s0_', '"t0_'))
+        out = tmp_path / "fusion.json"
+        line = one_error_line(capsys, ["logit-align", "--profiles-x", str(paths["prof_x"]),
+                                       "--profiles-y", str(other), "--out", str(out)])
+        assert str(paths["prof_x"]) in line and str(other) in line
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [
         '{"eer": 0.1}',
         '{"per_far": [{"target_far": 0.05}]}',
@@ -394,6 +407,16 @@ class TestOneModelPerCorpus:
         assert str(copy) in line and str(paths["y"]) in line and "'Y'" in line
         assert not out.exists()
 
+    def test_logit_align_same_model_twice_exit_one(self, scored_fixture, tmp_path,
+                                                   capsys):
+        paths = scored_fixture
+        out = tmp_path / "fusion.json"
+        line = one_error_line(capsys, [
+            "logit-align", "--profiles-x", str(paths["prof_x"]),
+            "--profiles-y", str(paths["prof_x"]), "--out", str(out)])
+        assert str(paths["prof_x"]) in line and "'X'" in line
+        assert not out.exists()
+
     def test_same_model_twice_one_view_scorer_runs(self, scored_fixture, tmp_path):
         # a scorer that reads one view does not look at the other corpus
         paths = scored_fixture
@@ -421,6 +444,12 @@ class TestTrainSettings:
         ("--val-fraction", "-0.5"),
         ("--val-fraction", "1"),
         ("--val-fraction", "nan"),
+        ("--lr", "nan"),
+        ("--lr", "inf"),
+        ("--alpha", "nan"),
+        ("--beta", "inf"),
+        ("--gamma", "nan"),
+        ("--w-init", "nan"),
     ])
     def test_invalid_setting_exit_one(self, scored_fixture, tmp_path, capsys,
                                       flag, value):

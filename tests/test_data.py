@@ -1,13 +1,27 @@
+import contextlib
+import io
+import json
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from sidalign.cli import main
 from sidalign.data import (
+    FIELDS,
+    FLOAT_FMT,
+    SPLITS,
     Corpus,
     EmbeddingRecord,
     Trial,
     TrialSet,
+    VoiceProfile,
     build_all_profiles,
-    build_voice_profile,
     load_embeddings,
     load_profiles,
     load_trials,
@@ -31,37 +45,46 @@ def rec(speaker, utt, vector, split="enroll", model="X"):
     return EmbeddingRecord(speaker, utt, model, split, vector)
 
 
+def profile_of(records):
+    """The profile of one speaker's records, the first one build_all_profiles builds."""
+    return build_all_profiles(Corpus(records), "X")[0]
+
+
 class TestBuildVoiceProfile:
     def test_single_record(self):
-        p = build_voice_profile([rec("a", "u1", [3, 4])])
+        p = profile_of([rec("a", "u1", [3, 4])])
         np.testing.assert_allclose(p.vector, [0.6, 0.8])
 
     def test_two_orthogonal_records(self):
-        p = build_voice_profile([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 1])])
+        p = profile_of([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 1])])
         np.testing.assert_allclose(p.vector, [0.70710678, 0.70710678], atol=1e-8)
 
     def test_exact_cancellation(self):
         with pytest.raises(ZeroVector):
-            build_voice_profile([rec("a", "u1", [1, 0]), rec("a", "u2", [-1, 0])])
+            profile_of([rec("a", "u1", [1, 0]), rec("a", "u2", [-1, 0])])
 
     def test_empty(self):
         with pytest.raises(EmptyEnrollment):
-            build_voice_profile([])
+            build_all_profiles(Corpus([]), None)
 
     def test_mixed_speakers(self):
-        with pytest.raises(ModelMismatch):
-            build_voice_profile([rec("a", "u1", [1, 0]), rec("b", "u2", [0, 1])])
+        profiles = build_all_profiles(
+            Corpus([rec("b", "u1", [1, 0]), rec("a", "u2", [0, 1]), rec("b", "u3", [1, 0])]),
+            "X")
+        assert [p.speaker_id for p in profiles] == ["b", "a"]
+        np.testing.assert_array_equal(profiles[0].vector, [1, 0])
+        np.testing.assert_array_equal(profiles[1].vector, [0, 1])
 
     def test_unit_norm(self):
         rng = np.random.default_rng(0)
         records = [rec("a", f"u{i}", rng.standard_normal(12)) for i in range(8)]
-        p = build_voice_profile(records)
+        p = profile_of(records)
         assert abs(np.linalg.norm(p.vector) - 1) < 1e-9
 
     def test_identical_records_any_k(self):
         for k in (1, 2, 5):
             records = [rec("a", f"u{i}", [2, 0, 1]) for i in range(k)]
-            p = build_voice_profile(records)
+            p = profile_of(records)
             np.testing.assert_allclose(p.vector, np.array([2, 0, 1]) / np.sqrt(5))
 
 
@@ -113,7 +136,7 @@ class TestEmbeddingIO:
             load_embeddings(path)
 
     def test_profile_round_trip(self, tmp_path):
-        p = build_voice_profile([rec("a", "u1", [3, 4])])
+        p = profile_of([rec("a", "u1", [3, 4])])
         path = tmp_path / "prof.jsonl"
         save_profiles([p], path)
         back = load_profiles(path)
@@ -158,7 +181,7 @@ class TestCorpus:
 
     def test_lookup(self):
         c = Corpus([rec("a", "u1", [1, 0], "runtime")])
-        assert c.record("u1", "runtime").speaker_id == "a"
+        assert (c.speakers, c.utterances, c.rows("runtime")) == (["a"], ["u1"], [0])
         assert (c.model_id, c.dim) == ("X", 2)
 
     def test_empty(self):
@@ -218,9 +241,8 @@ class TestBuildAllProfiles:
             assert p.model_id == "X"
             np.testing.assert_array_equal(p.vector, v)
         for p in got:
-            one = build_voice_profile(r for r in corpus.records
-                                      if r.speaker_id == p.speaker_id
-                                      and r.split == "enroll")
+            one = profile_of(r for r in corpus.records
+                             if r.speaker_id == p.speaker_id and r.split == "enroll")
             np.testing.assert_array_equal(one.vector, p.vector)
 
     def test_zero_norm_runtime_vector_ignored(self):
@@ -244,3 +266,131 @@ class TestBuildAllProfiles:
     def test_no_enrollment_records(self):
         with pytest.raises(EmptyEnrollment):
             build_all_profiles(Corpus([rec("a", "u1", [1, 0], "runtime")]), "X")
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the JSONL loader
+
+
+ids = st.text(min_size=1, max_size=6)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def nine_digits(matrix):
+    return np.array([[float(FLOAT_FMT % x) for x in row] for row in matrix],
+                    dtype=np.float64).reshape(matrix.shape)
+
+
+@st.composite
+def column_corpora(draw):
+    n, d = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    utterances = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+    speakers = draw(st.lists(ids, min_size=n, max_size=n))
+    splits = draw(st.lists(st.sampled_from(SPLITS), min_size=n, max_size=n))
+    vectors = draw(arrays(np.float64, (n, d), elements=finite))
+    return Corpus.from_columns(speakers, utterances, ["M"] * n, splits, vectors)
+
+
+@st.composite
+def profile_sets(draw):
+    speakers = draw(st.lists(ids, max_size=6, unique=True))
+    matrix = draw(arrays(np.float64, (len(speakers), 3), elements=st.floats(-1e3, 1e3)))
+    assume(np.all(np.linalg.norm(matrix, axis=1) > 1e-3))
+    return speakers, matrix
+
+
+def bad_split(draw, obj):
+    obj["split"] = draw(st.one_of(st.text(), st.integers(), st.none())
+                        .filter(lambda s: s not in SPLITS))
+
+
+def missing_key(draw, obj):
+    del obj[draw(st.sampled_from(FIELDS))]
+
+
+def non_list(draw, obj):
+    obj["vector"] = draw(st.one_of(finite, st.text(), st.none(), st.booleans(),
+                                   st.dictionaries(ids, finite, max_size=2)))
+
+
+def ragged(draw, obj):
+    obj["vector"] = [obj["vector"], obj["vector"] + [0.0]]
+
+
+def non_numeric(draw, obj):
+    i = draw(st.integers(0, len(obj["vector"]) - 1))
+    obj["vector"][i] = draw(st.sampled_from(["a", "", "1,5", {}, [1.0, 2.0]]))
+
+
+def non_finite(draw, obj):
+    i = draw(st.integers(0, len(obj["vector"]) - 1))
+    obj["vector"][i] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+
+
+@st.composite
+def malformed_files(draw):
+    """(JSONL text, the 1-based number of its one malformed line)."""
+    n, d = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    lines = [json.dumps({"speaker_id": "a", "utterance_id": f"u{i}", "model_id": "M",
+                         "split": draw(st.sampled_from(SPLITS)),
+                         "vector": draw(st.lists(finite, min_size=d, max_size=d))})
+             for i in range(n)]
+    obj = {"speaker_id": "b", "utterance_id": "bad", "model_id": "M", "split": "enroll",
+           "vector": draw(st.lists(finite, min_size=d, max_size=d))}
+    draw(st.sampled_from([bad_split, missing_key, non_list, ragged, non_numeric,
+                          non_finite]))(draw, obj)
+    at = draw(st.integers(0, n))
+    lines.insert(at, json.dumps(obj))
+    return "".join(line + "\n" for line in lines), at + 1
+
+
+class TestLoaderProperties:
+    @given(column_corpora())
+    def test_save_load_gives_nine_digit_values(self, corpus):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.jsonl"
+            save_embeddings(corpus, path)
+            back = load_embeddings(path)
+        assert (back.speakers, back.utterances) == (corpus.speakers, corpus.utterances)
+        np.testing.assert_array_equal(back.enroll, corpus.enroll)
+        assert back.model_id == corpus.model_id
+        if len(corpus):
+            np.testing.assert_array_equal(back.vectors, nine_digits(corpus.vectors))
+
+    @given(profile_sets())
+    def test_profiles_round_trip(self, drawn):
+        speakers, matrix = drawn
+        units = length_normalize(matrix)
+        profiles = [VoiceProfile(s, "M", v) for s, v in zip(speakers, units)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.jsonl"
+            save_profiles(profiles, path)
+            back = load_profiles(path)
+        assert [(p.speaker_id, p.model_id) for p in back] == [(s, "M") for s in speakers]
+        if speakers:
+            np.testing.assert_array_equal(np.stack([p.vector for p in back]),
+                                          length_normalize(nine_digits(units)))
+
+    @given(malformed_files())
+    def test_malformed_line_is_a_parse_error_naming_it(self, drawn):
+        text, lineno = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.jsonl"
+            path.write_text(text)
+            with pytest.raises(ParseError, match=re.escape(f"{path}:{lineno}:")):
+                load_embeddings(path)
+
+    @settings(max_examples=50)
+    @given(malformed_files())
+    def test_malformed_line_through_profile_one_error_line(self, drawn):
+        text, lineno = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "bad.jsonl", Path(tmp) / "out.jsonl"
+            path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["profile", "--embeddings", str(path), "--out", str(out)])
+            assert not out.exists()
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("error: ") and f"{path}:{lineno}:" in lines[0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidalign.errors import BadDims, DimensionMismatch, ShapeMismatch
+from sidalign.errors import BadDims, ConfigInvalid, DimensionMismatch, ShapeMismatch
 from sidalign.mlp import (
     AdamState,
     LrSchedule,
@@ -259,6 +259,12 @@ class TestLrSchedule:
     def test_invalid(self):
         with pytest.raises(BadDims):
             LrSchedule(lr0=0.0)
+
+    @pytest.mark.parametrize("lr0, decay", [(float("nan"), 0.96), (float("inf"), 0.96),
+                                            (1e-3, float("nan"))])
+    def test_non_finite(self, lr0, decay):
+        with pytest.raises(ConfigInvalid):
+            LrSchedule(lr0=lr0, decay=decay)
 
 
 class TestCheckpointIO:
