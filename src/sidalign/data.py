@@ -3,7 +3,8 @@
 File formats:
   * embeddings / profiles: UTF-8 JSONL, one object per line with keys
     speaker_id, utterance_id, model_id, split ("enroll"|"runtime"),
-    vector (list of floats, 9 significant digits on disk).
+    vector (list of floats, 9 significant digits on disk). Files in the
+    layout save_embeddings writes are read in bulk, others line by line.
   * trials: TSV ``enroll_speaker_id \\t test_utterance_id \\t target|imposter``.
   * scores: trial columns plus a score column (9 significant digits).
 """
@@ -11,7 +12,10 @@ File formats:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from itertools import compress, count
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -38,6 +42,16 @@ def format_float(x: float) -> str:
 
 # A record's fields in file order, the three ids first: the JSONL keys.
 FIELDS = ("speaker_id", "utterance_id", "model_id", "split", "vector")
+
+# The line save_embeddings writes: one %s per field, filled with the ids as
+# json.dumps writes them, the quoted split and the bracketed vector.
+# load_embeddings reads files made of such lines in bulk.
+RECORD_LAYOUT = "{" + ", ".join(f'"{key}": %s' for key in FIELDS) + "}"
+# A JSON string that decodes to its own text (no escape, no control
+# character), each of the splits, and the vector text that _json_numbers
+# checks.
+_RECORD_LINE = re.compile(re.escape(RECORD_LAYOUT) % (
+    *[r'"([^"\\\x00-\x1f]*)"'] * 3, '"(%s)"' % "|".join(SPLITS), r"\[(.*)\]"))
 
 
 @dataclass
@@ -72,13 +86,13 @@ def _vector_matrix(vectors, utterances) -> np.ndarray:
         matrix = np.asarray(vectors, dtype=np.float64)
         if matrix.ndim == 2:
             return matrix
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         pass
     # Rows of one 1-D shape would have formed a matrix: one of them is bad.
     for i, vector in enumerate(vectors):
         try:
             shape = np.asarray(vector, dtype=np.float64).shape
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, OverflowError):
             shape = ()
         if len(shape) != 1:
             raise _row_error(ParseError, i, f"utterance {utterances[i]!r} has no 1-D "
@@ -220,36 +234,110 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
 
 
 def save_embeddings(corpus: Corpus, path) -> None:
+    """One RECORD_LAYOUT line per row, vector entries as FLOAT_FMT (json.dumps
+    would re-expand the rounded floats)."""
+    line = RECORD_LAYOUT % ("%s", "%s", "%s", '"%s"',
+                            "[" + ",".join([FLOAT_FMT] * (corpus.dim or 0)) + "]") + "\n"
+    model = encode_basestring_ascii(corpus.model_id or "")
+    text = "".join([line % (encode_basestring_ascii(speaker), encode_basestring_ascii(utt),
+                            model, "enroll" if enroll else "runtime", *vector)
+                    for speaker, utt, enroll, vector in zip(
+                        corpus.speakers, corpus.utterances, corpus.enroll.tolist(),
+                        corpus.vectors.tolist())])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for speaker, utt, enroll, vector in zip(corpus.speakers, corpus.utterances,
-                                                corpus.enroll.tolist(), corpus.vectors):
-            # json.dumps would re-expand the rounded floats; emit the vector manually.
-            head = json.dumps({"speaker_id": speaker, "utterance_id": utt,
-                               "model_id": corpus.model_id,
-                               "split": "enroll" if enroll else "runtime"})
-            vec = ",".join(format_float(x) for x in vector.tolist())
-            fh.write(head[:-1] + ', "vector": [' + vec + "]}\n")
+        fh.write(text)
+
+
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, newlines translated as in text mode.
+    Bytes that are not UTF-8 are a ParseError naming the file and line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+# Comma-separated JSON numbers, -?int frac? exp? (RFC 8259, section 6), as
+# byte classes and which class may follow which. Class 0 is every other byte.
+_CLASS_CHARS = (b"123456789", b"0", b",", b"-", b"+", b".", b"eE")
+_DIGIT, _ZERO, _COMMA, _MINUS, _PLUS, _POINT, _EXP = range(1, len(_CLASS_CHARS) + 1)
+_BYTE_CLASS = bytes(next((cls for cls, chars in enumerate(_CLASS_CHARS, start=1)
+                          if byte in chars), 0) for byte in range(256))
+_DIGITS = (_DIGIT, _ZERO)
+_AFTER_DIGIT = (*_DIGITS, _COMMA, _POINT, _EXP)
+_FOLLOWERS = {_DIGIT: _AFTER_DIGIT, _ZERO: _AFTER_DIGIT, _COMMA: (*_DIGITS, _MINUS),
+              _MINUS: _DIGITS, _PLUS: _DIGITS, _POINT: _DIGITS,
+              _EXP: (*_DIGITS, _MINUS, _PLUS)}
+_PAIRS = bytes(cls << 3 | nxt for cls, followers in _FOLLOWERS.items() for nxt in followers)
+
+
+def _json_numbers(text: bytes) -> bool:
+    """Whether ``text`` is comma-separated JSON numbers, checked on all its
+    bytes at once. np.loadtxt also takes '+1', '.5', '1.', '01', spaces, 'inf'
+    and 'nan', which JSON refuses; tokens that np.loadtxt refuses too
+    ('1.2.3', '1e5e5') may pass."""
+    c = np.frombuffer((b"," + text + b",").translate(_BYTE_CLASS), dtype=np.uint8)
+    # Each adjacent pair of classes as one byte: none is left once the
+    # allowed pairs are deleted.
+    if ((c[:-1] << 3) | c[1:]).tobytes().translate(None, _PAIRS):
+        return False
+    # Every number now opens with a digit or '-' and a digit; the first digit
+    # of its integer part is 0 only if it is the only one.
+    first = np.flatnonzero(c[:-1] == _COMMA) + 1
+    first += c[first] == _MINUS
+    return not ((c[first] == _ZERO) & (c[first + 1] <= _ZERO)).any()
+
+
+def _bulk_columns(lines):
+    """The columns of nonblank lines that all have RECORD_LAYOUT, ids without
+    escapes and JSON numbers in equal count, parsed by one np.loadtxt call
+    (the bits of float()); None for any other file."""
+    matches = list(map(_RECORD_LINE.fullmatch, lines))
+    if not matches or None in matches:
+        return None
+    *ids, vectors = map(list, zip(*map(re.Match.groups, matches)))
+    if not _json_numbers(",".join(vectors).encode()):
+        return None
+    try:
+        matrix = np.loadtxt(vectors, delimiter=",", dtype=np.float64, ndmin=2,
+                            comments=None)
+    except ValueError:  # rows of unequal length
+        return None
+    return (*ids, matrix)
+
+
+def _json_columns(path, lines, linenos):
+    """The columns of nonblank lines, one json.loads each; an error names the
+    line. Integers parse as floats, so that 1e400 written out in digits is
+    inf, as np.loadtxt reads it."""
+    columns = tuple([] for _ in FIELDS)
+    for lineno, line in zip(linenos, lines):
+        try:
+            obj = json.loads(line, parse_int=float)
+            row = [obj[key] for key in FIELDS]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not all(isinstance(value, str) for value in row[:3]):  # the ids
+            raise ParseError(f"{path}:{lineno}: ids must be strings")
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns
 
 
 def load_embeddings(path) -> Corpus:
-    """A corpus of a JSONL file; an error names the file and the line."""
-    columns = tuple([] for _ in FIELDS)
-    linenos = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                row = [obj[key] for key in FIELDS]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not all(isinstance(value, str) for value in row[:3]):  # the ids
-                raise ParseError(f"{path}:{lineno}: ids must be strings")
-            for column, value in zip(columns, row):
-                column.append(value)
-            linenos.append(lineno)
+    """A corpus of a JSONL file; an error names the file and the line. Files
+    that save_embeddings writes are read in bulk, any other JSON layout of the
+    same keys line by line, to the same values and errors."""
+    lines = list(map(str.strip, _read_lines(path)))
+    linenos = list(compress(count(1), lines))
+    lines = list(filter(None, lines))
+    columns = _bulk_columns(lines) or _json_columns(path, lines, linenos)
     try:
         return Corpus.from_columns(*columns)
     except SidAlignError as exc:
@@ -280,23 +368,21 @@ def load_trials(path) -> TrialSet:
     trials = []
     scores = []
     has_scores = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 4):
-                raise ParseError(f"{path}:{lineno}: expected 3 or 4 columns")
-            if parts[2] not in LABELS:
-                raise UnknownLabel(f"{path}:{lineno}: unknown label {parts[2]!r}")
-            trials.append(Trial(parts[0], parts[1], parts[2]))
-            if len(parts) == 4:
-                has_scores = True
-                try:
-                    scores.append(float(parts[3]))
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad score {parts[3]!r}") from exc
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise ParseError(f"{path}:{lineno}: expected 3 or 4 columns")
+        if parts[2] not in LABELS:
+            raise UnknownLabel(f"{path}:{lineno}: unknown label {parts[2]!r}")
+        trials.append(Trial(parts[0], parts[1], parts[2]))
+        if len(parts) == 4:
+            has_scores = True
+            try:
+                scores.append(float(parts[3]))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad score {parts[3]!r}") from exc
     if has_scores and len(scores) != len(trials):
         raise ParseError(f"{path}: mixed scored and unscored lines")
     return TrialSet(trials, scores if has_scores else None)

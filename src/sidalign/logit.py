@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InsufficientData,
     MissingSpeaker,
     ModelMismatch,
     ParseError,
@@ -52,6 +53,8 @@ class FusionTransform:
 
 def build_weight_matrix(profiles, speaker_order) -> WeightMatrix:
     speaker_order = list(speaker_order)
+    if not speaker_order:
+        raise InsufficientData("no speakers to build a weight matrix of")
     if len(set(speaker_order)) != len(speaker_order):
         raise SpeakerOrderMismatch("speaker_order contains duplicates")
     by_id = {}
@@ -136,9 +139,10 @@ def save_fusion(f: FusionTransform, path, extra: dict | None = None) -> None:
 def load_fusion(path) -> FusionTransform:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            # Integers parse as floats: save_fusion writes -0.0 as "-0".
+            obj = json.load(fh, parse_int=float)
             d = int(obj["d"])
             m = np.array(obj["m"], dtype=np.float64).reshape(2 * d, 2 * d)
             return FusionTransform(m, d, int(obj["N"]), float(obj["jitter_applied"]))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"{path}: malformed fusion transform: {exc!r}") from exc

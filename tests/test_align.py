@@ -1,9 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sidalign.align import (
+    Checkpoint,
     NegativeBank,
     NessaConfig,
     PairBatch,
@@ -18,7 +23,15 @@ from sidalign.align import (
 )
 from sidalign.data import Corpus, EmbeddingRecord
 from sidalign.errors import ConfigInvalid, DisjointnessViolation, InsufficientData
-from sidalign.mlp import AdamState, adam_step, backward, forward, gradient_check, mlp_init
+from sidalign.mlp import (
+    AdamState,
+    Mlp,
+    adam_step,
+    backward,
+    forward,
+    gradient_check,
+    mlp_init,
+)
 from sidalign.numerics import Prng, cosine_similarity
 from sidalign.synth import SynthConfig, generate
 
@@ -323,6 +336,36 @@ class TestCheckpointIO:
         assert back.w == pytest.approx(ckpt.w)
         for a, b in zip(back.f2.parameters(), ckpt.f2.parameters()):
             np.testing.assert_array_equal(a, b)
+
+    @given(st.data())
+    def test_parameters_round_trip_bit_for_bit(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+
+        def net():
+            dims = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+            return Mlp(dims, [data.draw(arrays(np.float64, (o, i), elements=finite))
+                              for i, o in zip(dims[:-1], dims[1:])],
+                       [data.draw(arrays(np.float64, (o,), elements=finite))
+                        for o in dims[1:]])
+
+        variant = data.draw(st.sampled_from(["m1", "m2", "m3"]))
+        m3 = variant == "m3"
+        ckpt = Checkpoint(variant, net(), net() if m3 else None,
+                          data.draw(finite) if m3 else None,
+                          *data.draw(st.tuples(finite, finite, finite)),
+                          data.draw(st.integers(0, 2**31)), data.draw(st.integers(0, 99)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ckpt.json"
+            save_checkpoint(ckpt, path, extra={"seed": 1})
+            back = load_checkpoint(path)
+        # repr tells the bits of a finite float apart, -0.0 from 0.0 too
+        for name in ("variant", "w", "alpha", "beta", "gamma", "seed", "trained_epochs"):
+            assert repr(getattr(back, name)) == repr(getattr(ckpt, name)), name
+        for side in ("f1", "f2") if m3 else ("f1",):
+            a, b = getattr(back, side), getattr(ckpt, side)
+            assert a.layer_dims == b.layer_dims
+            for p, q in zip(a.parameters(), b.parameters(), strict=True):
+                assert p.shape == q.shape and p.tobytes() == q.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,9 @@ class TestErrors:
         ("--embeddings", RECORD % '["a", "b"]', 1),
         ("--embeddings", RECORD % "1.5", 1),
         ("--embeddings", RECORD % "[[1, 2], [3]]", 1),
+        ("--embeddings", RECORD.encode() % b"[0.5, 1]" + b"\xff\n", 1),
+        ("--embeddings", RECORD % ("[1" + "0" * 400 + ", 0.5]"), 1),
+        ("--scores", b"a\tu1\ttarget\t0.5\n\xe9\tu2\timposter\t0.1\n", 1),
         ("--fusion", lambda paths: without(paths["fusion"], "m"), 1),
         ("--fusion", lambda paths: shortened(paths["fusion"], "m"), 1),
         ("--checkpoint", lambda paths: without(paths["m2"], "layer_dims"), 1),
@@ -308,7 +311,8 @@ class TestErrors:
         ("--config", "n_speakers = 10", 1),
         ("--config", '{"n_speakers": "ten"}', 1),
         ("--far", None, 2),
-    ], ids=["vector-strings", "vector-scalar", "vector-ragged", "fusion-without-m",
+    ], ids=["vector-strings", "vector-scalar", "vector-ragged", "embeddings-not-utf8",
+            "vector-int-too-large", "scores-not-utf8", "fusion-without-m",
             "fusion-wrong-size", "checkpoint-without-layer-dims",
             "checkpoint-not-json", "config-not-json", "config-wrong-type",
             "far-not-numbers"])
@@ -316,12 +320,14 @@ class TestErrors:
                                             option, content, code):
         paths = scored_fixture
         bad = tmp_path / "bad_input"
-        bad.write_text(content(paths) if callable(content) else content or "")
+        content = content(paths) if callable(content) else content or ""
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode())
         out = str(tmp_path / "out")
         corpora = ["--trials", str(paths["trials"]), "--corpus-x", str(paths["x"]),
                    "--corpus-y", str(paths["y"]), "--out", out]
         argv = {
             "--embeddings": ["profile", "--embeddings", str(bad), "--out", out],
+            "--scores": ["eval", "--scores", str(bad), "--out", out],
             "--fusion": ["score", "--scorer", "logit-fused", "--fusion", str(bad)] + corpora,
             "--checkpoint": ["score", "--scorer", "nessa-m2", "--checkpoint", str(bad)]
                             + corpora,

@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sidalign import data
 from sidalign.cli import main
 from sidalign.data import (
     FIELDS,
@@ -35,10 +38,11 @@ from sidalign.errors import (
     EmptyEnrollment,
     ModelMismatch,
     ParseError,
+    SidAlignError,
     UnknownLabel,
     ZeroVector,
 )
-from sidalign.numerics import length_normalize
+from sidalign.numerics import Prng, length_normalize
 
 
 def rec(speaker, utt, vector, split="enroll", model="X"):
@@ -394,3 +398,198 @@ class TestLoaderProperties:
         lines = err.getvalue().splitlines()
         assert code == 1 and len(lines) == 1
         assert lines[0].startswith("error: ") and f"{path}:{lineno}:" in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# The bulk reader against the per-line json reader it falls back to
+
+JSON_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+
+
+def load_line_by_line(path):
+    """load_embeddings with the bulk reader switched off: one json.loads per line."""
+    with mock.patch.object(data, "_bulk_columns", lambda lines: None):
+        return load_embeddings(path)
+
+
+def same_corpus(a, b):
+    assert (a.speakers, a.utterances, a.model_id, a.dim) == (b.speakers, b.utterances,
+                                                             b.model_id, b.dim)
+    assert a.enroll.tobytes() == b.enroll.tobytes()
+    assert a.vectors.dtype == b.vectors.dtype == np.float64
+    assert a.vectors.shape == b.vectors.shape
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+
+
+def layout_line(speaker, utt, model, split, numbers):
+    return data.RECORD_LAYOUT % (speaker, utt, model, f'"{split}"',
+                                 "[" + ",".join(numbers) + "]")
+
+
+# Ids as json.dumps writes them: escapes for quotes, backslashes and control
+# characters, and either escapes or raw text for non-ASCII characters.
+plain_ids = st.text(st.characters(codec="ascii", exclude_categories=("Cc",),
+                                  exclude_characters='"\\'), min_size=1, max_size=5)
+id_texts = st.one_of(plain_ids.map(json.dumps),
+                     ids.map(json.dumps),
+                     ids.map(lambda s: json.dumps(s, ensure_ascii=False)))
+# Finite doubles, subnormals among them, as 9 or 17 digits or repr.
+number_texts = st.builds(lambda fmt, x: fmt(x),
+                         st.sampled_from([FLOAT_FMT.__mod__, "%.17g".__mod__, repr]),
+                         st.one_of(finite, st.floats(-1e-307, 1e-307)))
+
+
+@st.composite
+def valid_files(draw, id_texts=id_texts):
+    """The text of a loadable file in the layout save_embeddings writes, with
+    blank lines, whitespace around lines and CRLF endings drawn in."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    utterances = draw(st.lists(id_texts, min_size=n, max_size=n,
+                               unique_by=lambda text: json.loads(text)))
+    model = draw(id_texts)
+    text = ""
+    for utt in utterances:
+        line = layout_line(draw(id_texts), utt, model, draw(st.sampled_from(SPLITS)),
+                           draw(st.lists(number_texts, min_size=d, max_size=d)))
+        pad = st.sampled_from(["", " ", "\t", " \t "])
+        text += draw(st.sampled_from(["", "\n", " \n", "\r\n"]))
+        text += draw(pad) + line + draw(pad) + draw(st.sampled_from(["\n", "\r\n"]))
+    return text
+
+
+def one_bad_part(draw, parts):
+    """Spoil one part of a canonical line's (speaker, utterance, model, split,
+    numbers)."""
+    what = draw(st.sampled_from(["number", "ragged", "split", "model", "control"]))
+    if what == "number":
+        i = draw(st.integers(0, len(parts[4]) - 1))
+        parts[4][i] = draw(st.sampled_from(["+1", ".5", "1.", "01", "-.5", "1.e5",
+                                            "1e999", "-1e999"]))
+    elif what == "ragged":
+        parts[4] = parts[4][:-1] if len(parts[4]) > 1 else parts[4] + ["0.5"]
+    elif what == "split":
+        parts[3] = draw(st.sampled_from(["train", "Enroll", ""]))
+    elif what == "model":
+        parts[2] = '"other"'
+    else:
+        i = draw(st.integers(0, 2))
+        parts[i] = parts[i][:-1] + draw(st.sampled_from("\x00\x01\t\x1f")) + '"'
+
+
+@st.composite
+def spoiled_files(draw):
+    """(text, line number) of a canonical file with one bad part in one line,
+    or with a line that repeats an earlier line's (utterance, split)."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    rows = [['"a"', f'"u{i}"', '"M"', draw(st.sampled_from(SPLITS)),
+             ["%.9g" % x for x in draw(st.lists(finite, min_size=d, max_size=d))]]
+            for i in range(n)]
+    at = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):
+        one_bad_part(draw, rows[at])
+    else:
+        rows[at][1], rows[at][3] = rows[0][1], rows[0][3]
+    return "".join(layout_line(*row) + "\n" for row in rows), at + 1
+
+
+def both_readers_agree(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_bytes(text.encode())
+        same_corpus(load_embeddings(path), load_line_by_line(path))
+
+
+class TestBulkReader:
+    @given(valid_files())
+    def test_valid_files_load_bit_for_bit(self, text):
+        both_readers_agree(text)
+
+    @given(valid_files(id_texts=plain_ids.map(json.dumps)))
+    def test_files_without_escapes_are_read_in_bulk(self, text):
+        lines = list(filter(None, map(str.strip, text.replace("\r", "").split("\n"))))
+        assert data._bulk_columns(lines) is not None
+        both_readers_agree(text)
+
+    def test_saved_corpus_is_read_in_bulk(self, tmp_path):
+        corpus = Corpus.from_columns(["s", "s"], ["u0", "u1"], ["M", "M"],
+                                     ["enroll", "runtime"], Prng(3).standard_normal(2, 5))
+        save_embeddings(corpus, tmp_path / "c.jsonl")
+        lines = (tmp_path / "c.jsonl").read_text().splitlines()
+        assert data._bulk_columns(lines) is not None
+
+    @given(spoiled_files())
+    def test_spoiled_line_same_error_as_json(self, drawn):
+        text, lineno = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.jsonl"
+            path.write_bytes(text.encode())
+            with pytest.raises(SidAlignError) as bulk:
+                load_embeddings(path)
+            with pytest.raises(SidAlignError) as by_line:
+                load_line_by_line(path)
+        assert type(bulk.value) is type(by_line.value)
+        assert str(bulk.value) == str(by_line.value)
+        assert str(bulk.value).startswith(f"{path}:{lineno}: ")
+
+    @given(st.lists(st.one_of(st.from_regex(JSON_NUMBER, fullmatch=True),
+                              st.text("0123456789+-.eE ", max_size=6),
+                              st.sampled_from(["+1", ".5", "1.", "01", "-.5", "1.e5",
+                                               "-01", "1e", "inf", "nan", " 1"])),
+                    min_size=1, max_size=4))
+    def test_number_check_is_json_where_loadtxt_reads(self, tokens):
+        text = ",".join(tokens)
+        json_ok = all(re.fullmatch(JSON_NUMBER, token) for token in tokens)
+        assert data._json_numbers(text.encode()) or not json_ok
+        if data._json_numbers(text.encode()) and not json_ok:
+            with pytest.raises(ValueError):
+                np.loadtxt([text], delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+
+
+# ---------------------------------------------------------------------------
+# The writers' bytes, pinned: rewriting a writer must not move one byte.
+
+
+def writer_outputs(tmp_path):
+    """{writer: bytes written} on Prng arrays (no BLAS) and ids with a quote
+    and a non-ASCII character."""
+    from sidalign.logit import FusionTransform, save_fusion
+
+    prng = Prng(11)
+    speakers = ['s"0', "sé1", "s2"]
+    utterances = [f"{speaker}_u{i}" for i in range(2) for speaker in speakers]
+    corpus = Corpus.from_columns(speakers * 2, utterances, ["Mü"] * 6,
+                                 ["enroll", "runtime"] * 3, prng.standard_normal(6, 4))
+    profiles = [VoiceProfile(s, "Mü", v)
+                for s, v in zip(speakers, prng.standard_normal(3, 4))]
+    trials = TrialSet([Trial(s, u, label) for s, u, label in
+                       zip(speakers * 2, utterances, ["target", "imposter"] * 3)],
+                      prng.standard_normal(6).tolist())
+    fusion = FusionTransform(prng.standard_normal(8, 8), 4, 3, 1e-9)
+    writers = {
+        "save_embeddings": lambda path: save_embeddings(corpus, path),
+        "save_profiles": lambda path: save_profiles(profiles, path),
+        "save_trials": lambda path: save_trials(trials, path),
+        "save_scores": lambda path: save_scores(trials, path),
+        "save_fusion": lambda path: save_fusion(fusion, path, extra={"seed": 1}),
+    }
+    out = {}
+    for name, write in writers.items():
+        write(tmp_path / name)
+        out[name] = (tmp_path / name).read_bytes()
+    return out
+
+
+# Measured at the per-line writers these replaced.
+WRITER_SHA256 = {
+    "save_embeddings": "c9bc18d3a98c561e78f063a3adf864e9fc3bcfeaea306c0eff7c8ae8176df0c1",
+    "save_profiles": "4ac945bdaab5e64d1e740cf78d847607c3b35d9c754cb82a24c1fb34f9c6e916",
+    "save_trials": "4aafce44850ebe32ad765ff02724d718e151ad69a764210f9e14a6204404bf03",
+    "save_scores": "038f5185805f8b581faba21cf78dba233edc74cbcfa3733f546c63ff3a7a5166",
+    "save_fusion": "a6435710166ed34c819cfd331811250af5670cc0cae84b56f8996a750c8d3c69",
+}
+
+
+def test_writers_bytes_pinned(tmp_path):
+    got = {name: hashlib.sha256(raw).hexdigest()
+           for name, raw in writer_outputs(tmp_path).items()}
+    assert got == WRITER_SHA256

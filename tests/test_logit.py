@@ -1,8 +1,19 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sidalign.data import VoiceProfile
-from sidalign.errors import DimensionMismatch, MissingSpeaker, SpeakerOrderMismatch
+from sidalign.errors import (
+    DimensionMismatch,
+    InsufficientData,
+    MissingSpeaker,
+    SpeakerOrderMismatch,
+)
 from sidalign.logit import (
     FusionTransform,
     build_weight_matrix,
@@ -43,6 +54,12 @@ class TestBuildWeightMatrix:
         p0 = VoiceProfile("a", "X", [1.0, 0.0])
         with pytest.raises(SpeakerOrderMismatch):
             build_weight_matrix([p0], ["a", "a"])
+
+    @pytest.mark.parametrize("profiles", [[], [VoiceProfile("a", "X", [1.0, 0.0])]],
+                             ids=["no-profiles", "one-profile"])
+    def test_empty_speaker_order(self, profiles):
+        with pytest.raises(InsufficientData):
+            build_weight_matrix(profiles, [])
 
 
 class TestDirectScoring:
@@ -168,3 +185,24 @@ class TestFusion:
         back = load_fusion(path)
         np.testing.assert_array_equal(back.m, f.m)
         assert back.d == f.d and back.n_speakers == f.n_speakers
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def fusion_transforms(draw):
+    d = draw(st.integers(1, 4))
+    return FusionTransform(draw(arrays(np.float64, (2 * d, 2 * d), elements=finite)), d,
+                           draw(st.integers(1, 10**6)), draw(st.floats(0, 1)))
+
+
+@given(fusion_transforms(), st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+def test_fusion_file_round_trip_bit_for_bit(f, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fusion.json"
+        save_fusion(f, path, extra=extra)
+        back = load_fusion(path)
+    assert back.m.shape == f.m.shape and back.m.tobytes() == f.m.tobytes()
+    assert (back.d, back.n_speakers) == (f.d, f.n_speakers)
+    assert repr(back.jitter_applied) == repr(f.jitter_applied)
