@@ -52,13 +52,11 @@ from .metrics import (
 )
 from .mlp import (
     AdamState,
-    LrSchedule,
     Mlp,
     adam_step,
     backward,
     forward,
     gradient_check,
-    lr_at,
     mlp_init,
 )
 from .numerics import (

@@ -27,12 +27,10 @@ from .errors import (
 )
 from .mlp import (
     AdamState,
-    LrSchedule,
     Mlp,
     adam_step,
     backward,
     forward,
-    lr_at,
     mlp_from_dict,
     mlp_init,
     mlp_to_dict,
@@ -103,6 +101,9 @@ class NessaConfig:
             raise ConfigInvalid("steps_per_epoch and batch_size must be >= 1")
         if self.bank_size < 0:
             raise ConfigInvalid("bank_size must be >= 0")
+        if self.lr0 <= 0 or not 0 < self.lr_decay <= 1:
+            raise ConfigInvalid(f"lr0 = {self.lr0!r} must be > 0 and lr_decay = "
+                                f"{self.lr_decay!r} in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -118,28 +119,22 @@ def _mse_and_grad(pred: np.ndarray, target: np.ndarray):
     return mse, 2.0 * diff / diff.size
 
 
-def loss_m1(f: Mlp, batch: PairBatch):
+def _fit(f: Mlp, x: np.ndarray, target: np.ndarray, want_grads: bool):
+    """MSE of F(x) against target; returns (loss, gradients in F's parameter
+    order, or None unless want_grads)."""
+    y, cache = forward(f, x)
+    loss, dy = _mse_and_grad(y, target)
+    return loss, backward(f, cache, dy) if want_grads else None
+
+
+def loss_m1(f: Mlp, batch: PairBatch, want_grads: bool = True):
     """MSE of F(r_Y) against r_X."""
-    y, cache = forward(f, batch.r_y)
-    loss, dy = _mse_and_grad(y, batch.r_x)
-    gw, gb, _ = backward(f, cache, dy)
-    return loss, _interleave(gw, gb)
+    return _fit(f, batch.r_y, batch.r_x, want_grads)
 
 
-def loss_m2(f: Mlp, batch: PairBatch):
+def loss_m2(f: Mlp, batch: PairBatch, want_grads: bool = True):
     """MSE of F(e_X) against e_Y."""
-    y, cache = forward(f, batch.e_x)
-    loss, dy = _mse_and_grad(y, batch.e_y)
-    gw, gb, _ = backward(f, cache, dy)
-    return loss, _interleave(gw, gb)
-
-
-def _interleave(gw, gb):
-    out = []
-    for w, b in zip(gw, gb):
-        out.append(w)
-        out.append(b)
-    return out
+    return _fit(f, batch.e_x, batch.e_y, want_grads)
 
 
 def _normalize_rows(a: np.ndarray):
@@ -222,9 +217,7 @@ def loss_m3(f1: Mlp, f2: Mlp, w: float, batch: PairBatch,
         da[:n] += beta * dmse2
         db += gamma * dmse3
 
-    gw1, gb1, _ = backward(f1, cache1, da)
-    gw2, gb2, _ = backward(f2, cache2, db)
-    return loss, _interleave(gw1, gb1), _interleave(gw2, gb2), dl_dw
+    return loss, backward(f1, cache1, da), backward(f2, cache2, db), dl_dw
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +273,17 @@ class PairedData:
         # One draw per speaker from one call: the same draws, in the same
         # order, as one scalar integers() call per speaker.
         utt_idx = self.utt_start[spk_idx] + prng.integers(0, self.utt_count[spk_idx])
-        return PairBatch(
-            spk_idx,
-            self.e_x[spk_idx],
-            self.e_y[spk_idx],
-            self.r_x[utt_idx],
-            self.r_y[utt_idx],
-        )
+        return self._batch(spk_idx, utt_idx)
 
     def full_batch(self) -> PairBatch:
         """One deterministic batch: every speaker with its first runtime utt."""
-        utt_idx = self.utt_start
-        spk_idx = np.arange(self.n_speakers)
-        return PairBatch(
-            spk_idx,
-            self.e_x[spk_idx],
-            self.e_y[spk_idx],
-            self.r_x[utt_idx],
-            self.r_y[utt_idx],
-        )
+        return self._batch(np.arange(self.n_speakers), self.utt_start)
+
+    def _batch(self, spk_idx: np.ndarray, utt_idx: np.ndarray) -> PairBatch:
+        """The profiles of speaker rows spk_idx and the runtime pairs of rows
+        utt_idx."""
+        return PairBatch(spk_idx, self.e_x[spk_idx], self.e_y[spk_idx],
+                         self.r_x[utt_idx], self.r_y[utt_idx])
 
 
 def sample_negative_bank(paired: PairedData, excluded, m: int,
@@ -344,23 +329,21 @@ def train(config: NessaConfig, train_pair: PairedData,
     prng = Prng(config.seed)
     d = train_pair.d
     dims = [d, config.hidden, config.hidden, d]
-    schedule = LrSchedule(config.lr0, config.lr_decay)
+    m3 = config.variant == "m3"
+    fit = {"m1": loss_m1, "m2": loss_m2}.get(config.variant)
 
     f1 = mlp_init(dims, config.seed)
-    f2 = mlp_init(dims, config.seed + 1) if config.variant == "m3" else None
-    w = np.array([config.w_init]) if config.variant == "m3" else None
+    f2 = mlp_init(dims, config.seed + 1) if m3 else None
+    w = np.array([config.w_init]) if m3 else None
 
-    params = list(f1.parameters())
-    if config.variant == "m3":
-        params += list(f2.parameters())
-        params.append(w)
+    params = f1.parameters() + (f2.parameters() + [w] if m3 else [])
     state = AdamState(params)
 
     # Fixed validation bank: sampled once from the training speakers that
     # are not validation speakers. Its speakers are numbered after the
     # validation batch's (0..n-1), the space loss_m3 checks them in.
     val_bank = None
-    if config.variant == "m3" and val_pair is not None:
+    if m3 and val_pair is not None:
         val_ids = set(val_pair.speaker_ids)
         in_val = [i for i, s in enumerate(train_pair.speaker_ids) if s in val_ids]
         val_m = min(config.bank_size, train_pair.n_speakers - len(in_val))
@@ -373,33 +356,27 @@ def train(config: NessaConfig, train_pair: PairedData,
         if val_pair is None:
             return float("nan")
         batch = val_pair.full_batch()
-        if config.variant == "m3":
+        if m3:
             return loss_m3(f1, f2, float(w[0]), batch, val_bank, config.alpha,
                            config.beta, config.gamma, want_grads=False)[0]
-        # The m1/m2 objectives without their backward pass.
-        x, target = ((batch.r_y, batch.r_x) if config.variant == "m1"
-                     else (batch.e_x, batch.e_y))
-        return _mse_and_grad(forward(f1, x)[0], target)[0]
+        return fit(f1, batch, want_grads=False)[0]
 
-    best = Checkpoint(config.variant, f1.copy(),
-                      f2.copy() if f2 is not None else None,
-                      float(w[0]) if w is not None else None,
-                      config.alpha, config.beta, config.gamma,
-                      config.seed, 0)
+    def snapshot(epochs: int) -> Checkpoint:
+        return Checkpoint(config.variant, f1.copy(), f2.copy() if m3 else None,
+                          float(w[0]) if m3 else None, config.alpha, config.beta,
+                          config.gamma, config.seed, epochs)
+
+    best = snapshot(0)
     best_val = val_loss() if config.epochs > 0 else float("inf")
     log: list[dict] = []
 
     for epoch in range(config.epochs):
-        lr = lr_at(schedule, epoch)
+        lr = config.lr0 * config.lr_decay**epoch
         t0 = time.monotonic()
         train_losses = []
         for _ in range(config.steps_per_epoch):
             batch = train_pair.sample_batch(config.batch_size, prng)
-            if config.variant == "m1":
-                loss, grads = loss_m1(f1, batch)
-            elif config.variant == "m2":
-                loss, grads = loss_m2(f1, batch)
-            else:
+            if m3:
                 bank = sample_negative_bank(
                     train_pair, batch.speakers,
                     min(config.bank_size,
@@ -409,6 +386,8 @@ def train(config: NessaConfig, train_pair: PairedData,
                     f1, f2, float(w[0]), batch, bank,
                     config.alpha, config.beta, config.gamma)
                 grads = g1 + g2 + [np.array([dw])]
+            else:
+                loss, grads = fit(f1, batch)
             adam_step(params, grads, state, lr)
             train_losses.append(loss)
         vloss = val_loss()
@@ -419,16 +398,12 @@ def train(config: NessaConfig, train_pair: PairedData,
             "val_loss": vloss,
             "wall_ms": int(1000 * (time.monotonic() - t0)),
         }
-        if config.variant == "m3":
+        if m3:
             entry["w"] = float(w[0])
         log.append(entry)
         if val_pair is None or vloss <= best_val or np.isnan(best_val):
             best_val = vloss
-            best = Checkpoint(config.variant, f1.copy(),
-                              f2.copy() if f2 is not None else None,
-                              float(w[0]) if w is not None else None,
-                              config.alpha, config.beta, config.gamma,
-                              config.seed, epoch + 1)
+            best = snapshot(epoch + 1)
     best.log = log
     return best
 

@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a paired synthetic corpus")
-    p.add_argument("--config", help="JSON config file; flags override")
+    p.add_argument("--config",
+                   help="JSON object of settings; they override the flags")
     p.add_argument("--n-speakers", type=int, default=200)
     p.add_argument("--n-enroll", type=int, default=5)
     p.add_argument("--n-runtime", type=int, default=3)

@@ -80,23 +80,24 @@ def _row_error(kind, row: int, message: str) -> SidAlignError:
 
 
 def _vector_matrix(vectors, utterances) -> np.ndarray:
-    """The (n, d) float64 matrix of n >= 1 vectors, or an error naming the first
-    utterance whose vector is not 1-D and numeric or not of row 0's dimension."""
+    """The (n, d >= 1) float64 matrix of n >= 1 vectors, or an error naming the
+    first utterance whose vector is not 1-D, numeric and nonempty or not of row
+    0's dimension."""
     try:
         matrix = np.asarray(vectors, dtype=np.float64)
-        if matrix.ndim == 2:
+        if matrix.ndim == 2 and matrix.shape[1]:
             return matrix
     except (ValueError, TypeError, OverflowError):
         pass
-    # Rows of one 1-D shape would have formed a matrix: one of them is bad.
+    # Nonempty rows of one 1-D shape would have formed a matrix: one is bad.
     for i, vector in enumerate(vectors):
         try:
             shape = np.asarray(vector, dtype=np.float64).shape
         except (ValueError, TypeError, OverflowError):
             shape = ()
-        if len(shape) != 1:
+        if len(shape) != 1 or not shape[0]:
             raise _row_error(ParseError, i, f"utterance {utterances[i]!r} has no 1-D "
-                                            f"numeric vector")
+                                            f"numeric vector of one or more entries")
         if shape != np.shape(vectors[0]):
             raise _row_error(DimensionMismatch, i, f"utterance {utterances[i]!r} has "
                                                    f"dimension {shape[0]}, the corpus "
@@ -124,6 +125,14 @@ class Corpus:
 
     def _set_columns(self, speakers, utterances, model_ids, splits, vectors):
         n = len(utterances)
+        for name, column in (("speaker", speakers), ("utterance", utterances),
+                             ("model", model_ids)):
+            try:
+                "".join(column)  # fails on the first id that is not a str
+            except TypeError:
+                i = next(i for i, v in enumerate(column) if not isinstance(v, str))
+                raise _row_error(ParseError, i, f"ids must be strings: row {i} has "
+                                                f"{name} id {column[i]!r}") from None
         self.speakers: list[str] = speakers
         self.utterances: list[str] = utterances
         self._profiles: list[VoiceProfile] | None = None  # set by build_all_profiles
@@ -323,8 +332,9 @@ def _json_columns(path, lines, linenos):
             row = [obj[key] for key in FIELDS]
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if not all(isinstance(value, str) for value in row[:3]):  # the ids
-            raise ParseError(f"{path}:{lineno}: ids must be strings")
+        if not (isinstance(row[4], list) and all(type(x) is float for x in row[4])):
+            raise ParseError(f"{path}:{lineno}: the vector must be a list of JSON "
+                             f"numbers")
         for column, value in zip(columns, row):
             column.append(value)
     return columns

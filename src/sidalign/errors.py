@@ -53,14 +53,6 @@ class InsufficientData(SidAlignError):
     pass
 
 
-class BadDims(SidAlignError):
-    pass
-
-
-class ShapeMismatch(SidAlignError):
-    pass
-
-
 class DisjointnessViolation(SidAlignError):
     pass
 

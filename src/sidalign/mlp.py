@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDims, ConfigInvalid, DimensionMismatch, ShapeMismatch
+from .errors import DimensionMismatch
 from .numerics import Prng
 
 ADAM_BETA1 = 0.9
@@ -31,14 +31,8 @@ class Mlp:
         return self.layer_dims[0]
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
+        """Each layer's weights, then its biases, input layer first."""
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def copy(self) -> "Mlp":
         return Mlp(
@@ -52,7 +46,7 @@ def mlp_init(dims, seed: int) -> Mlp:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
-        raise BadDims(f"invalid layer dims {dims}")
+        raise DimensionMismatch(f"invalid layer dims {dims}")
     prng = Prng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -85,26 +79,23 @@ def forward(m: Mlp, x: np.ndarray):
     return (y[0] if squeeze else y), cache
 
 
-def backward(m: Mlp, cache, dy: np.ndarray):
-    """Reverse-mode gradients; returns (grads_w, grads_b, dx).
+def backward(m: Mlp, cache, dy: np.ndarray) -> list[np.ndarray]:
+    """Reverse-mode gradients of the parameters, in ``m.parameters()`` order.
 
-    ReLU subgradient at exactly 0 is taken as 0.
+    ReLU subgradient at exactly 0 is taken as 0. The gradient of the input
+    is not formed: training never reads it.
     """
     acts, pre, squeeze = cache
-    dy = np.asarray(dy, dtype=np.float64)
-    if squeeze and dy.ndim == 1:
-        dy = dy[None, :]
-    grads_w = [None] * len(m.weights)
-    grads_b = [None] * len(m.biases)
-    grad = dy
+    grad = np.asarray(dy, dtype=np.float64)
+    if squeeze and grad.ndim == 1:
+        grad = grad[None, :]
+    grads = []
     for i in range(len(m.weights) - 1, -1, -1):
         if i < len(m.weights) - 1:
-            grad = grad * (pre[i] > 0.0)
-        grads_w[i] = grad.T @ acts[i]
-        grads_b[i] = grad.sum(axis=0)
-        grad = grad @ m.weights[i]
-    dx = grad[0] if squeeze else grad
-    return grads_w, grads_b, dx
+            grad = grad @ m.weights[i + 1]
+            grad *= pre[i] > 0.0  # in place: the product's bits, one array less
+        grads += [grad.sum(axis=0), grad.T @ acts[i]]
+    return grads[::-1]
 
 
 def gradient_check(params, loss_fn, analytic_grads, h=1e-5, n_samples=200,
@@ -147,15 +138,12 @@ class AdamState:
     scratch buffers, each as large as the largest parameter, that adam_step
     computes in."""
 
-    def __init__(self, params, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+    def __init__(self, params):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         size = max((p.size for p in params), default=0)
         self.scratch = (np.empty(size), np.empty(size))
         self.t = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
@@ -167,12 +155,12 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     exactly in IEEE arithmetic, so ``g * c`` has the bits of ``c * g``).
     """
     if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatch("params/grads/state length mismatch")
+        raise DimensionMismatch("params/grads/state length mismatch")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
-            raise ShapeMismatch(f"parameter {p.shape} vs gradient {g.shape}")
+            raise DimensionMismatch(f"parameter {p.shape} vs gradient {g.shape}")
         a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch)
         m *= b1
         m += np.multiply(g, 1 - b1, out=a)  # (1 - b1) * g
@@ -181,28 +169,10 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         v += np.multiply(a, g, out=a)  # ((1 - b2) * g) * g
         np.divide(v, 1 - b2**state.t, out=a)  # v_hat
         np.sqrt(a, out=a)
-        a += state.eps
+        a += ADAM_EPS
         np.divide(m, 1 - b1**state.t, out=b)  # m_hat
         b *= lr
         p -= np.divide(b, a, out=b)
-
-
-@dataclass
-class LrSchedule:
-    lr0: float = 1e-3
-    decay: float = 0.96
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lr0) and np.isfinite(self.decay)):
-            raise ConfigInvalid(f"lr0 {self.lr0!r} and decay {self.decay!r} must be finite")
-        if self.lr0 <= 0 or not (0 < self.decay <= 1):
-            raise BadDims("lr0 must be > 0 and decay in (0, 1]")
-
-
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    if epoch < 0:
-        raise BadDims("epoch must be >= 0")
-    return schedule.lr0 * schedule.decay**epoch
 
 
 def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0) -> dict:

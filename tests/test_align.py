@@ -453,10 +453,7 @@ def reference_loss_m3(f1, f2, w, batch, bank, alpha, beta, gamma, want_grads=Tru
     db = (db_hat - b_hat * np.sum(b_hat * db_hat, axis=1, keepdims=True)) / b_norm
     da[:n] += beta * (2.0 * diff2 / diff2.size)
     db += gamma * (2.0 * diff3 / diff3.size)
-    gw1, gb1, _ = backward(f1, cache1, da)
-    gw2, gb2, _ = backward(f2, cache2, db)
-    return (loss, [g for pair in zip(gw1, gb1) for g in pair],
-            [g for pair in zip(gw2, gb2) for g in pair], dl_dw)
+    return loss, backward(f1, cache1, da), backward(f2, cache2, db), dl_dw
 
 
 def uneven_corpora(counts, seed, d=3):

@@ -69,6 +69,14 @@ class TestPipeline:
                     "ckpt", "scores", "report"):
             assert a[key].read_bytes() == b[key].read_bytes(), key
 
+    def test_synth_config_file_overrides_flags(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"n_speakers": 3}')
+        x, y = tmp_path / "x.jsonl", tmp_path / "y.jsonl"
+        assert main(["synth", "--n-speakers", "5", "--config", str(config),
+                     "--out-x", str(x), "--out-y", str(y)]) == 0
+        assert len(load_embeddings(x).speaker_ids()) == 3
+
     def test_report_contents(self, tmp_path):
         paths = run_pipeline(tmp_path / "run")
         report = json.loads(paths["report"].read_text())
@@ -299,6 +307,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("option, content, code", [
         ("--embeddings", RECORD % '["a", "b"]', 1),
+        ("--embeddings", RECORD % '["0.6", 0.5]', 1),
+        ("--embeddings", RECORD % '[0.6, true]', 1),
+        ("--embeddings", RECORD % '[]', 1),
         ("--embeddings", RECORD % "1.5", 1),
         ("--embeddings", RECORD % "[[1, 2], [3]]", 1),
         ("--embeddings", RECORD.encode() % b"[0.5, 1]" + b"\xff\n", 1),
@@ -311,7 +322,8 @@ class TestErrors:
         ("--config", "n_speakers = 10", 1),
         ("--config", '{"n_speakers": "ten"}', 1),
         ("--far", None, 2),
-    ], ids=["vector-strings", "vector-scalar", "vector-ragged", "embeddings-not-utf8",
+    ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
+            "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "scores-not-utf8", "fusion-without-m",
             "fusion-wrong-size", "checkpoint-without-layer-dims",
             "checkpoint-not-json", "config-not-json", "config-wrong-type",
@@ -456,6 +468,10 @@ class TestTrainSettings:
         ("--beta", "inf"),
         ("--gamma", "nan"),
         ("--w-init", "nan"),
+        ("--lr", "0"),
+        ("--decay", "0"),
+        ("--decay", "1.5"),
+        ("--hidden", "0"),
     ])
     def test_invalid_setting_exit_one(self, scored_fixture, tmp_path, capsys,
                                       flag, value):

@@ -207,6 +207,20 @@ class TestCorpus:
         with pytest.raises(ModelMismatch, match="mixed.jsonl.*u2"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("column", range(3))
+    def test_ids_must_be_strings(self, tmp_path, column):
+        # In memory, where save_embeddings would end in a TypeError, and in
+        # a file, where the error names the line.
+        ids = [["a", "b"], ["u1", "u2"], ["M", "M"]]
+        ids[column][1] = 7
+        with pytest.raises(ParseError, match="ids must be strings: row 1 has"):
+            Corpus.from_columns(*ids, ["enroll"] * 2, np.eye(2))
+        path = tmp_path / "ids.jsonl"
+        path.write_text("".join(json.dumps(dict(zip(FIELDS, row))) + "\n" for row in zip(
+            *ids, ["enroll"] * 2, [[1.0, 0.0], [0.0, 1.0]])))
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: ids must be"):
+            load_embeddings(path)
+
 
 def reference_profiles(corpus, model_id):
     """Profiles one speaker at a time: normalize the speaker's stacked
@@ -323,7 +337,8 @@ def ragged(draw, obj):
 
 def non_numeric(draw, obj):
     i = draw(st.integers(0, len(obj["vector"]) - 1))
-    obj["vector"][i] = draw(st.sampled_from(["a", "", "1,5", {}, [1.0, 2.0]]))
+    obj["vector"][i] = draw(st.sampled_from(["a", "", "1,5", "0.6", True, False, None,
+                                             {}, [1.0, 2.0]]))
 
 
 def non_finite(draw, obj):

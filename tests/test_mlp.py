@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidalign.errors import BadDims, ConfigInvalid, DimensionMismatch, ShapeMismatch
+from sidalign.align import NessaConfig, PairedData, train
+from sidalign.errors import ConfigInvalid, DimensionMismatch
 from sidalign.mlp import (
     AdamState,
-    LrSchedule,
     adam_step,
     backward,
     forward,
     gradient_check,
-    lr_at,
     mlp_from_dict,
     mlp_init,
     mlp_to_dict,
 )
 from sidalign.numerics import Prng
+from sidalign.synth import SynthConfig, generate
 
 
 class TestInit:
@@ -41,12 +41,12 @@ class TestInit:
 
     def test_full_scale_parameter_count(self):
         m = mlp_init([400, 800, 800, 400], seed=0)
-        assert m.n_parameters() == 1_282_000
+        assert sum(p.size for p in m.parameters()) == 1_282_000
 
     def test_bad_dims(self):
-        with pytest.raises(BadDims):
+        with pytest.raises(DimensionMismatch):
             mlp_init([4], seed=0)
-        with pytest.raises(BadDims):
+        with pytest.raises(DimensionMismatch):
             mlp_init([4, 0, 4], seed=0)
 
 
@@ -99,20 +99,19 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         m = mlp_init([3, 4, 4, 3], seed=0)
         y, cache = forward(m, np.ones(3))
-        gw, gb, dx = backward(m, cache, np.zeros(3))
-        for g in gw + gb:
+        grads = backward(m, cache, np.zeros(3))
+        assert [g.shape for g in grads] == [p.shape for p in m.parameters()]
+        for g in grads:
             np.testing.assert_array_equal(g, 0)
-        np.testing.assert_array_equal(dx, 0)
 
     def test_single_linear_layer_closed_form(self):
         m = mlp_init([3, 2], seed=1)
         x = np.array([1.0, 2.0, 3.0])
         _, cache = forward(m, x)
         dy = np.array([0.5, -1.5])
-        gw, gb, dx = backward(m, cache, dy)
-        np.testing.assert_allclose(gw[0], np.outer(dy, x))
-        np.testing.assert_allclose(gb[0], dy)
-        np.testing.assert_allclose(dx, m.weights[0].T @ dy)
+        gw, gb = backward(m, cache, dy)
+        np.testing.assert_allclose(gw, np.outer(dy, x))
+        np.testing.assert_allclose(gb, dy)
 
     def test_against_finite_differences(self):
         m = mlp_init([4, 7, 7, 4], seed=6)
@@ -124,11 +123,7 @@ class TestBackward:
             return float(np.mean((y - target) ** 2))
 
         y, cache = forward(m, x)
-        dy = 2 * (y - target) / y.size
-        gw, gb, _ = backward(m, cache, dy)
-        grads = []
-        for w, b in zip(gw, gb):
-            grads.extend([w, b])
+        grads = backward(m, cache, 2 * (y - target) / y.size)
         err = gradient_check(m.parameters(), loss, grads, seed=0)
         assert err <= 1e-7
 
@@ -141,11 +136,8 @@ class TestBackward:
             return float(np.mean(y**2))
 
         y, cache = forward(m, x)
-        gw, gb, _ = backward(m, cache, 2 * y / y.size)
-        gw[0] = gw[0] * 1.05
-        grads = []
-        for w, b in zip(gw, gb):
-            grads.extend([w, b])
+        grads = backward(m, cache, 2 * y / y.size)
+        grads[0] = grads[0] * 1.05
         err = gradient_check(m.parameters(), loss, grads, seed=0)
         assert err >= 5e-3
 
@@ -181,11 +173,7 @@ class TestAdam:
             x = Prng(6).standard_normal(8, 3)
             for _ in range(20):
                 y, cache = forward(m, x)
-                gw, gb, _ = backward(m, cache, 2 * y / y.size)
-                grads = []
-                for w, b in zip(gw, gb):
-                    grads.extend([w, b])
-                adam_step(params, grads, state, lr=1e-3)
+                adam_step(params, backward(m, cache, 2 * y / y.size), state, lr=1e-3)
             return m
 
         m1, m2 = run(), run()
@@ -195,7 +183,7 @@ class TestAdam:
     def test_shape_mismatch(self):
         p = [np.zeros(3)]
         state = AdamState(p)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             adam_step(p, [np.zeros(4)], state, lr=1e-3)
 
     @given(shapes=st.lists(st.sampled_from([(1,), (3,), (4, 2), (5, 3), (2, 2, 2)]),
@@ -246,25 +234,44 @@ class ReferenceAdam:
             p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def logged_lrs(epochs, **settings):
+    """The lr of each epoch's log entry of a tiny m2 training run."""
+    cx, cy, _ = generate(SynthConfig(n_speakers=4, n_enroll_utts=1, n_runtime_utts=1,
+                                     latent_dim=2, embed_dim=2))
+    cfg = NessaConfig(variant="m2", epochs=epochs, steps_per_epoch=1, batch_size=2,
+                      hidden=2, **settings)
+    return [entry["lr"] for entry in train(cfg, PairedData(cx, cy), None).log]
+
+
 class TestLrSchedule:
+    """train's learning rate lr0 * lr_decay**epoch, and NessaConfig.validate's
+    checks on its two settings."""
+
     def test_epoch_zero(self):
-        assert lr_at(LrSchedule(), 0) == 1e-3
+        assert logged_lrs(1)[0] == 1e-3
 
     def test_epoch_one(self):
-        assert lr_at(LrSchedule(), 1) == pytest.approx(9.6e-4)
+        assert logged_lrs(2)[1] == pytest.approx(9.6e-4)
 
     def test_epoch_fifty(self):
-        assert lr_at(LrSchedule(), 50) == pytest.approx(1.2989e-4, rel=1e-4)
+        assert logged_lrs(51)[50] == pytest.approx(1.2989e-4, rel=1e-4)
+
+    @pytest.mark.parametrize("lr0, lr_decay", [(1e-3, 0.96), (3e-3, 0.9), (0.1, 1.0)])
+    def test_every_epoch_bit_for_bit(self, lr0, lr_decay):
+        lrs = logged_lrs(12, lr0=lr0, lr_decay=lr_decay)
+        assert lrs == [lr0 * lr_decay**epoch for epoch in range(12)]
 
     def test_invalid(self):
-        with pytest.raises(BadDims):
-            LrSchedule(lr0=0.0)
+        for lr0, lr_decay in [(0.0, 0.96), (-1e-3, 0.96), (1e-3, 0.0), (1e-3, 1.5),
+                              (1e-3, -0.5)]:
+            with pytest.raises(ConfigInvalid):
+                NessaConfig(lr0=lr0, lr_decay=lr_decay).validate()
 
     @pytest.mark.parametrize("lr0, decay", [(float("nan"), 0.96), (float("inf"), 0.96),
                                             (1e-3, float("nan"))])
     def test_non_finite(self, lr0, decay):
         with pytest.raises(ConfigInvalid):
-            LrSchedule(lr0=lr0, decay=decay)
+            NessaConfig(lr0=lr0, lr_decay=decay).validate()
 
 
 class TestCheckpointIO:
