@@ -101,6 +101,8 @@ class NessaConfig:
             raise ConfigInvalid("steps_per_epoch and batch_size must be >= 1")
         if self.bank_size < 0:
             raise ConfigInvalid("bank_size must be >= 0")
+        if self.hidden < 1:
+            raise ConfigInvalid(f"hidden = {self.hidden!r} must be >= 1")
         if self.lr0 <= 0 or not 0 < self.lr_decay <= 1:
             raise ConfigInvalid(f"lr0 = {self.lr0!r} must be > 0 and lr_decay = "
                                 f"{self.lr_decay!r} in (0, 1]")

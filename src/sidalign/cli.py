@@ -192,6 +192,22 @@ def cmd_logit_align(args) -> int:
 def cmd_train(args) -> int:
     if not 0 <= args.val_fraction < 1:
         raise ConfigInvalid(f"--val-fraction {args.val_fraction} is not in [0, 1)")
+    cfg = NessaConfig(
+        variant=args.variant,
+        alpha=args.alpha,
+        beta=args.beta,
+        gamma=args.gamma,
+        w_init=args.w_init,
+        epochs=args.epochs,
+        steps_per_epoch=args.steps,
+        batch_size=args.batch,
+        bank_size=args.bank_size,
+        hidden=args.hidden,
+        lr0=args.lr,
+        lr_decay=args.decay,
+        seed=args.seed,
+    )
+    cfg.validate()  # before any corpus is loaded
     corpus_x = load_embeddings(args.corpus_x)
     corpus_y = load_embeddings(args.corpus_y)
     _two_models(corpus_x.model_id, corpus_y.model_id, args.corpus_x, args.corpus_y)
@@ -211,21 +227,6 @@ def cmd_train(args) -> int:
     train_pair = PairedData(corpus_x, corpus_y, train_ids)
     val_pair = PairedData(corpus_x, corpus_y, val_ids) if val_ids else None
 
-    cfg = NessaConfig(
-        variant=args.variant,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        w_init=args.w_init,
-        epochs=args.epochs,
-        steps_per_epoch=args.steps,
-        batch_size=args.batch,
-        bank_size=args.bank_size,
-        hidden=args.hidden,
-        lr0=args.lr,
-        lr_decay=args.decay,
-        seed=args.seed,
-    )
     ckpt = train(cfg, train_pair, val_pair)
     save_checkpoint(ckpt, args.out, extra=_provenance(args))
     if args.log:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from copy import copy
 from dataclasses import dataclass
 from itertools import compress, count
 from json.encoder import encode_basestring_ascii
@@ -199,17 +200,46 @@ class Trial:
             raise UnknownLabel(f"unknown trial label {self.label!r}")
 
 
-@dataclass
-class TrialSet:
-    trials: list[Trial]
-    scores: list[float] | None = None
+def _index_column(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ids in first-seen order, and each id's position among them."""
+    keys = list(dict.fromkeys(ids))
+    position = dict(zip(keys, count()))
+    return keys, np.fromiter(map(position.__getitem__, ids), np.intp, len(ids))
 
-    def __post_init__(self):
-        if self.scores is not None and len(self.scores) != len(self.trials):
+
+class TrialSet:
+    """A trial list and, once scored, its scores as one float64 array.
+
+    The ids are resolved once, on construction, into index columns:
+    ``enroll_keys`` holds the distinct enroll speaker ids in first-trial
+    order and ``enroll_rows`` the position of each trial's speaker among them
+    (``np.intp``); ``test_keys``/``test_rows`` do the same for the test
+    utterances, and ``target`` is the bool mask of target trials. A scored
+    copy (``with_scores``) shares these columns.
+    """
+
+    def __init__(self, trials: list[Trial], scores=None):
+        self.trials = trials
+        self.enroll_keys, self.enroll_rows = _index_column(
+            [t.enroll_speaker_id for t in trials])
+        self.test_keys, self.test_rows = _index_column([t.test_utterance_id for t in trials])
+        self.target = np.array([t.label == "target" for t in trials], dtype=bool)
+        self.scores = None if scores is None else self._score_column(scores)
+
+    def _score_column(self, scores) -> np.ndarray:
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != (len(self.trials),):
             raise DimensionMismatch("scores and trials must have equal length")
+        return scores
+
+    def with_scores(self, scores) -> TrialSet:
+        """This trial list with one score per trial; the columns are shared."""
+        scored = copy(self)
+        scored.scores = self._score_column(scores)
+        return scored
 
     def labels01(self) -> np.ndarray:
-        return np.array([1 if t.label == "target" else 0 for t in self.trials])
+        return self.target.astype(int)
 
 
 def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
@@ -408,7 +438,7 @@ def save_scores(trialset: TrialSet, path) -> None:
     if trialset.scores is None:
         raise ParseError("trial set has no scores to save")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t, s in zip(trialset.trials, trialset.scores):
+        for t, s in zip(trialset.trials, trialset.scores.tolist()):
             fh.write(
                 f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t{t.label}\t"
                 f"{format_float(s)}\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .errors import (
     BaselineZero,
     DegenerateGap,
     DegenerateTrialSet,
+    DimensionMismatch,
     ParseError,
     UnknownId,
     ZeroVector,
@@ -37,7 +39,8 @@ class RocCurve:
 
 
 def roc(scores, labels) -> RocCurve:
-    """Exact empirical FAR/FRR sweep; labels are 1 = target, 0 = imposter."""
+    """Exact empirical FAR/FRR sweep; labels are 1 = target, 0 = imposter
+    (a bool target mask reads the same)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     bad = np.count_nonzero(~np.isfinite(scores))
@@ -104,41 +107,59 @@ def gap_recovery(impact_sys: float, impact_candidate_symmetric: float) -> float:
 
 
 def score_trials(trialset: TrialSet, scorer, profile_vectors: dict,
-                 runtime_vectors: dict) -> TrialSet:
+                 runtime_vectors: dict, enroll_map=None, runtime_map=None) -> TrialSet:
     """Score every trial with a batch scorer (P, R) -> scores.
 
     profile_vectors maps enroll_speaker_id to a vector, runtime_vectors maps
-    test_utterance_id to a vector. Score order matches trial order.
+    test_utterance_id to a vector. Only the vectors the list uses are
+    stacked, as float64, one row per key of the list's index columns, and the
+    scorer gets them gathered into trial order. A side's map takes an (n, d)
+    block and runs once over every vector of its side (the offline-profile
+    property of m2/m3); None leaves that side as it is.
     """
-    trials = trialset.trials
-    if not trials:
-        return TrialSet([], [])
-    # One row per key, gathered by index arrays: np.intp arrays, not lists of
-    # Python ints, so a long trial list costs two allocations, not n objects.
-    p_row = {k: i for i, k in enumerate(profile_vectors)}
-    r_row = {k: i for i, k in enumerate(runtime_vectors)}
-    n = len(trials)
+    sides = ((trialset.enroll_keys, profile_vectors, enroll_map),
+             (trialset.test_keys, runtime_vectors, runtime_map))
+    mapped = [fn(np.stack(list(vectors.values()))) if fn is not None and vectors else None
+              for _, vectors, fn in sides]
+    if not trialset.trials:
+        return trialset.with_scores(np.zeros(0))
     try:
-        pi = np.fromiter((p_row[t.enroll_speaker_id] for t in trials), np.intp, n)
-        ri = np.fromiter((r_row[t.test_utterance_id] for t in trials), np.intp, n)
+        p, r = (_key_rows(keys, vectors, m) for (keys, vectors, _), m in zip(sides, mapped))
     except KeyError:
-        for t in trials:  # name the first unknown id in trial order
-            if t.enroll_speaker_id not in p_row:
-                raise UnknownId(
-                    f"unknown enroll speaker {t.enroll_speaker_id!r}") from None
-            if t.test_utterance_id not in r_row:
-                raise UnknownId(
-                    f"unknown test utterance {t.test_utterance_id!r}") from None
-        raise
-    p = np.stack(list(profile_vectors.values()))
-    r = np.stack(list(runtime_vectors.values()))
-    scores = scorer(p[pi], r[ri])
-    return TrialSet(list(trials), scores.tolist())
+        raise _first_unknown(trialset, profile_vectors, runtime_vectors) from None
+    return trialset.with_scores(scorer(p[trialset.enroll_rows], r[trialset.test_rows]))
+
+
+def _key_rows(keys, vectors: dict, mapped=None) -> np.ndarray:
+    """One float64 row per key: its vector, or its row of ``mapped``, which
+    holds the side's mapped vectors in ``vectors`` order."""
+    if mapped is None:
+        return np.array([vectors[k] for k in keys], dtype=np.float64)
+    position = dict(zip(vectors, count()))
+    return np.asarray(mapped, dtype=np.float64)[[position[k] for k in keys]]
+
+
+def _first_unknown(trialset: TrialSet, profile_vectors: dict,
+                   runtime_vectors: dict) -> UnknownId:
+    """The error naming the first trial, in list order, whose enroll speaker
+    (looked at first) or test utterance has no vector."""
+    enroll = np.array([k not in profile_vectors for k in trialset.enroll_keys],
+                      dtype=bool)[trialset.enroll_rows]
+    test = np.array([k not in runtime_vectors for k in trialset.test_keys],
+                    dtype=bool)[trialset.test_rows]
+    i = int(np.argmax(enroll | test))
+    trial = trialset.trials[i]
+    if enroll[i]:
+        return UnknownId(f"unknown enroll speaker {trial.enroll_speaker_id!r}")
+    return UnknownId(f"unknown test utterance {trial.test_utterance_id!r}")
 
 
 def cosine_scorer(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Row-wise cosine of parallel rows; a row of norm <= EPS_NORM (or NaN)
-    raises ZeroVector instead of scoring NaN."""
+    """Row-wise cosine of parallel rows of one shape; a row of norm <= EPS_NORM
+    (or NaN) raises ZeroVector instead of scoring NaN."""
+    if p.shape != r.shape:
+        raise DimensionMismatch(f"no cosine of profile rows of shape {p.shape} and "
+                                f"runtime rows of shape {r.shape}")
     p_norm = np.linalg.norm(p, axis=1)
     r_norm = np.linalg.norm(r, axis=1)
     if not (np.all(p_norm > EPS_NORM) and np.all(r_norm > EPS_NORM)):
@@ -148,19 +169,9 @@ def cosine_scorer(p: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def score_cosine(trialset: TrialSet, profile_vectors: dict, runtime_vectors: dict,
                  enroll_map=None, runtime_map=None) -> TrialSet:
-    """The one scoring rule: cosine(enroll_map(profile), runtime_map(runtime)).
-
-    A map takes an (n, d) block of one side's vectors and runs once over the
-    stacked unique vectors of that side (the offline-profile property of
-    m2/m3); None leaves that side as it is.
-    """
-    sides = []
-    for vectors, fn in ((profile_vectors, enroll_map), (runtime_vectors, runtime_map)):
-        if fn is not None and vectors:
-            keys = list(vectors)
-            vectors = dict(zip(keys, fn(np.stack([vectors[k] for k in keys]))))
-        sides.append(vectors)
-    return score_trials(trialset, cosine_scorer, *sides)
+    """The one scoring rule: cosine(enroll_map(profile), runtime_map(runtime))."""
+    return score_trials(trialset, cosine_scorer, profile_vectors, runtime_vectors,
+                        enroll_map, runtime_map)
 
 
 def evaluate(trialset: TrialSet, scorer_id: str,
@@ -174,7 +185,7 @@ def evaluate(trialset: TrialSet, scorer_id: str,
     """
     if trialset.scores is None:
         raise DegenerateTrialSet("trial set is not scored")
-    curve = roc(trialset.scores, trialset.labels01())
+    curve = roc(trialset.scores, trialset.target)
     per_far = []
     recoveries = {}
     for target in far_targets:

@@ -65,27 +65,28 @@ def forward(m: Mlp, x: np.ndarray):
         x = x[None, :]
     if x.shape[1] != m.in_dim:
         raise DimensionMismatch(f"input dim {x.shape[1]}, model expects {m.in_dim}")
+    # Each layer adds its bias and applies its ReLU in place, in the GEMM's
+    # output: one array per layer, and the cache holds only the activations.
     acts = [x]
-    h = x
-    n_layers = len(m.weights)
-    pre = []
+    last = len(m.weights) - 1
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        z = h @ w.T + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < n_layers - 1 else z
+        h = acts[-1] @ w.T
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     y = acts[-1]
-    cache = (acts, pre, squeeze)
-    return (y[0] if squeeze else y), cache
+    return (y[0] if squeeze else y), (acts, squeeze)
 
 
 def backward(m: Mlp, cache, dy: np.ndarray) -> list[np.ndarray]:
     """Reverse-mode gradients of the parameters, in ``m.parameters()`` order.
 
-    ReLU subgradient at exactly 0 is taken as 0. The gradient of the input
-    is not formed: training never reads it.
+    ReLU subgradient at exactly 0 is taken as 0: the mask reads the layer's
+    output, which is > 0 exactly where its pre-activation is (NaN included).
+    The gradient of the input is not formed: training never reads it.
     """
-    acts, pre, squeeze = cache
+    acts, squeeze = cache
     grad = np.asarray(dy, dtype=np.float64)
     if squeeze and grad.ndim == 1:
         grad = grad[None, :]
@@ -93,7 +94,7 @@ def backward(m: Mlp, cache, dy: np.ndarray) -> list[np.ndarray]:
     for i in range(len(m.weights) - 1, -1, -1):
         if i < len(m.weights) - 1:
             grad = grad @ m.weights[i + 1]
-            grad *= pre[i] > 0.0  # in place: the product's bits, one array less
+            grad *= acts[i + 1] > 0.0  # in place: the product's bits, one array less
         grads += [grad.sum(axis=0), grad.T @ acts[i]]
     return grads[::-1]
 

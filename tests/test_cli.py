@@ -351,6 +351,26 @@ class TestErrors:
             assert "bad_input" in line
         assert not (tmp_path / "out").exists()
 
+    def test_views_of_two_dimensions_exit_one(self, tmp_path, capsys):
+        # X of dimension 8 and Y of dimension 16: the raw cosine has no meaning
+        paths = {}
+        for dim in ("8", "16"):
+            root = tmp_path / f"d{dim}"
+            root.mkdir()
+            paths[dim] = {k: root / f"{k}.jsonl" for k in ("x", "y")}
+            paths[dim]["trials"] = root / "trials.tsv"
+            assert main(["synth", "--n-speakers", "6", "--latent-dim", "8",
+                         "--embed-dim", dim, "--n-target", "4", "--n-imposter", "4",
+                         "--out-x", str(paths[dim]["x"]), "--out-y", str(paths[dim]["y"]),
+                         "--trials-out", str(paths[dim]["trials"])]) == 0
+        out = tmp_path / "scores.tsv"
+        line = one_error_line(capsys, [
+            "score", "--scorer", "cosine-asym-raw", "--trials", str(paths["16"]["trials"]),
+            "--corpus-x", str(paths["8"]["x"]), "--corpus-y", str(paths["16"]["y"]),
+            "--out", str(out)])
+        assert ", 8)" in line and ", 16)" in line
+        assert not out.exists()
+
     def test_eval_closes_report_files(self, scored_fixture, tmp_path):
         paths = scored_fixture
         out = tmp_path / "with_impact.json"
@@ -483,5 +503,14 @@ class TestTrainSettings:
                 "--variant", "m2", "--out", str(out)]
         for option, setting in settings.items():
             argv += [option, setting]
-        one_error_line(capsys, argv)
+        line = one_error_line(capsys, argv)
+        if flag == "--hidden":
+            assert "hidden" in line
         assert not out.exists()
+
+    def test_settings_checked_before_corpora_load(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        line = one_error_line(capsys, ["train", "--corpus-x", missing, "--corpus-y",
+                                       missing, "--variant", "m2", "--hidden", "0",
+                                       "--out", str(tmp_path / "ckpt.json")])
+        assert "hidden" in line and "missing" not in line

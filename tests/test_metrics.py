@@ -1,8 +1,9 @@
+import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidalign.data import Trial, TrialSet
@@ -323,9 +324,9 @@ class TestScoreTrials:
         assert calls == [2]
         plain = score_trials(TrialSet(trials), cosine_scorer,
                              {k: v[::-1] for k, v in prof.items()}, run)
-        assert scored.scores == plain.scores
-        assert score_cosine(TrialSet(trials), prof, run).scores == \
-            score_trials(TrialSet(trials), cosine_scorer, prof, run).scores
+        assert scored.scores.tolist() == plain.scores.tolist()
+        assert score_cosine(TrialSet(trials), prof, run).scores.tolist() == \
+            score_trials(TrialSet(trials), cosine_scorer, prof, run).scores.tolist()
 
     def test_unknown_speaker(self):
         ts = TrialSet([Trial("ghost", "u1", "target")])
@@ -357,7 +358,52 @@ class TestScoreTrials:
         a, b = prng.standard_normal(d, d), prng.standard_normal(d, d)
         for scorer in (cosine_scorer, lambda p, r: cosine_scorer(p @ a, r @ b)):
             got = score_trials(trials, scorer, prof, run).scores
-            assert got == reference_score_trials(trials, scorer, prof, run)
+            assert got.tolist() == reference_score_trials(trials, scorer, prof, run)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 12), st.integers(0, 12),
+           st.integers(0, 60), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_bit_for_bit_with_reference(self, d, n_prof, n_run, n_trials, mapped, seed):
+        # Ids come from pools two larger than the dicts, so a list repeats
+        # ids, leaves dict entries unused and may name unknown ids; mapped
+        # sides go through score_cosine against dicts of the mapped vectors.
+        prng = Prng(seed)
+        prof = {f"s{i}": prng.standard_normal(d) for i in range(n_prof)}
+        run = {f"u{i}": prng.standard_normal(d) for i in range(n_run)}
+        trials = TrialSet([
+            Trial(f"s{int(prng.integers(0, n_prof + 2))}",
+                  f"u{int(prng.integers(0, n_run + 2))}", "target" if i % 3 else "imposter")
+            for i in range(n_trials)
+        ])
+        a, b = prng.standard_normal(d, d), prng.standard_normal(d, d)
+        if mapped:
+            score = lambda: score_cosine(trials, prof, run, lambda v: v @ a,
+                                         lambda v: v @ b)
+            want_prof = dict(zip(prof, np.stack(list(prof.values())) @ a)) if prof else {}
+            want_run = dict(zip(run, np.stack(list(run.values())) @ b)) if run else {}
+        else:
+            score = lambda: score_trials(trials, cosine_scorer, prof, run)
+            want_prof, want_run = prof, run
+        if not n_trials:
+            assert score().scores.tolist() == []
+            return
+        try:
+            want = reference_score_trials(trials, cosine_scorer, want_prof, want_run)
+        except UnknownId as exc:
+            with pytest.raises(UnknownId, match=f"^{re.escape(str(exc))}$"):
+                score()
+            return
+        got = score()
+        assert got.scores.dtype == np.float64 and got.scores.tolist() == want
+        assert got.trials == trials.trials
+
+    def test_scored_set_shares_columns(self):
+        trials = TrialSet([Trial("a", "u1", "target"), Trial("a", "u2", "imposter")])
+        scored = score_trials(trials, cosine_scorer, {"a": np.ones(2)},
+                              {"u1": np.ones(2), "u2": np.array([1.0, -1.0])})
+        for name in ("enroll_keys", "enroll_rows", "test_keys", "test_rows", "target"):
+            assert getattr(scored, name) is getattr(trials, name)
+        assert trials.scores is None
 
     def test_order_preserved(self):
         trials = [Trial("a", "u1", "target"), Trial("b", "u2", "imposter")]
@@ -413,6 +459,20 @@ class TestEvaluate:
         for entry in report["per_far"]:
             assert "relative_impact" in entry
         assert set(report["gap_recovery"]) == set(candidate)
+
+    @given(scored_labels())
+    def test_equals_roc_of_labels01(self, drawn):
+        scores, labels = drawn
+        ts = TrialSet([Trial(f"s{i}", f"u{i}", "target" if label else "imposter")
+                       for i, label in enumerate(labels)], scores)
+        report = evaluate(ts, "x")
+        curve = roc(scores, ts.labels01())
+        assert report["eer"] == eer(curve)
+        assert (report["n_target"], report["n_imposter"]) == (curve.n_target,
+                                                                curve.n_imposter)
+        for entry in report["per_far"]:
+            assert (entry["frr"], entry["threshold"]) == frr_at_far(curve,
+                                                                    entry["target_far"])
 
     def test_unscored_rejected(self):
         ts = TrialSet([Trial("a", "u", "target")])

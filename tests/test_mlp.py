@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidalign.align import NessaConfig, PairedData, train
@@ -142,6 +142,57 @@ class TestBackward:
         assert err >= 5e-3
 
 
+def reference_forward(m, x):
+    """The forward pass with a fresh array per operation that keeps each
+    pre-activation, and the backward pass that masks with it."""
+    x = np.asarray(x, dtype=np.float64)
+    h = x[None, :] if x.ndim == 1 else x
+    acts, pre = [h], []
+    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+        z = h @ w.T + b
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i < len(m.weights) - 1 else z
+        acts.append(h)
+    return (h[0] if x.ndim == 1 else h), (acts, pre)
+
+
+def reference_backward(m, cache, dy):
+    acts, pre = cache
+    grad = np.asarray(dy, dtype=np.float64)
+    grad = grad[None, :] if grad.ndim == 1 else grad
+    grads = []
+    for i in range(len(m.weights) - 1, -1, -1):
+        if i < len(m.weights) - 1:
+            grad = (grad @ m.weights[i + 1]) * (pre[i] > 0.0)
+        grads += [grad.sum(axis=0), grad.T @ acts[i]]
+    return grads[::-1]
+
+
+class TestAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.sampled_from([None, 1, 37, 256, 768, 2000]),
+           dims=st.sampled_from([[8, 16, 16, 8], [5, 3, 4], [32, 64, 64, 32], [3, 2]]),
+           nan=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_forward_backward_bit_for_bit(self, rows, dims, nan, seed):
+        # rows None is a 1-D input; nan puts one NaN into the input, which the
+        # ReLU mask must treat as the pre-activation mask did.
+        prng = Prng(seed)
+        m = mlp_init(dims, seed % 1000)
+        for b in m.biases:
+            b += prng.standard_normal(b.size)
+        shape = (dims[0],) if rows is None else (rows, dims[0])
+        x = prng.standard_normal(*shape)
+        if nan:
+            x.reshape(-1)[int(prng.integers(0, x.size))] = np.nan
+        dy = prng.standard_normal(*(shape[:-1] + (dims[-1],)))
+        y, cache = forward(m, x)
+        want_y, want_cache = reference_forward(m, x)
+        assert y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
+        got = backward(m, cache, dy)
+        want = reference_backward(m, want_cache, dy)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+
 class TestAdam:
     def test_zero_grad_no_change(self):
         p = [np.array([1.0, 2.0])]
@@ -266,6 +317,11 @@ class TestLrSchedule:
                               (1e-3, -0.5)]:
             with pytest.raises(ConfigInvalid):
                 NessaConfig(lr0=lr0, lr_decay=lr_decay).validate()
+
+    @pytest.mark.parametrize("hidden", [0, -1])
+    def test_hidden_below_one(self, hidden):
+        with pytest.raises(ConfigInvalid, match="hidden"):
+            NessaConfig(hidden=hidden).validate()
 
     @pytest.mark.parametrize("lr0, decay", [(float("nan"), 0.96), (float("inf"), 0.96),
                                             (1e-3, float("nan"))])

@@ -175,7 +175,7 @@ class TestGenerate:
         py, ry = vec_maps(cy)
         sx = score_trials(trials, cosine_scorer, px, rx).scores
         sy = score_trials(trials, cosine_scorer, py, ry).scores
-        assert sx == sy
+        assert sx.tolist() == sy.tolist()
 
     def test_noise_monotone_eer(self):
         eers = []
