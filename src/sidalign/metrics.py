@@ -111,32 +111,37 @@ def score_trials(trialset: TrialSet, scorer, profile_vectors: dict,
     """Score every trial with a batch scorer (P, R) -> scores.
 
     profile_vectors maps enroll_speaker_id to a vector, runtime_vectors maps
-    test_utterance_id to a vector. Only the vectors the list uses are
-    stacked, as float64, one row per key of the list's index columns, and the
-    scorer gets them gathered into trial order. A side's map takes an (n, d)
-    block and runs once over every vector of its side (the offline-profile
-    property of m2/m3); None leaves that side as it is.
+    test_utterance_id to a vector. Each side is stacked once, in dict order,
+    and a side's map, if given, takes that (n, d) block and runs once over
+    every vector of its side (the offline-profile property of m2/m3). The
+    block is then read as float64 and gathered into trial order by the list's
+    index columns, and the scorer gets the two gathered blocks.
     """
-    sides = ((trialset.enroll_keys, profile_vectors, enroll_map),
-             (trialset.test_keys, runtime_vectors, runtime_map))
-    mapped = [fn(np.stack(list(vectors.values()))) if fn is not None and vectors else None
-              for _, vectors, fn in sides]
+    blocks = [_stacked(vectors, fn) for vectors, fn in
+              ((profile_vectors, enroll_map), (runtime_vectors, runtime_map))]
     if not trialset.trials:
         return trialset.with_scores(np.zeros(0))
     try:
-        p, r = (_key_rows(keys, vectors, m) for (keys, vectors, _), m in zip(sides, mapped))
+        p_rows = _positions(trialset.enroll_keys, profile_vectors)[trialset.enroll_rows]
+        r_rows = _positions(trialset.test_keys, runtime_vectors)[trialset.test_rows]
     except KeyError:
         raise _first_unknown(trialset, profile_vectors, runtime_vectors) from None
-    return trialset.with_scores(scorer(p[trialset.enroll_rows], r[trialset.test_rows]))
+    return trialset.with_scores(scorer(blocks[0][p_rows], blocks[1][r_rows]))
 
 
-def _key_rows(keys, vectors: dict, mapped=None) -> np.ndarray:
-    """One float64 row per key: its vector, or its row of ``mapped``, which
-    holds the side's mapped vectors in ``vectors`` order."""
-    if mapped is None:
-        return np.array([vectors[k] for k in keys], dtype=np.float64)
+def _stacked(vectors: dict, fn) -> np.ndarray | None:
+    """The vectors stacked in dict order and mapped by fn (None: as they
+    are), as float64; None for no vectors."""
+    if not vectors:
+        return None
+    block = np.stack(list(vectors.values()))
+    return np.asarray(block if fn is None else fn(block), dtype=np.float64)
+
+
+def _positions(keys: list, vectors: dict) -> np.ndarray:
+    """The row of each key in the stack of ``vectors``; KeyError if one is missing."""
     position = dict(zip(vectors, count()))
-    return np.asarray(mapped, dtype=np.float64)[[position[k] for k in keys]]
+    return np.fromiter(map(position.__getitem__, keys), np.intp, len(keys))
 
 
 def _first_unknown(trialset: TrialSet, profile_vectors: dict,
