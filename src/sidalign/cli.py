@@ -109,11 +109,13 @@ def cmd_synth(args) -> int:
     if args.config:
         _apply_config(cfg, args.config)
     corpus_x, corpus_y, _ = generate(cfg)
-    save_embeddings(corpus_x, args.out_x)
-    save_embeddings(corpus_y, args.out_y)
-    if args.trials_out:
+    trials = None
+    if args.trials_out:  # drawn first, so that refused counts leave no file behind
         trials = make_trials(corpus_y, args.n_target, args.n_imposter,
                              args.trial_seed if args.trial_seed is not None else cfg.seed)
+    save_embeddings(corpus_x, args.out_x)
+    save_embeddings(corpus_y, args.out_y)
+    if trials is not None:
         save_trials(trials, args.trials_out)
     print(f"wrote {len(corpus_x)} records per view", file=sys.stderr)
     return 0
@@ -167,6 +169,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_logit_align(args) -> int:
+    if args.n_speakers < 0:
+        raise ConfigInvalid(f"--n-speakers {args.n_speakers} is negative (0 = all)")
     profiles_x = load_profiles(args.profiles_x)
     profiles_y = load_profiles(args.profiles_y)
     have_y = {p.speaker_id for p in profiles_y}
@@ -223,6 +227,9 @@ def cmd_train(args) -> int:
     order = prng.permutation(len(all_speakers))
     val_ids = [all_speakers[int(i)] for i in order[:n_val]]
     train_ids = [all_speakers[int(i)] for i in order[n_val:]]
+    if all_speakers and not train_ids:
+        raise ConfigInvalid(f"--val-fraction {args.val_fraction} leaves no training "
+                            f"speaker: all {n_val} shared speakers go to validation")
 
     train_pair = PairedData(corpus_x, corpus_y, train_ids)
     val_pair = PairedData(corpus_x, corpus_y, val_ids) if val_ids else None
@@ -256,7 +263,7 @@ def cmd_score(args) -> int:
     scored = score_cosine(trials, profile_vectors, runtime_vectors,
                           enroll_map, runtime_map)
     save_scores(scored, args.out)
-    print(f"scored {len(scored.trials)} trials with {scorer_id}", file=sys.stderr)
+    print(f"scored {len(scored)} trials with {scorer_id}", file=sys.stderr)
     return 0
 
 

@@ -7,6 +7,10 @@ File formats:
     layout save_embeddings writes are read in bulk, others line by line.
   * trials: TSV ``enroll_speaker_id \\t test_utterance_id \\t target|imposter``.
   * scores: trial columns plus a score column (9 significant digits).
+
+Trial and score files are read and written as columns: a TrialSet holds index
+columns, a target mask and a score array, and builds Trial objects only when
+its ``trials`` are asked for.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import re
 from copy import copy
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -50,9 +54,11 @@ FIELDS = ("speaker_id", "utterance_id", "model_id", "split", "vector")
 RECORD_LAYOUT = "{" + ", ".join(f'"{key}": %s' for key in FIELDS) + "}"
 # A JSON string that decodes to its own text (no escape, no control
 # character), each of the splits, and the vector text that _json_numbers
-# checks.
-_RECORD_LINE = re.compile(re.escape(RECORD_LAYOUT) % (
-    *[r'"([^"\\\x00-\x1f]*)"'] * 3, '"(%s)"' % "|".join(SPLITS), r"\[(.*)\]"))
+# checks. No part matches a newline, so in a text of lines each match is one
+# whole line.
+_RECORD_LINE = re.compile("^" + re.escape(RECORD_LAYOUT) % (
+    *[r'"([^"\\\x00-\x1f]*)"'] * 3, '"(%s)"' % "|".join(SPLITS), r"\[(.*)\]") + "$",
+    re.M)
 
 
 @dataclass
@@ -207,6 +213,11 @@ def _index_column(ids: list[str]) -> tuple[list[str], np.ndarray]:
     return keys, np.fromiter(map(position.__getitem__, ids), np.intp, len(ids))
 
 
+def _take(values, rows: np.ndarray) -> list:
+    """``values[i]`` for each ``i`` in ``rows``, as a list."""
+    return np.fromiter(values, object, len(values))[rows].tolist()
+
+
 class TrialSet:
     """A trial list and, once scored, its scores as one float64 array.
 
@@ -215,25 +226,58 @@ class TrialSet:
     order and ``enroll_rows`` the position of each trial's speaker among them
     (``np.intp``); ``test_keys``/``test_rows`` do the same for the test
     utterances, and ``target`` is the bool mask of target trials. A scored
-    copy (``with_scores``) shares these columns.
+    copy (``with_scores``) shares these columns. ``trials``, the list as
+    Trial objects, is built on first access.
     """
 
     def __init__(self, trials: list[Trial], scores=None):
-        self.trials = trials
-        self.enroll_keys, self.enroll_rows = _index_column(
-            [t.enroll_speaker_id for t in trials])
-        self.test_keys, self.test_rows = _index_column([t.test_utterance_id for t in trials])
-        self.target = np.array([t.label == "target" for t in trials], dtype=bool)
+        self._set_columns([t.enroll_speaker_id for t in trials],
+                          [t.test_utterance_id for t in trials],
+                          [t.label for t in trials], scores)
+        self._trials = trials
+
+    @classmethod
+    def from_columns(cls, enroll_ids: list[str], test_ids: list[str], labels: list[str],
+                     scores=None) -> TrialSet:
+        """A trial list of per-trial id and label columns, no Trial built."""
+        trialset = cls.__new__(cls)
+        trialset._set_columns(enroll_ids, test_ids, labels, scores)
+        trialset._trials = None
+        return trialset
+
+    def _set_columns(self, enroll_ids, test_ids, labels, scores):
+        if not set(labels).issubset(LABELS):
+            raise UnknownLabel(f"unknown trial label "
+                               f"{next(x for x in labels if x not in LABELS)!r}")
+        self.enroll_keys, self.enroll_rows = _index_column(enroll_ids)
+        self.test_keys, self.test_rows = _index_column(test_ids)
+        self.target = np.fromiter(map("target".__eq__, labels), bool, len(labels))
         self.scores = None if scores is None else self._score_column(scores)
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    @property
+    def trials(self) -> list[Trial]:
+        if self._trials is None:
+            self._trials = list(map(Trial, *self._columns()))
+        return self._trials
+
+    def _columns(self) -> tuple[list[str], list[str], list[str]]:
+        """The enroll id, test id and label of every trial, as three lists."""
+        return (_take(self.enroll_keys, self.enroll_rows),
+                _take(self.test_keys, self.test_rows),
+                _take(("imposter", "target"), self.target.astype(np.intp)))
 
     def _score_column(self, scores) -> np.ndarray:
         scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != (len(self.trials),):
+        if scores.shape != (len(self),):
             raise DimensionMismatch("scores and trials must have equal length")
         return scores
 
     def with_scores(self, scores) -> TrialSet:
-        """This trial list with one score per trial; the columns are shared."""
+        """This trial list with one score per trial; the columns (and the
+        Trial list, if built) are shared."""
         scored = copy(self)
         scored.scores = self._score_column(scores)
         return scored
@@ -251,20 +295,24 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
                             f"of model {corpus.model_id!r}")
     if corpus._profiles is not None:
         return corpus._profiles
-    by_speaker: dict[str, list[int]] = {}
-    for i in corpus.rows("enroll"):
-        by_speaker.setdefault(corpus.speakers[i], []).append(i)
-    if not by_speaker:
+    rows = np.flatnonzero(corpus.enroll)
+    if not len(rows):
         raise EmptyEnrollment("no enrollment records to build profiles from")
-    units = length_normalize(corpus.vectors[[i for rows in by_speaker.values()
-                                             for i in rows]])
-    ends = np.cumsum([len(rows) for rows in by_speaker.values()])
-    # mean(axis=0) over each speaker's block: the same additions in the same
-    # order as over the speaker's rows alone, so the bits do not depend on
-    # the other speakers or on how the rows interleave.
-    means = np.stack([block.mean(axis=0) for block in np.split(units, ends[:-1])])
+    speakers, owner = _index_column([corpus.speakers[i] for i in rows.tolist()])
+    # Each speaker's rows in row order, one speaker after another.
+    units = length_normalize(corpus.vectors[rows[np.argsort(owner, kind="stable")]])
+    counts = np.bincount(owner)
+    starts = np.cumsum(counts) - counts
+    means = np.empty((len(speakers), units.shape[1]))
+    # The speakers with k rows at once: mean(axis=1) over their (n_k, k, d)
+    # block makes the same additions in the same order as mean(axis=0) over
+    # each speaker's rows alone, so the bits do not depend on the other
+    # speakers or on how the rows interleave.
+    for k in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == k)
+        means[group] = units[starts[group, None] + np.arange(k)].mean(axis=1)
     corpus._profiles = [VoiceProfile(speaker, model_id, v)
-                        for speaker, v in zip(by_speaker, length_normalize(means))]
+                        for speaker, v in zip(speakers, length_normalize(means))]
     return corpus._profiles
 
 
@@ -337,10 +385,10 @@ def _bulk_columns(lines):
     """The columns of nonblank lines that all have RECORD_LAYOUT, ids without
     escapes and JSON numbers in equal count, parsed by one np.loadtxt call
     (the bits of float()); None for any other file."""
-    matches = list(map(_RECORD_LINE.fullmatch, lines))
-    if not matches or None in matches:
+    matches = _RECORD_LINE.findall("\n".join(lines))
+    if not matches or len(matches) != len(lines):
         return None
-    *ids, vectors = map(list, zip(*map(re.Match.groups, matches)))
+    *ids, vectors = map(list, zip(*matches))
     if not _json_numbers(",".join(vectors).encode()):
         return None
     try:
@@ -351,12 +399,14 @@ def _bulk_columns(lines):
     return (*ids, matrix)
 
 
-def _json_columns(path, lines, linenos):
-    """The columns of nonblank lines, one json.loads each; an error names the
-    line. Integers parse as floats, so that 1e400 written out in digits is
-    inf, as np.loadtxt reads it."""
+def _json_columns(path, lines):
+    """The columns of the nonblank lines, one json.loads each; an error names
+    the line. Integers parse as floats, so that 1e400 written out in digits
+    is inf, as np.loadtxt reads it."""
     columns = tuple([] for _ in FIELDS)
-    for lineno, line in zip(linenos, lines):
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
         try:
             obj = json.loads(line, parse_int=float)
             row = [obj[key] for key in FIELDS]
@@ -375,13 +425,12 @@ def load_embeddings(path) -> Corpus:
     that save_embeddings writes are read in bulk, any other JSON layout of the
     same keys line by line, to the same values and errors."""
     lines = list(map(str.strip, _read_lines(path)))
-    linenos = list(compress(count(1), lines))
-    lines = list(filter(None, lines))
-    columns = _bulk_columns(lines) or _json_columns(path, lines, linenos)
+    columns = _bulk_columns(list(filter(None, lines))) or _json_columns(path, lines)
     try:
         return Corpus.from_columns(*columns)
     except SidAlignError as exc:
-        raise type(exc)(f"{path}:{linenos[exc.row]}: {exc}") from exc
+        lineno = next(islice(compress(count(1), lines), exc.row, None))
+        raise type(exc)(f"{path}:{lineno}: {exc}") from exc
 
 
 def save_profiles(profiles, path) -> None:
@@ -405,41 +454,64 @@ def load_profiles(path) -> list[VoiceProfile]:
 
 
 def load_trials(path) -> TrialSet:
-    trials = []
-    scores = []
-    has_scores = False
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    """A trial or scores file, parsed as columns: three tab-separated fields
+    per nonblank line, or four with a score that float() reads on every line.
+    An error names the file and the first bad line."""
+    lines = _read_lines(path)
+    rows = list(filter(None, lines))
+    if not rows:
+        return TrialSet.from_columns([], [], [])
+    tabs = set(map(str.count, rows, repeat("\t")))
+    if len(tabs) == 1 and tabs <= {2, 3}:
+        width = tabs.pop() + 1
+        fields = "\t".join(rows).split("\t")
+        try:
+            scores = (np.fromiter(map(float, fields[3::width]), np.float64, len(rows))
+                      if width == 4 else None)
+            return TrialSet.from_columns(fields[0::width], fields[1::width],
+                                         fields[2::width], scores)
+        except (ValueError, UnknownLabel):  # a bad score or label: name its line
+            pass
+    raise _trial_file_error(path, lines)
+
+
+def _trial_file_error(path, lines) -> SidAlignError:
+    """The error of the first line, in file order, that load_trials refuses:
+    a wrong column count, then an unknown label, then a bad score; a file
+    whose lines are each fine mixes scored and unscored lines."""
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) not in (3, 4):
-            raise ParseError(f"{path}:{lineno}: expected 3 or 4 columns")
+            return ParseError(f"{path}:{lineno}: expected 3 or 4 columns")
         if parts[2] not in LABELS:
-            raise UnknownLabel(f"{path}:{lineno}: unknown label {parts[2]!r}")
-        trials.append(Trial(parts[0], parts[1], parts[2]))
+            return UnknownLabel(f"{path}:{lineno}: unknown label {parts[2]!r}")
         if len(parts) == 4:
-            has_scores = True
             try:
-                scores.append(float(parts[3]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad score {parts[3]!r}") from exc
-    if has_scores and len(scores) != len(trials):
-        raise ParseError(f"{path}: mixed scored and unscored lines")
-    return TrialSet(trials, scores if has_scores else None)
+                float(parts[3])
+            except ValueError:
+                return ParseError(f"{path}:{lineno}: bad score {parts[3]!r}")
+    return ParseError(f"{path}: mixed scored and unscored lines")
+
+
+def _write_trials(path, columns, line: str) -> None:
+    """``line`` once per trial, filled with the trial's value of each column,
+    all formatted by one ``%``."""
+    n, k = len(columns[0]), len(columns)
+    fields = [None] * (n * k)
+    for i, column in enumerate(columns):
+        fields[i::k] = column
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write((line * n) % tuple(fields))
 
 
 def save_trials(trialset: TrialSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t in trialset.trials:
-            fh.write(f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t{t.label}\n")
+    _write_trials(path, trialset._columns(), "%s\t%s\t%s\n")
 
 
 def save_scores(trialset: TrialSet, path) -> None:
     if trialset.scores is None:
         raise ParseError("trial set has no scores to save")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t, s in zip(trialset.trials, trialset.scores.tolist()):
-            fh.write(
-                f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t{t.label}\t"
-                f"{format_float(s)}\n"
-            )
+    _write_trials(path, (*trialset._columns(), trialset.scores.tolist()),
+                  "%s\t%s\t%s\t" + FLOAT_FMT + "\n")

@@ -119,7 +119,7 @@ def score_trials(trialset: TrialSet, scorer, profile_vectors: dict,
     """
     blocks = [_stacked(vectors, fn) for vectors, fn in
               ((profile_vectors, enroll_map), (runtime_vectors, runtime_map))]
-    if not trialset.trials:
+    if not len(trialset):
         return trialset.with_scores(np.zeros(0))
     try:
         p_rows = _positions(trialset.enroll_keys, profile_vectors)[trialset.enroll_rows]
@@ -134,7 +134,7 @@ def _stacked(vectors: dict, fn) -> np.ndarray | None:
     are), as float64; None for no vectors."""
     if not vectors:
         return None
-    block = np.stack(list(vectors.values()))
+    block = np.array(list(vectors.values()))  # np.stack's rows, in one pass
     return np.asarray(block if fn is None else fn(block), dtype=np.float64)
 
 
@@ -153,10 +153,11 @@ def _first_unknown(trialset: TrialSet, profile_vectors: dict,
     test = np.array([k not in runtime_vectors for k in trialset.test_keys],
                     dtype=bool)[trialset.test_rows]
     i = int(np.argmax(enroll | test))
-    trial = trialset.trials[i]
     if enroll[i]:
-        return UnknownId(f"unknown enroll speaker {trial.enroll_speaker_id!r}")
-    return UnknownId(f"unknown test utterance {trial.test_utterance_id!r}")
+        speaker = trialset.enroll_keys[trialset.enroll_rows[i]]
+        return UnknownId(f"unknown enroll speaker {speaker!r}")
+    utterance = trialset.test_keys[trialset.test_rows[i]]
+    return UnknownId(f"unknown test utterance {utterance!r}")
 
 
 def cosine_scorer(p: np.ndarray, r: np.ndarray) -> np.ndarray:

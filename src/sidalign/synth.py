@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, Trial, TrialSet
+from .data import Corpus, TrialSet
 from .errors import ConfigInvalid, InsufficientData
 from .numerics import Prng, length_normalize, random_orthogonal
 
@@ -139,6 +139,9 @@ def generate(config: SynthConfig) -> tuple[Corpus, Corpus, GroundTruth]:
 
 def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> TrialSet:
     """Sample target and imposter trials over runtime utterances, no duplicates."""
+    if min(n_target, n_imposter) < 0:
+        raise ConfigInvalid(f"trial counts must be >= 0, got {n_target} target and "
+                            f"{n_imposter} imposter trials")
     prng = Prng(seed)
     speakers = corpus_y.speaker_ids(split="runtime")
     if len(speakers) < 2:
@@ -147,7 +150,6 @@ def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> 
     runtime_speakers = [corpus_y.speakers[i] for i in rows]
     runtime_utts = [corpus_y.utterances[i] for i in rows]
 
-    target_pool = list(zip(runtime_speakers, runtime_utts))
     # The imposter pool pairs each speaker in turn with every runtime
     # utterance of the others, and is indexed through per-speaker cumulative
     # sizes, not built. own[spk] holds p_m - m for the m-th runtime position
@@ -158,22 +160,25 @@ def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> 
         mine.append(pos - len(mine))
     pool_ends = np.cumsum([len(rows) - len(own[spk]) for spk in speakers])
     n_pool = int(pool_ends[-1])
-    if n_target > len(target_pool):
+    if n_target > len(rows):
         raise InsufficientData(
-            f"requested {n_target} target trials, only {len(target_pool)} available"
+            f"requested {n_target} target trials, only {len(rows)} available"
         )
     if n_imposter > n_pool:
         raise InsufficientData(
             f"requested {n_imposter} imposter trials, only {n_pool} available"
         )
 
-    t_idx = prng.choice(len(target_pool), n_target, replace=False)
+    t_idx = sorted(prng.choice(len(rows), n_target, replace=False).tolist())
     i_idx = np.sort(prng.choice(n_pool, n_imposter, replace=False))
-    trials = [Trial(*target_pool[j], "target") for j in sorted(t_idx)]
+    enroll = [runtime_speakers[j] for j in t_idx]
+    test = [runtime_utts[j] for j in t_idx]
     for k, j in zip(np.searchsorted(pool_ends, i_idx, side="right"), i_idx):
         spk = speakers[k]
         offset = int(j) - (int(pool_ends[k - 1]) if k else 0)
         # The offset-th foreign utterance follows each own one with <= offset before it.
         skipped = bisect_right(own[spk], offset)
-        trials.append(Trial(spk, runtime_utts[offset + skipped], "imposter"))
-    return TrialSet(trials)
+        enroll.append(spk)
+        test.append(runtime_utts[offset + skipped])
+    return TrialSet.from_columns(enroll, test,
+                                 ["target"] * n_target + ["imposter"] * n_imposter)

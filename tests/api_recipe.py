@@ -9,9 +9,12 @@ list with repeated ids, and scores each list seven ways: cosine-asym-raw,
 logit-fused and nessa-m1/m2/m3 through ``score_trials`` with dicts of
 pre-mapped vectors (the offline-profile setup), and logit-fused and nessa-m3
 through ``score_cosine`` with the side maps (the CLI's path). Each scored list
-is evaluated. It prints "sha256  name" for the float64 bytes of every score
-array and the sorted-key JSON of every report, so two versions of the code
-score and evaluate alike exactly when they print the same lines:
+is evaluated. Each list also makes a round trip through the trial files:
+``save_trials``, ``load_trials``, ``save_scores`` of its cosine-asym-raw scores
+and ``load_trials`` again. It prints "sha256  name" for the float64 bytes of
+every score array, the sorted-key JSON of every report, both files and the
+columns of both loaded lists, so two versions of the code score, evaluate,
+write and read alike exactly when they print the same lines:
 
     diff <(PYTHONPATH=old/src python tests/api_recipe.py) \\
          <(PYTHONPATH=src python tests/api_recipe.py)
@@ -21,6 +24,8 @@ The name does not match test_*.py, so pytest does not collect it.
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -77,6 +82,30 @@ def trial_list(speakers, utterances, owners, n, seed) -> data.TrialSet:
         for i, (e, u) in enumerate(zip(enroll, utt))])
 
 
+def columns_sha256(ts: data.TrialSet) -> str:
+    """The digest of a trial list's ids, index columns, target mask and scores."""
+    h = hashlib.sha256(json.dumps([ts.enroll_keys, ts.test_keys]).encode())
+    for column in (ts.enroll_rows, ts.test_rows, ts.target):
+        h.update(np.ascontiguousarray(column).tobytes())
+    if ts.scores is not None:
+        h.update(np.asarray(ts.scores, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def round_trip(ts: data.TrialSet, score, n: int) -> None:
+    """Write and read the list as a trial file, then as a scores file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trials_path, scores_path = Path(tmp) / "trials.tsv", Path(tmp) / "scores.tsv"
+        data.save_trials(ts, trials_path)
+        loaded = data.load_trials(trials_path)
+        data.save_scores(score(loaded), scores_path)
+        rescored = data.load_trials(scores_path)
+        for name, path, back in (("trials", trials_path, loaded),
+                                 ("scores", scores_path, rescored)):
+            print(f"{sha256(path.read_bytes())}  file/{n}/{name}.tsv")
+            print(f"{columns_sha256(back)}  columns/{n}/{name}")
+
+
 def mapped(vectors: dict, fn) -> dict:
     keys = list(vectors)
     return dict(zip(keys, fn(np.stack([vectors[k] for k in keys]))))
@@ -115,6 +144,7 @@ def main() -> None:
             print(f"{sha256(scores.tobytes())}  scores/{n}/{name}")
             print(f"{sha256(json.dumps(report, sort_keys=True).encode())}  "
                   f"report/{n}/{name}")
+        round_trip(ts, systems["cosine-asym-raw"], n)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from sidalign import data
 from sidalign.align import load_checkpoint
 from sidalign.cli import SCORERS, main
 from sidalign.data import build_all_profiles, load_embeddings, load_profiles, load_trials
@@ -172,6 +174,20 @@ def library_scores(scorer, paths, trials):
         cosine_similarity(maps[0](prof[views[0]][t.enroll_speaker_id]),
                           maps[1](run[views[1]][t.test_utterance_id]))
         for t in trials.trials])
+
+
+def test_score_and_eval_build_no_trial(scored_fixture, tmp_path):
+    """The CLI's request path reads, scores, writes and evaluates columns."""
+    paths = scored_fixture
+    scores, report = tmp_path / "scores.tsv", tmp_path / "report.json"
+    with mock.patch.object(data, "Trial", side_effect=AssertionError("a Trial was built")):
+        assert main(["score", "--scorer", "nessa-m2", "--trials", str(paths["trials"]),
+                     "--corpus-x", str(paths["x"]), "--corpus-y", str(paths["y"]),
+                     "--checkpoint", str(paths["ckpt"]), "--out", str(scores)]) == 0
+        assert main(["eval", "--scores", str(scores), "--scorer-id", "nessa-m2",
+                     "--out", str(report)]) == 0
+    assert scores.read_bytes() == paths["scores"].read_bytes()
+    assert report.read_bytes() == paths["report"].read_bytes()
 
 
 class TestScorerParity:
@@ -371,6 +387,25 @@ class TestErrors:
         assert ", 8)" in line and ", 16)" in line
         assert not out.exists()
 
+    def test_logit_align_negative_speaker_count_exit_one(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        out = tmp_path / "fusion.json"
+        line = one_error_line(capsys, ["logit-align", "--profiles-x", missing,
+                                       "--profiles-y", missing, "--n-speakers", "-5",
+                                       "--out", str(out)])
+        assert "--n-speakers" in line and "missing" not in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n-target", "--n-imposter"])
+    def test_synth_negative_trial_count_writes_nothing(self, tmp_path, capsys, flag):
+        out = {k: tmp_path / f"{k}.jsonl" for k in ("x", "y")}
+        trials = tmp_path / "trials.tsv"
+        one_error_line(capsys, ["synth", "--n-speakers", "6", "--latent-dim", "4",
+                                "--embed-dim", "4", "--out-x", str(out["x"]),
+                                "--out-y", str(out["y"]), "--trials-out", str(trials),
+                                "--n-target", "4", "--n-imposter", "4", flag, "-3"])
+        assert not any(path.exists() for path in (*out.values(), trials))
+
     def test_eval_closes_report_files(self, scored_fixture, tmp_path):
         paths = scored_fixture
         out = tmp_path / "with_impact.json"
@@ -492,6 +527,7 @@ class TestTrainSettings:
         ("--decay", "0"),
         ("--decay", "1.5"),
         ("--hidden", "0"),
+        ("--val-fraction", "0.99"),  # rounds to every speaker of the fixture
     ])
     def test_invalid_setting_exit_one(self, scored_fixture, tmp_path, capsys,
                                       flag, value):
@@ -506,6 +542,8 @@ class TestTrainSettings:
         line = one_error_line(capsys, argv)
         if flag == "--hidden":
             assert "hidden" in line
+        if value == "0.99":
+            assert "val-fraction" in line
         assert not out.exists()
 
     def test_settings_checked_before_corpora_load(self, tmp_path, capsys):

@@ -178,50 +178,6 @@ class TestTrialIO:
         assert load_trials(path).trials == trials
 
 
-class TestCorpus:
-    def test_duplicate_record_rejected(self):
-        with pytest.raises(ParseError):
-            Corpus([rec("a", "u1", [1, 0]), rec("b", "u1", [0, 1])])
-
-    def test_lookup(self):
-        c = Corpus([rec("a", "u1", [1, 0], "runtime")])
-        assert (c.speakers, c.utterances, c.rows("runtime")) == (["a"], ["u1"], [0])
-        assert (c.model_id, c.dim) == ("X", 2)
-
-    def test_empty(self):
-        c = Corpus([])
-        assert (c.model_id, c.dim) == (None, None)
-        with pytest.raises(EmptyEnrollment):
-            c.profiles
-
-    def test_second_model_rejected_naming_utterance(self):
-        with pytest.raises(ModelMismatch, match="u2"):
-            Corpus([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 1], model="Y")])
-
-    def test_load_names_file_of_mixed_models(self, tmp_path):
-        path = tmp_path / "mixed.jsonl"
-        save_embeddings(Corpus([rec("a", "u1", [1, 0])]), path)
-        with open(path, "a") as fh:
-            fh.write('{"speaker_id": "a", "utterance_id": "u2", "model_id": "Y", '
-                     '"split": "enroll", "vector": [0, 1]}\n')
-        with pytest.raises(ModelMismatch, match="mixed.jsonl.*u2"):
-            load_embeddings(path)
-
-    @pytest.mark.parametrize("column", range(3))
-    def test_ids_must_be_strings(self, tmp_path, column):
-        # In memory, where save_embeddings would end in a TypeError, and in
-        # a file, where the error names the line.
-        ids = [["a", "b"], ["u1", "u2"], ["M", "M"]]
-        ids[column][1] = 7
-        with pytest.raises(ParseError, match="ids must be strings: row 1 has"):
-            Corpus.from_columns(*ids, ["enroll"] * 2, np.eye(2))
-        path = tmp_path / "ids.jsonl"
-        path.write_text("".join(json.dumps(dict(zip(FIELDS, row))) + "\n" for row in zip(
-            *ids, ["enroll"] * 2, [[1.0, 0.0], [0.0, 1.0]])))
-        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: ids must be"):
-            load_embeddings(path)
-
-
 def reference_profiles(corpus, model_id):
     """Profiles one speaker at a time: normalize the speaker's stacked
     enrollment records, average them, normalize the mean on its own."""
@@ -262,6 +218,29 @@ class TestBuildAllProfiles:
             one = profile_of(r for r in corpus.records
                              if r.speaker_id == p.speaker_id and r.split == "enroll")
             np.testing.assert_array_equal(one.vector, p.vector)
+
+    @given(st.integers(1, 69), st.lists(st.integers(1, 13), min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1))
+    def test_grouped_means_bitwise_equal_to_per_speaker_loop(self, d, counts, seed):
+        """Speakers of equal and unequal enrollment counts, rows shuffled."""
+        rng = np.random.default_rng(seed)
+        speakers = [f"s{k}" for k, n in enumerate(counts) for _ in range(n)]
+        order = rng.permutation(len(speakers)).tolist()
+        vectors = rng.standard_normal((len(speakers), d)) * 10.0 ** rng.integers(-3, 4, (
+            len(speakers), 1))
+        corpus = Corpus.from_columns([speakers[i] for i in order],
+                                     [f"u{i}" for i in order], ["X"] * len(order),
+                                     ["enroll"] * len(order), vectors)
+        try:
+            want = reference_profiles(corpus, "X")
+        except ZeroVector:  # a mean of zero, as of +1 and -1 at d = 1
+            with pytest.raises(ZeroVector):
+                build_all_profiles(corpus, "X")
+            return
+        got = build_all_profiles(corpus, "X")
+        assert [p.speaker_id for p in got] == [s for s, _ in want]
+        for p, (_, v) in zip(got, want):
+            assert p.vector.tobytes() == v.tobytes()
 
     def test_zero_norm_runtime_vector_ignored(self):
         records = self.records("interleaved")
@@ -558,6 +537,206 @@ class TestBulkReader:
         if data._json_numbers(text.encode()) and not json_ok:
             with pytest.raises(ValueError):
                 np.loadtxt([text], delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+
+
+# ---------------------------------------------------------------------------
+# The column trial reader and writers against the per-line ones they replaced
+
+
+def reference_load_trials(path):
+    """load_trials as one Trial per line: the oracle for the column reader."""
+    trials = []
+    scores = []
+    has_scores = False
+    for lineno, line in enumerate(data._read_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise ParseError(f"{path}:{lineno}: expected 3 or 4 columns")
+        if parts[2] not in data.LABELS:
+            raise UnknownLabel(f"{path}:{lineno}: unknown label {parts[2]!r}")
+        trials.append(Trial(parts[0], parts[1], parts[2]))
+        if len(parts) == 4:
+            has_scores = True
+            try:
+                scores.append(float(parts[3]))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad score {parts[3]!r}") from exc
+    if has_scores and len(scores) != len(trials):
+        raise ParseError(f"{path}: mixed scored and unscored lines")
+    return TrialSet(trials, scores if has_scores else None)
+
+
+def reference_save_scores(trialset, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for t, s in zip(trialset.trials, trialset.scores.tolist()):
+            fh.write(f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t{t.label}\t"
+                     f"{data.format_float(s)}\n")
+
+
+def same_trial_columns(got, want):
+    assert (got.enroll_keys, got.test_keys) == (want.enroll_keys, want.test_keys)
+    for name in ("enroll_rows", "test_rows", "target"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    if want.scores is None:
+        assert got.scores is None
+    else:
+        assert got.scores.dtype == np.float64
+        assert got.scores.tobytes() == want.scores.tobytes()
+
+
+# Ids without the tab that separates fields or a character that ends a line;
+# \x0b, \x1c and \u2028 end a line only for str.splitlines.
+trial_ids = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+                    max_size=4)
+# Scores as save_scores writes them, and texts that only float() reads.
+score_texts = st.one_of(finite.map(FLOAT_FMT.__mod__), finite.map(repr),
+                        st.sampled_from(["1_0", " 2", "nan", "-inf", "1e400", "+.5 ",
+                                         "٣"]))
+
+
+@st.composite
+def trial_files(draw):
+    """The text of a trial file of 3 or 4 fields per line, with blank lines
+    and CRLF or CR endings drawn in, and up to two lines spoiled: a wrong
+    field count, an unknown label, a bad score or the other field count."""
+    width = draw(st.sampled_from([3, 4]))
+    rows = [[draw(trial_ids), draw(trial_ids), draw(st.sampled_from(data.LABELS))]
+            + [draw(score_texts)] * (width == 4)
+            for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        what = draw(st.sampled_from(["fields", "label", "score", "width"]))
+        if what == "fields":
+            del row[draw(st.integers(0, len(row) - 1)):]
+            row += draw(st.sampled_from([[], [" "], ["a", "b", "c", "d"]]))
+        elif what == "label":
+            row[2] = draw(st.sampled_from(["Target", "genuine", "", " target"]))
+        elif what == "score":
+            row[3:] = [draw(st.sampled_from(["", "x", "1,5", "0x10", "1e", "--1"]))]
+        else:
+            row[3:] = [] if len(row) == 4 else [draw(score_texts)]
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = ""
+    for row in rows:
+        text += draw(st.sampled_from(["", "", "\n", "\r\n"]))
+        text += "\t".join(row) + draw(ends)
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+class TestColumnTrialReader:
+    @given(trial_files())
+    def test_same_columns_and_errors_as_per_line_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.tsv"
+            path.write_bytes(text.encode())
+            try:
+                want = reference_load_trials(path)
+            except SidAlignError as exc:
+                with pytest.raises(SidAlignError) as got:
+                    load_trials(path)
+                assert type(got.value) is type(exc)
+                assert str(got.value) == str(exc)
+                return
+            got = load_trials(path)
+        same_trial_columns(got, want)
+        assert got.trials == want.trials
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("a\tu\ttarget\na\tu\n", ParseError, ":2: expected 3 or 4 columns"),
+        ("a\tu\ttarget\t1\tx\n", ParseError, ":1: expected 3 or 4 columns"),
+        ("a\tu\tgenuine\t1\n", UnknownLabel, ":1: unknown label 'genuine'"),
+        ("a\tu\ttarget\tx\na\tu\tgenuine\t1\n", ParseError, ":1: bad score 'x'"),
+        ("a\tu\ttarget\t1\na\tu\timposter\n", ParseError,
+         ": mixed scored and unscored lines"),
+        ("a\tu\ttarget\r\n\r\nb\tv\n", ParseError, ":3: expected 3 or 4 columns"),
+    ])
+    def test_spoiled_file_names_first_bad_line(self, tmp_path, text, error, message):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(text.encode())
+        with pytest.raises(error) as got:
+            load_trials(path)
+        assert str(got.value) == f"{path}{message}"
+
+    def test_scores_only_float_reads(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("a\tu\ttarget\t1_0\na\tv\timposter\t 2\nb\tu\timposter\tnan\n")
+        scores = load_trials(path).scores
+        assert scores[:2].tolist() == [10.0, 2.0] and np.isnan(scores[2])
+
+    def test_reading_builds_no_trial(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("a\tu\ttarget\t0.5\nb\tu\timposter\t-0.25\n")
+        with mock.patch.object(data, "Trial", side_effect=AssertionError("built")):
+            ts = load_trials(path)
+            save_scores(ts, tmp_path / "again.tsv")
+            save_trials(ts, tmp_path / "trials.tsv")
+            assert len(ts) == 2
+        assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+        assert ts.trials == [Trial("a", "u", "target"), Trial("b", "u", "imposter")]
+
+    @given(st.lists(st.tuples(trial_ids, trial_ids, st.sampled_from(data.LABELS),
+                              st.floats(width=64)), max_size=8))
+    def test_writers_write_the_per_line_bytes(self, rows):
+        ts = TrialSet([Trial(*row[:3]) for row in rows], [row[3] for row in rows])
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.tsv", Path(tmp) / "want.tsv"
+            save_scores(ts, got)
+            reference_save_scores(ts, want)
+            assert got.read_bytes() == want.read_bytes()
+            save_trials(ts, got)
+            assert got.read_bytes() == b"".join(
+                f"{e}\t{u}\t{label}\n".encode() for e, u, label, _ in rows)
+
+    def test_from_columns_refuses_unknown_label(self):
+        with pytest.raises(UnknownLabel, match="'genuine'"):
+            TrialSet.from_columns(["a", "b"], ["u", "v"], ["target", "genuine"])
+
+
+class TestCorpus:
+    def test_duplicate_record_rejected(self):
+        with pytest.raises(ParseError):
+            Corpus([rec("a", "u1", [1, 0]), rec("b", "u1", [0, 1])])
+
+    def test_lookup(self):
+        c = Corpus([rec("a", "u1", [1, 0], "runtime")])
+        assert (c.speakers, c.utterances, c.rows("runtime")) == (["a"], ["u1"], [0])
+        assert (c.model_id, c.dim) == ("X", 2)
+
+    def test_empty(self):
+        c = Corpus([])
+        assert (c.model_id, c.dim) == (None, None)
+        with pytest.raises(EmptyEnrollment):
+            c.profiles
+
+    def test_second_model_rejected_naming_utterance(self):
+        with pytest.raises(ModelMismatch, match="u2"):
+            Corpus([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 1], model="Y")])
+
+    def test_load_names_file_of_mixed_models(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        save_embeddings(Corpus([rec("a", "u1", [1, 0])]), path)
+        with open(path, "a") as fh:
+            fh.write('{"speaker_id": "a", "utterance_id": "u2", "model_id": "Y", '
+                     '"split": "enroll", "vector": [0, 1]}\n')
+        with pytest.raises(ModelMismatch, match="mixed.jsonl.*u2"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("column", range(3))
+    def test_ids_must_be_strings(self, tmp_path, column):
+        # In memory, where save_embeddings would end in a TypeError, and in
+        # a file, where the error names the line.
+        ids = [["a", "b"], ["u1", "u2"], ["M", "M"]]
+        ids[column][1] = 7
+        with pytest.raises(ParseError, match="ids must be strings: row 1 has"):
+            Corpus.from_columns(*ids, ["enroll"] * 2, np.eye(2))
+        path = tmp_path / "ids.jsonl"
+        path.write_text("".join(json.dumps(dict(zip(FIELDS, row))) + "\n" for row in zip(
+            *ids, ["enroll"] * 2, [[1.0, 0.0], [0.0, 1.0]])))
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: ids must be"):
+            load_embeddings(path)
 
 
 # ---------------------------------------------------------------------------

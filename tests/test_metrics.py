@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidalign import metrics
 from sidalign.data import Trial, TrialSet
 from sidalign.errors import (
     BaselineZero,
@@ -429,6 +430,29 @@ class TestScoreTrials:
         elapsed = time.monotonic() - t0
         assert len(scored.scores) == n
         assert elapsed < 10.0
+
+
+class TestStacked:
+    @given(st.sampled_from([np.float64, np.float32, np.int64]), st.integers(1, 40),
+           st.integers(1, 9), st.booleans())
+    def test_values_and_dtype_of_np_stack(self, dtype, n, d, as_lists):
+        rows = Prng(n * d).standard_normal(n, d).astype(dtype)
+        vectors = {f"k{i}": row.tolist() if as_lists else row for i, row in enumerate(rows)}
+        want = np.stack(list(vectors.values()))
+        blocks = []  # what a side map is handed
+        mapped = metrics._stacked(vectors, lambda block: blocks.append(block) or block)
+        assert blocks[0].dtype == want.dtype and blocks[0].shape == want.shape
+        assert blocks[0].tobytes() == want.tobytes()
+        for got in (mapped, metrics._stacked(vectors, None)):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.astype(np.float64).tobytes()
+
+    def test_ragged_rows_raise_value_error(self):
+        with pytest.raises(ValueError):
+            metrics._stacked({"a": np.zeros(3), "b": np.zeros(4)}, None)
+
+    def test_no_vectors(self):
+        assert metrics._stacked({}, None) is None
 
 
 class TestEvaluate:

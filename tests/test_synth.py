@@ -205,6 +205,12 @@ class TestMakeTrials:
         with pytest.raises(InsufficientData):
             make_trials(cy, 2, 3, seed=0)
 
+    @pytest.mark.parametrize("n_target, n_imposter", [(-1, 2), (2, -3)])
+    def test_negative_count_refused(self, n_target, n_imposter):
+        _, cy, _ = generate(small_config())
+        with pytest.raises(ConfigInvalid, match="must be >= 0"):
+            make_trials(cy, n_target, n_imposter, seed=0)
+
     def test_determinism(self):
         _, cy, _ = generate(small_config())
         a = make_trials(cy, 20, 20, seed=9)
