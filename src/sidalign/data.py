@@ -54,11 +54,11 @@ FIELDS = ("speaker_id", "utterance_id", "model_id", "split", "vector")
 RECORD_LAYOUT = "{" + ", ".join(f'"{key}": %s' for key in FIELDS) + "}"
 # A JSON string that decodes to its own text (no escape, no control
 # character), each of the splits, and the vector text that _json_numbers
-# checks. No part matches a newline, so in a text of lines each match is one
-# whole line.
-_RECORD_LINE = re.compile("^" + re.escape(RECORD_LAYOUT) % (
-    *[r'"([^"\\\x00-\x1f]*)"'] * 3, '"(%s)"' % "|".join(SPLITS), r"\[(.*)\]") + "$",
-    re.M)
+# checks, between the whitespace that str.strip() takes off a line. No part
+# matches a newline, so each match is one whole line of a text.
+_RECORD_LINE = re.compile(r"^[^\S\n]*" + re.escape(RECORD_LAYOUT) % (
+    *[r'"([^"\\\x00-\x1f]*)"'] * 3, '"(%s)"' % "|".join(SPLITS), r"\[(.*)\]")
+    + r"[^\S\n]*$", re.M)
 
 
 @dataclass
@@ -336,8 +336,13 @@ def save_embeddings(corpus: Corpus, path) -> None:
 
 
 def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, newlines translated as in text mode.
-    Bytes that are not UTF-8 are a ParseError naming the file and line."""
+    """The lines of a UTF-8 text file (see _read_text)."""
+    return _read_text(path).split("\n")
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, newlines translated as in text mode. Bytes
+    that are not UTF-8 are a ParseError naming the file and line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -347,7 +352,7 @@ def _read_lines(path) -> list[str]:
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    return text
 
 
 # Comma-separated JSON numbers, -?int frac? exp? (RFC 8259, section 6), as
@@ -381,14 +386,19 @@ def _json_numbers(text: bytes) -> bool:
     return not ((c[first] == _ZERO) & (c[first + 1] <= _ZERO)).any()
 
 
-def _bulk_columns(lines):
-    """The columns of nonblank lines that all have RECORD_LAYOUT, ids without
-    escapes and JSON numbers in equal count, parsed by one np.loadtxt call
-    (the bits of float()); None for any other file."""
-    matches = _RECORD_LINE.findall("\n".join(lines))
-    if not matches or len(matches) != len(lines):
+def _bulk_columns(text: str):
+    """The columns of a text whose nonblank lines all have RECORD_LAYOUT, ids
+    without escapes and JSON numbers in equal count, parsed by one np.loadtxt
+    call (the bits of float()); None for any other text."""
+    # The text split at each match: the text before it, then its fields. A
+    # match is one whole line, so every nonblank line matched if only
+    # whitespace lies between the matches.
+    parts = _RECORD_LINE.split(text)
+    stride = len(FIELDS) + 1
+    between = "".join(parts[::stride])
+    if len(parts) == 1 or between and not between.isspace():
         return None
-    *ids, vectors = map(list, zip(*matches))
+    *ids, vectors = (parts[i::stride] for i in range(1, stride))
     if not _json_numbers(",".join(vectors).encode()):
         return None
     try:
@@ -399,12 +409,12 @@ def _bulk_columns(lines):
     return (*ids, matrix)
 
 
-def _json_columns(path, lines):
+def _json_columns(path, text: str):
     """The columns of the nonblank lines, one json.loads each; an error names
     the line. Integers parse as floats, so that 1e400 written out in digits
     is inf, as np.loadtxt reads it."""
     columns = tuple([] for _ in FIELDS)
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(map(str.strip, text.split("\n")), start=1):
         if not line:
             continue
         try:
@@ -424,12 +434,13 @@ def load_embeddings(path) -> Corpus:
     """A corpus of a JSONL file; an error names the file and the line. Files
     that save_embeddings writes are read in bulk, any other JSON layout of the
     same keys line by line, to the same values and errors."""
-    lines = list(map(str.strip, _read_lines(path)))
-    columns = _bulk_columns(list(filter(None, lines))) or _json_columns(path, lines)
+    text = _read_text(path)
+    columns = _bulk_columns(text) or _json_columns(path, text)
     try:
         return Corpus.from_columns(*columns)
     except SidAlignError as exc:
-        lineno = next(islice(compress(count(1), lines), exc.row, None))
+        nonblank = compress(count(1), map(str.strip, text.split("\n")))
+        lineno = next(islice(nonblank, exc.row, None))
         raise type(exc)(f"{path}:{lineno}: {exc}") from exc
 
 

@@ -180,7 +180,8 @@ def test_score_and_eval_build_no_trial(scored_fixture, tmp_path):
     """The CLI's request path reads, scores, writes and evaluates columns."""
     paths = scored_fixture
     scores, report = tmp_path / "scores.tsv", tmp_path / "report.json"
-    with mock.patch.object(data, "Trial", side_effect=AssertionError("a Trial was built")):
+    built = AssertionError("a Trial was built")
+    with mock.patch.object(data, "Trial", side_effect=built):
         assert main(["score", "--scorer", "nessa-m2", "--trials", str(paths["trials"]),
                      "--corpus-x", str(paths["x"]), "--corpus-y", str(paths["y"]),
                      "--checkpoint", str(paths["ckpt"]), "--out", str(scores)]) == 0

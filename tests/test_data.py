@@ -402,7 +402,7 @@ JSON_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
 
 def load_line_by_line(path):
     """load_embeddings with the bulk reader switched off: one json.loads per line."""
-    with mock.patch.object(data, "_bulk_columns", lambda lines: None):
+    with mock.patch.object(data, "_bulk_columns", lambda text: None):
         return load_embeddings(path)
 
 
@@ -500,16 +500,14 @@ class TestBulkReader:
 
     @given(valid_files(id_texts=plain_ids.map(json.dumps)))
     def test_files_without_escapes_are_read_in_bulk(self, text):
-        lines = list(filter(None, map(str.strip, text.replace("\r", "").split("\n"))))
-        assert data._bulk_columns(lines) is not None
+        assert data._bulk_columns(text.replace("\r\n", "\n")) is not None
         both_readers_agree(text)
 
     def test_saved_corpus_is_read_in_bulk(self, tmp_path):
         corpus = Corpus.from_columns(["s", "s"], ["u0", "u1"], ["M", "M"],
                                      ["enroll", "runtime"], Prng(3).standard_normal(2, 5))
         save_embeddings(corpus, tmp_path / "c.jsonl")
-        lines = (tmp_path / "c.jsonl").read_text().splitlines()
-        assert data._bulk_columns(lines) is not None
+        assert data._bulk_columns((tmp_path / "c.jsonl").read_text()) is not None
 
     @given(spoiled_files())
     def test_spoiled_line_same_error_as_json(self, drawn):

@@ -437,7 +437,8 @@ class TestStacked:
            st.integers(1, 9), st.booleans())
     def test_values_and_dtype_of_np_stack(self, dtype, n, d, as_lists):
         rows = Prng(n * d).standard_normal(n, d).astype(dtype)
-        vectors = {f"k{i}": row.tolist() if as_lists else row for i, row in enumerate(rows)}
+        vectors = {f"k{i}": row.tolist() if as_lists else row
+                   for i, row in enumerate(rows)}
         want = np.stack(list(vectors.values()))
         blocks = []  # what a side map is handed
         mapped = metrics._stacked(vectors, lambda block: blocks.append(block) or block)
