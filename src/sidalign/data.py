@@ -335,11 +335,6 @@ def save_embeddings(corpus: Corpus, path) -> None:
         fh.write(text)
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file (see _read_text)."""
-    return _read_text(path).split("\n")
-
-
 def _read_text(path) -> str:
     """The text of a UTF-8 file, newlines translated as in text mode. Bytes
     that are not UTF-8 are a ParseError naming the file and line."""
@@ -396,7 +391,7 @@ def _bulk_columns(text: str):
     parts = _RECORD_LINE.split(text)
     stride = len(FIELDS) + 1
     between = "".join(parts[::stride])
-    if len(parts) == 1 or between and not between.isspace():
+    if len(parts) == 1 or (between and not between.isspace()):
         return None
     *ids, vectors = (parts[i::stride] for i in range(1, stride))
     if not _json_numbers(",".join(vectors).encode()):
@@ -468,7 +463,7 @@ def load_trials(path) -> TrialSet:
     """A trial or scores file, parsed as columns: three tab-separated fields
     per nonblank line, or four with a score that float() reads on every line.
     An error names the file and the first bad line."""
-    lines = _read_lines(path)
+    lines = _read_text(path).split("\n")
     rows = list(filter(None, lines))
     if not rows:
         return TrialSet.from_columns([], [], [])

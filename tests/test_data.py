@@ -546,7 +546,7 @@ def reference_load_trials(path):
     trials = []
     scores = []
     has_scores = False
-    for lineno, line in enumerate(data._read_lines(path), start=1):
+    for lineno, line in enumerate(data._read_text(path).split("\n"), start=1):
         if not line:
             continue
         parts = line.split("\t")
