@@ -354,9 +354,9 @@ def train(config: NessaConfig, train_pair: PairedData,
         val_bank = NegativeBank(val_pair.n_speakers + np.arange(bank.size),
                                 bank.e_x, bank.e_y)
 
-    def val_loss():
+    def val_loss():  # None without a validation split: JSON has no NaN
         if val_pair is None:
-            return float("nan")
+            return None
         batch = val_pair.full_batch()
         if m3:
             return loss_m3(f1, f2, float(w[0]), batch, val_bank, config.alpha,
@@ -484,8 +484,7 @@ def save_checkpoint(ckpt: Checkpoint, path, extra: dict | None = None) -> None:
     obj = dict(extra or {})
     obj.update(checkpoint_to_dict(ckpt))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")  # json.dump would run the pure-Python encoder
 
 
 def load_checkpoint(path) -> Checkpoint:

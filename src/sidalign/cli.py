@@ -239,8 +239,9 @@ def cmd_train(args) -> int:
     if args.log:
         save_training_log(ckpt.log, args.log)
     for entry in ckpt.log:
+        val = entry["val_loss"]
         print(f"epoch {entry['epoch']}: train {entry['train_loss']:.6g} "
-              f"val {entry['val_loss']:.6g}", file=sys.stderr)
+              f"val {'none' if val is None else format(val, '.6g')}", file=sys.stderr)
     return 0
 
 

@@ -320,19 +320,27 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
 # File IO
 
 
+# Rows that save_embeddings formats and writes at a time: only one block's
+# text and Python floats are alive at once, whatever the corpus size.
+WRITE_BLOCK_ROWS = 4096
+
+
 def save_embeddings(corpus: Corpus, path) -> None:
     """One RECORD_LAYOUT line per row, vector entries as FLOAT_FMT (json.dumps
-    would re-expand the rounded floats)."""
+    would re-expand the rounded floats), written WRITE_BLOCK_ROWS rows at a
+    time."""
     line = RECORD_LAYOUT % ("%s", "%s", "%s", '"%s"',
                             "[" + ",".join([FLOAT_FMT] * (corpus.dim or 0)) + "]") + "\n"
     model = encode_basestring_ascii(corpus.model_id or "")
-    text = "".join([line % (encode_basestring_ascii(speaker), encode_basestring_ascii(utt),
-                            model, "enroll" if enroll else "runtime", *vector)
-                    for speaker, utt, enroll, vector in zip(
-                        corpus.speakers, corpus.utterances, corpus.enroll.tolist(),
-                        corpus.vectors.tolist())])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        for start in range(0, len(corpus), WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            fh.write("".join([
+                line % (encode_basestring_ascii(speaker), encode_basestring_ascii(utt),
+                        model, "enroll" if enroll else "runtime", *vector)
+                for speaker, utt, enroll, vector in zip(
+                    corpus.speakers[block], corpus.utterances[block],
+                    corpus.enroll[block].tolist(), corpus.vectors[block].tolist())]))
 
 
 def _read_text(path) -> str:
@@ -442,12 +450,11 @@ def load_embeddings(path) -> Corpus:
 def save_profiles(profiles, path) -> None:
     """Profiles reuse the embedding JSONL schema; the utterance id slot holds
     'profile:<speaker_id>' so records stay unique within the file."""
-    recs = [
-        EmbeddingRecord(p.speaker_id, f"profile:{p.speaker_id}", p.model_id,
-                        "enroll", p.vector)
-        for p in profiles
-    ]
-    save_embeddings(Corpus(recs), path)
+    speakers = [p.speaker_id for p in profiles]
+    save_embeddings(Corpus.from_columns(
+        speakers, [f"profile:{speaker}" for speaker in speakers],
+        [p.model_id for p in profiles], ["enroll"] * len(speakers),
+        [p.vector for p in profiles]), path)
 
 
 def load_profiles(path) -> list[VoiceProfile]:

@@ -5,6 +5,12 @@ X and Y. Each (speaker, utterance) pair has one underlying identity draw;
 each view adds its own within-speaker noise before its distortion map, so
 the two corpora are utterance-paired while the per-view noise levels encode
 the quality gap between the models.
+
+A corpus takes one draw of standard normals, an (n_speakers, latent_dim *
+(1 + 2 * n_utts)) block in speaker order. A speaker's row holds its identity
+draw z, then its noise as (utterance, view, latent_dim), view 0 for X and 1
+for Y. PCG64 fills the block in the order that one draw of z and one of the
+noise per speaker would take, so the values do not depend on the split.
 """
 
 from __future__ import annotations
@@ -81,14 +87,17 @@ class Distortion:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Map latent rows (n, latent_dim) to unit embedding rows (n, embed_dim)."""
+        p = self.params
         if self.kind == "identity":
             out = u
         elif self.kind == "orthogonal":
-            out = u @ self.params["q"].T
+            out = u @ p["q"].T
         elif self.kind == "affine":
-            out = u @ self.params["a"].T + self.params["b"]
+            out = u @ p["a"].T
+            out += p["b"]
         else:
-            out = np.tanh(u @ self.params["w1"].T) @ self.params["w2"].T
+            out = u @ p["w1"].T
+            out = np.tanh(out, out=out) @ p["w2"].T
         return length_normalize(out)
 
 
@@ -109,19 +118,22 @@ def generate(config: SynthConfig) -> tuple[Corpus, Corpus, GroundTruth]:
     dist_y = Distortion(config.distortion_y, config.latent_dim, config.embed_dim,
                         model_prng, config.nonlinear_gain)
 
-    # Per speaker: its identity draw, then one block of utterance noise in
-    # which row [u, 0] is utterance u's X noise and [u, 1] its Y noise.
+    # The one draw of the corpus (see the module docstring). Each view's
+    # noise is scaled, then shifted by z: the same sums as z + sigma * noise.
     n_utts = config.n_enroll_utts + config.n_runtime_utts
-    draws = [(prng.standard_normal(config.latent_dim),
-              prng.standard_normal(n_utts, 2, config.latent_dim))
-             for _ in range(config.n_speakers)]
-    z = length_normalize(np.stack([zi for zi, _ in draws]))
-    noise = np.stack([block for _, block in draws])  # (speaker, utt, view, dim)
+    dim = config.latent_dim
+    draw = prng.standard_normal(config.n_speakers, dim * (1 + 2 * n_utts))
+    z = length_normalize(draw[:, :dim])[:, None, :]
+    noise = draw[:, dim:].reshape(config.n_speakers, n_utts, 2, dim)
+    noisy = [noise[:, :, k, :] * sigma
+             for k, sigma in enumerate((config.within_noise_x, config.within_noise_y))]
+    del draw, noise
     views = []
-    for k, (sigma, dist) in enumerate(((config.within_noise_x, dist_x),
-                                       (config.within_noise_y, dist_y))):
-        noisy = z[:, None, :] + sigma * noise[:, :, k, :]
-        views.append(dist.apply(length_normalize(noisy.reshape(-1, config.latent_dim))))
+    for dist in (dist_x, dist_y):
+        u = noisy.pop(0)
+        u += z
+        u = length_normalize(u.reshape(-1, dim))
+        views.append(dist.apply(u))
     vx, vy = views
 
     # One id column of each kind, shared by both views.

@@ -13,8 +13,9 @@ is evaluated. Each list also makes a round trip through the trial files:
 ``save_trials``, ``load_trials``, ``save_scores`` of its cosine-asym-raw scores
 and ``load_trials`` again. It prints "sha256  name" for the float64 bytes of
 every score array, the sorted-key JSON of every report, both files and the
-columns of both loaded lists, so two versions of the code score, evaluate,
-write and read alike exactly when they print the same lines:
+columns of both loaded lists, and of both views' vectors that ``generate``
+draws for each distortion, so two versions of the code synthesise, score,
+evaluate, write and read alike exactly when they print the same lines:
 
     diff <(PYTHONPATH=old/src python tests/api_recipe.py) \\
          <(PYTHONPATH=src python tests/api_recipe.py)
@@ -111,7 +112,19 @@ def mapped(vectors: dict, fn) -> dict:
     return dict(zip(keys, fn(np.stack([vectors[k] for k in keys]))))
 
 
+def generate_hashes() -> None:
+    """The digest of each view's vectors, for each distortion of both views."""
+    for kind in synth.DISTORTIONS:
+        cfg = synth.SynthConfig(
+            n_speakers=120, n_enroll_utts=5, n_runtime_utts=3, latent_dim=12,
+            embed_dim=12, within_noise_x=0.45, within_noise_y=0.25, distortion_x=kind,
+            distortion_y=kind, seed=23, model_seed=7)
+        for view, corpus in zip("xy", synth.generate(cfg)[:2]):
+            print(f"{sha256(corpus.vectors.tobytes())}  generate/{kind}/{view}")
+
+
 def main() -> None:
+    generate_hashes()
     prof, run, owners, fusion, ckpts = setup()
     m1, m2, m3 = (ckpts[v] for v in ("m1", "m2", "m3"))
     prof_m2 = mapped(prof, lambda v: align.map_profiles(m2, v))

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from sidalign.align import (
     NessaConfig,
     PairBatch,
     PairedData,
+    checkpoint_to_dict,
     loss_m1,
     loss_m2,
     loss_m3,
@@ -355,8 +357,12 @@ class TestCheckpointIO:
                           *data.draw(st.tuples(finite, finite, finite)),
                           data.draw(st.integers(0, 2**31)), data.draw(st.integers(0, 99)))
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "ckpt.json"
+            path, want = Path(tmp) / "ckpt.json", Path(tmp) / "want.json"
             save_checkpoint(ckpt, path, extra={"seed": 1})
+            with open(want, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump({"seed": 1, **checkpoint_to_dict(ckpt)}, fh)
+                fh.write("\n")
+            assert path.read_bytes() == want.read_bytes()
             back = load_checkpoint(path)
         # repr tells the bits of a finite float apart, -0.0 from 0.0 too
         for name in ("variant", "w", "alpha", "beta", "gamma", "seed", "trained_epochs"):

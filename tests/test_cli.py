@@ -547,6 +547,27 @@ class TestTrainSettings:
             assert "val-fraction" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("val_fraction", ["0", "0.1"])
+    def test_training_log_is_strict_json(self, scored_fixture, tmp_path, capsys,
+                                         val_fraction):
+        paths = scored_fixture
+        log = tmp_path / "log.jsonl"
+        assert main(["train", "--corpus-x", str(paths["x"]), "--corpus-y", str(paths["y"]),
+                     "--variant", "m2", "--epochs", "2", "--steps", "2", "--batch", "8",
+                     "--hidden", "8", "--val-fraction", val_fraction,
+                     "--out", str(tmp_path / "ckpt.json"), "--log", str(log)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        entries = [json.loads(line, parse_constant=refuse)
+                   for line in log.read_text().splitlines()]
+        assert [e["epoch"] for e in entries] == [0, 1]
+        assert all((e["val_loss"] is None) == (val_fraction == "0") for e in entries)
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": train ")[0] for line in err] == ["epoch 0", "epoch 1"]
+        assert all(line.endswith(" val none") == (val_fraction == "0") for line in err)
+
     def test_settings_checked_before_corpora_load(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.jsonl")
         line = one_error_line(capsys, ["train", "--corpus-x", missing, "--corpus-y",

@@ -346,8 +346,10 @@ class TestLoaderProperties:
     @given(column_corpora())
     def test_save_load_gives_nine_digit_values(self, corpus):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "c.jsonl"
+            path, want = Path(tmp) / "c.jsonl", Path(tmp) / "want.jsonl"
             save_embeddings(corpus, path)
+            reference_save_embeddings(corpus, want)
+            assert path.read_bytes() == want.read_bytes()
             back = load_embeddings(path)
         assert (back.speakers, back.utterances) == (corpus.speakers, corpus.utterances)
         np.testing.assert_array_equal(back.enroll, corpus.enroll)
@@ -361,8 +363,12 @@ class TestLoaderProperties:
         units = length_normalize(matrix)
         profiles = [VoiceProfile(s, "M", v) for s, v in zip(speakers, units)]
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "p.jsonl"
+            path, want = Path(tmp) / "p.jsonl", Path(tmp) / "want.jsonl"
             save_profiles(profiles, path)
+            reference_save_embeddings(Corpus([
+                EmbeddingRecord(s, f"profile:{s}", "M", "enroll", v)
+                for s, v in zip(speakers, units)]), want)
+            assert path.read_bytes() == want.read_bytes()
             back = load_profiles(path)
         assert [(p.speaker_id, p.model_id) for p in back] == [(s, "M") for s in speakers]
         if speakers:
@@ -486,6 +492,18 @@ def spoiled_files(draw):
     return "".join(layout_line(*row) + "\n" for row in rows), at + 1
 
 
+def reference_save_embeddings(corpus, path):
+    """save_embeddings as one string: json.dumps per id, FLOAT_FMT per entry."""
+    text = "".join(
+        '{"speaker_id": %s, "utterance_id": %s, "model_id": %s, "split": "%s", '
+        '"vector": [%s]}\n' % (json.dumps(speaker), json.dumps(utt),
+                              json.dumps(corpus.model_id), SPLITS[not enroll],
+                              ",".join(FLOAT_FMT % x for x in vector))
+        for speaker, utt, enroll, vector in zip(corpus.speakers, corpus.utterances,
+                                                corpus.enroll, corpus.vectors))
+    Path(path).write_bytes(text.encode())
+
+
 def both_readers_agree(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.jsonl"
@@ -502,6 +520,19 @@ class TestBulkReader:
     def test_files_without_escapes_are_read_in_bulk(self, text):
         assert data._bulk_columns(text.replace("\r\n", "\n")) is not None
         both_readers_agree(text)
+
+    @pytest.mark.parametrize("n", [0, 1, data.WRITE_BLOCK_ROWS - 1, data.WRITE_BLOCK_ROWS,
+                                   data.WRITE_BLOCK_ROWS + 1, 2 * data.WRITE_BLOCK_ROWS + 3])
+    def test_blocked_writer_writes_the_one_string_bytes(self, tmp_path, n):
+        corpus = Corpus.from_columns([f"s{i % 7}" for i in range(n)],
+                                     [f"u\u00e9\"{i}" for i in range(n)], ["M"] * n,
+                                     [SPLITS[i % 3 == 0] for i in range(n)],
+                                     Prng(n).standard_normal(n, 3))
+        got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+        save_embeddings(corpus, got)
+        reference_save_embeddings(corpus, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_bytes().splitlines()) == n
 
     def test_saved_corpus_is_read_in_bulk(self, tmp_path):
         corpus = Corpus.from_columns(["s", "s"], ["u0", "u1"], ["M", "M"],

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sidalign.data import Corpus
 from sidalign.errors import ConfigInvalid, InsufficientData
 from sidalign.metrics import cosine_scorer, eer, roc, score_trials
-from sidalign.numerics import Prng
+from sidalign.numerics import Prng, length_normalize
 from sidalign.synth import DISTORTIONS, Distortion, SynthConfig, generate, make_trials
 
 
@@ -66,6 +70,56 @@ def reference_map(dist, x):
     return unit(p["w2"] @ np.tanh(p["w1"] @ x))
 
 
+def block_generate(config):
+    """Reference: the vectors of both views drawn one speaker at a time (z,
+    then its (utt, view, dim) noise), stacked, and mapped out of place."""
+    prng = Prng(config.seed)
+    model_prng = Prng(config.seed if config.model_seed is None else config.model_seed)
+    dists = [Distortion(kind, config.latent_dim, config.embed_dim, model_prng,
+                        config.nonlinear_gain)
+             for kind in (config.distortion_x, config.distortion_y)]
+    n_utts = config.n_enroll_utts + config.n_runtime_utts
+    draws = [(prng.standard_normal(config.latent_dim),
+              prng.standard_normal(n_utts, 2, config.latent_dim))
+             for _ in range(config.n_speakers)]
+    z = length_normalize(np.stack([zi for zi, _ in draws]))
+    noise = np.stack([block for _, block in draws])  # (speaker, utt, view, dim)
+    views = []
+    for k, (sigma, dist) in enumerate(zip((config.within_noise_x, config.within_noise_y),
+                                          dists)):
+        noisy = z[:, None, :] + sigma * noise[:, :, k, :]
+        views.append(block_map(dist, length_normalize(noisy.reshape(-1, config.latent_dim))))
+    return views
+
+
+def block_map(dist, u):
+    p = dist.params
+    if dist.kind == "identity":
+        out = u
+    elif dist.kind == "orthogonal":
+        out = u @ p["q"].T
+    elif dist.kind == "affine":
+        out = u @ p["a"].T + p["b"]
+    else:
+        out = np.tanh(u @ p["w1"].T) @ p["w2"].T
+    return length_normalize(out)
+
+
+@st.composite
+def synth_configs(draw):
+    kinds = draw(st.lists(st.sampled_from(DISTORTIONS), min_size=2, max_size=2))
+    latent = draw(st.integers(1, 8))
+    embed = latent if "identity" in kinds else draw(st.integers(latent, latent + 4))
+    noise_y = draw(st.floats(0, 1))
+    return SynthConfig(
+        n_speakers=draw(st.integers(1, 40)), n_enroll_utts=draw(st.integers(1, 6)),
+        n_runtime_utts=draw(st.integers(1, 6)), latent_dim=latent, embed_dim=embed,
+        within_noise_x=noise_y + draw(st.floats(0, 1)), within_noise_y=noise_y,
+        distortion_x=kinds[0], distortion_y=kinds[1],
+        nonlinear_gain=draw(st.floats(0.5, 3)), seed=draw(st.integers(0, 2**32)),
+        model_seed=draw(st.none() | st.integers(0, 2**32)))
+
+
 def reference_trials(corpus_y, n_target, n_imposter, seed):
     """Reference: materialise every (speaker, foreign utterance) pair."""
     prng = Prng(seed)
@@ -96,6 +150,26 @@ class TestReference:
             worst = max(np.max(np.abs(r.vector - row[3]))
                         for r, row in zip(corpus.records, ref))
             assert worst <= 1e-12
+
+    @given(synth_configs())
+    def test_generate_matches_block_reference_bit_for_bit(self, cfg):
+        for corpus, vectors in zip(generate(cfg)[:2], block_generate(cfg)):
+            assert corpus.vectors.tobytes() == vectors.tobytes()
+
+    def test_generate_peak_memory_is_bounded(self):
+        # The reference's stacked per-speaker draws and out-of-place steps
+        # peak at about 5.6 times the output vectors.
+        cfg = SynthConfig(n_speakers=1000, n_enroll_utts=25, n_runtime_utts=3,
+                          latent_dim=32, embed_dim=32, within_noise_x=0.45,
+                          within_noise_y=0.25, distortion_x="mlp_nonlinear",
+                          distortion_y="mlp_nonlinear", seed=1, model_seed=2)
+        tracemalloc.start()
+        try:
+            cx, cy, _ = generate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * (cx.vectors.nbytes + cy.vectors.nbytes)
 
     def test_trials_match_reference_in_any_record_order(self):
         _, cy, _ = generate(small_config(n_speakers=25, n_runtime_utts=3))
