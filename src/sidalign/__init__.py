@@ -47,7 +47,6 @@ from .metrics import (
     gap_recovery,
     relative_impact,
     roc,
-    score_cosine,
     score_trials,
 )
 from .mlp import (
@@ -56,7 +55,6 @@ from .mlp import (
     adam_step,
     backward,
     forward,
-    gradient_check,
     mlp_init,
 )
 from .numerics import (

@@ -62,9 +62,10 @@ class PairBatch:
 
 @dataclass
 class NegativeBank:
+    """Negative speakers and their X profiles, which loss_m3 maps through F1."""
+
     speakers: np.ndarray
     e_x: np.ndarray
-    e_y: np.ndarray
 
     @property
     def size(self) -> int:
@@ -293,8 +294,7 @@ def sample_negative_bank(paired: PairedData, excluded, m: int,
     """Uniform sample without replacement from the speakers of ``paired``
     outside ``excluded`` (speaker rows, e.g. a batch's ``speakers``)."""
     if m == 0:
-        return NegativeBank(np.zeros(0, dtype=np.intp),
-                            np.zeros((0, paired.d)), np.zeros((0, paired.d)))
+        return NegativeBank(np.zeros(0, dtype=np.intp), np.zeros((0, paired.d)))
     outside = np.ones(paired.n_speakers, dtype=bool)
     outside[excluded] = False
     candidates = np.flatnonzero(outside)
@@ -303,7 +303,7 @@ def sample_negative_bank(paired: PairedData, excluded, m: int,
             f"bank of {m} requested, only {candidates.size} disjoint speakers"
         )
     idx = candidates[prng.choice(candidates.size, m, replace=False)]
-    return NegativeBank(idx, paired.e_x[idx], paired.e_y[idx])
+    return NegativeBank(idx, paired.e_x[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +351,7 @@ def train(config: NessaConfig, train_pair: PairedData,
         val_m = min(config.bank_size, train_pair.n_speakers - len(in_val))
         bank = sample_negative_bank(train_pair, in_val, val_m,
                                     Prng(config.seed + 101))
-        val_bank = NegativeBank(val_pair.n_speakers + np.arange(bank.size),
-                                bank.e_x, bank.e_y)
+        val_bank = NegativeBank(val_pair.n_speakers + np.arange(bank.size), bank.e_x)
 
     def val_loss():  # None without a validation split: JSON has no NaN
         if val_pair is None:
@@ -436,7 +435,7 @@ def map_runtime(ckpt: Checkpoint, vectors: np.ndarray) -> np.ndarray:
 
 
 def side_maps(ckpt: Checkpoint):
-    """(enrollment map, runtime map) for metrics.score_cosine; None for the
+    """(enrollment map, runtime map) for metrics.score_trials; None for the
     side the variant leaves in its own space."""
     enroll, runtime = SIDE_NETWORKS[ckpt.variant]
     return ((lambda v: map_profiles(ckpt, v)) if enroll else None,
@@ -464,20 +463,13 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 
 
 def checkpoint_from_dict(obj: dict) -> Checkpoint:
-    variant = obj["variant"]
-    if variant == "m3":
-        f1 = mlp_from_dict(obj["f1"])
-        f2 = mlp_from_dict(obj["f2"])
-        epochs = int(obj["f1"].get("trained_epochs", 0))
-        seed = int(obj["f1"].get("seed", 0))
-    else:
-        f1 = mlp_from_dict(obj)
-        f2 = None
-        epochs = int(obj.get("trained_epochs", 0))
-        seed = int(obj.get("seed", 0))
-    return Checkpoint(variant, f1, f2,
+    m3 = obj["variant"] == "m3"
+    f1 = obj["f1"] if m3 else obj  # the seed and epochs are read from F1's dict
+    return Checkpoint(obj["variant"], mlp_from_dict(f1),
+                      mlp_from_dict(obj["f2"]) if m3 else None,
                       obj.get("w"), obj.get("alpha", 1.0), obj.get("beta", 0.5),
-                      obj.get("gamma", 0.1), seed, epochs)
+                      obj.get("gamma", 0.1), int(f1.get("seed", 0)),
+                      int(f1.get("trained_epochs", 0)))
 
 
 def save_checkpoint(ckpt: Checkpoint, path, extra: dict | None = None) -> None:

@@ -23,6 +23,7 @@ from .align import (
     train,
 )
 from .data import (
+    FLOAT_FMT,
     load_embeddings,
     load_profiles,
     load_trials,
@@ -46,7 +47,7 @@ from .logit import (
     load_fusion,
     save_fusion,
 )
-from .metrics import evaluate, far_key, load_report, save_report, score_cosine
+from .metrics import cosine_scorer, evaluate, load_report, save_report, score_trials
 from .numerics import Prng
 from .synth import SynthConfig, generate, make_trials
 
@@ -261,7 +262,7 @@ def cmd_score(args) -> int:
     runtime = corpora[runtime_view]
     runtime_vectors = {runtime.utterances[i]: runtime.vectors[i]
                        for i in runtime.rows("runtime")}
-    scored = score_cosine(trials, profile_vectors, runtime_vectors,
+    scored = score_trials(trials, cosine_scorer, profile_vectors, runtime_vectors,
                           enroll_map, runtime_map)
     save_scores(scored, args.out)
     print(f"scored {len(scored)} trials with {scorer_id}", file=sys.stderr)
@@ -310,7 +311,7 @@ def _per_far(path, key: str, required: bool) -> dict:
     without the key are skipped unless it is required."""
     report = load_report(path)
     try:
-        return {far_key(e["target_far"]): e[key] for e in report["per_far"]
+        return {FLOAT_FMT % e["target_far"]: e[key] for e in report["per_far"]
                 if required or key in e}
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed report, missing {exc}") from exc
@@ -422,10 +423,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SidAlignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SidAlignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

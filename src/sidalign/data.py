@@ -40,11 +40,6 @@ LABELS = ("target", "imposter")
 # 9 significant digits round-trips any float32 payload exactly.
 FLOAT_FMT = "%.9g"
 
-
-def format_float(x: float) -> str:
-    return FLOAT_FMT % x
-
-
 # A record's fields in file order, the three ids first: the JSONL keys.
 FIELDS = ("speaker_id", "utterance_id", "model_id", "split", "vector")
 
@@ -115,22 +110,12 @@ class Corpus:
     """The embeddings of one model as parallel columns: row i is utterance
     ``utterances[i]`` of speaker ``speakers[i]``, of the enrollment split if
     ``enroll[i]`` (else runtime), with vector ``vectors[i]`` of an (n, d)
-    float64 matrix. The columns are checked once, on construction, and each
+    float64 matrix. The columns are per-row lists in FIELDS order (``vectors``
+    may be an (n, d) array); they are checked once, on construction, and each
     failed check names the first bad utterance; nothing changes them after.
     """
 
-    def __init__(self, records=()):
-        records = list(records)
-        self._set_columns(*([getattr(rec, f) for rec in records] for f in FIELDS))
-
-    @classmethod
-    def from_columns(cls, speakers, utterances, model_ids, splits, vectors) -> Corpus:
-        """A corpus of per-row lists; ``vectors`` may be an (n, d) array."""
-        corpus = cls.__new__(cls)
-        corpus._set_columns(speakers, utterances, model_ids, splits, vectors)
-        return corpus
-
-    def _set_columns(self, speakers, utterances, model_ids, splits, vectors):
+    def __init__(self, speakers, utterances, model_ids, splits, vectors):
         n = len(utterances)
         for name, column in (("speaker", speakers), ("utterance", utterances),
                              ("model", model_ids)):
@@ -188,11 +173,9 @@ class Corpus:
         mask = {"enroll": self.enroll, "runtime": ~self.enroll}[split]
         return np.flatnonzero(mask).tolist()
 
-    def speaker_ids(self, split: str | None = None) -> list[str]:
-        """Speakers in first-row order, of one split or of all."""
-        speakers = (self.speakers if split is None
-                    else [self.speakers[i] for i in self.rows(split)])
-        return list(dict.fromkeys(speakers))
+    def speaker_ids(self) -> list[str]:
+        """Speakers in first-row order."""
+        return list(dict.fromkeys(self.speakers))
 
 
 @dataclass
@@ -237,8 +220,8 @@ class TrialSet:
         self._trials = trials
 
     @classmethod
-    def from_columns(cls, enroll_ids: list[str], test_ids: list[str], labels: list[str],
-                     scores=None) -> TrialSet:
+    def of_columns(cls, enroll_ids: list[str], test_ids: list[str], labels: list[str],
+                   scores=None) -> TrialSet:
         """A trial list of per-trial id and label columns, no Trial built."""
         trialset = cls.__new__(cls)
         trialset._set_columns(enroll_ids, test_ids, labels, scores)
@@ -440,7 +423,7 @@ def load_embeddings(path) -> Corpus:
     text = _read_text(path)
     columns = _bulk_columns(text) or _json_columns(path, text)
     try:
-        return Corpus.from_columns(*columns)
+        return Corpus(*columns)
     except SidAlignError as exc:
         nonblank = compress(count(1), map(str.strip, text.split("\n")))
         lineno = next(islice(nonblank, exc.row, None))
@@ -451,7 +434,7 @@ def save_profiles(profiles, path) -> None:
     """Profiles reuse the embedding JSONL schema; the utterance id slot holds
     'profile:<speaker_id>' so records stay unique within the file."""
     speakers = [p.speaker_id for p in profiles]
-    save_embeddings(Corpus.from_columns(
+    save_embeddings(Corpus(
         speakers, [f"profile:{speaker}" for speaker in speakers],
         [p.model_id for p in profiles], ["enroll"] * len(speakers),
         [p.vector for p in profiles]), path)
@@ -473,7 +456,7 @@ def load_trials(path) -> TrialSet:
     lines = _read_text(path).split("\n")
     rows = list(filter(None, lines))
     if not rows:
-        return TrialSet.from_columns([], [], [])
+        return TrialSet.of_columns([], [], [])
     tabs = set(map(str.count, rows, repeat("\t")))
     if len(tabs) == 1 and tabs <= {2, 3}:
         width = tabs.pop() + 1
@@ -481,8 +464,8 @@ def load_trials(path) -> TrialSet:
         try:
             scores = (np.fromiter(map(float, fields[3::width]), np.float64, len(rows))
                       if width == 4 else None)
-            return TrialSet.from_columns(fields[0::width], fields[1::width],
-                                         fields[2::width], scores)
+            return TrialSet.of_columns(fields[0::width], fields[1::width],
+                                       fields[2::width], scores)
         except (ValueError, UnknownLabel):  # a bad score or label: name its line
             pass
     raise _trial_file_error(path, lines)

@@ -143,6 +143,8 @@ def load_fusion(path) -> FusionTransform:
             obj = json.load(fh, parse_int=float)
             d = int(obj["d"])
             m = np.array(obj["m"], dtype=np.float64).reshape(2 * d, 2 * d)
+            if not np.isfinite(m).all():
+                raise ValueError("m has a non-finite entry")
             return FusionTransform(m, d, int(obj["N"]), float(obj["jitter_applied"]))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"{path}: malformed fusion transform: {exc!r}") from exc

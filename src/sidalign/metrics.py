@@ -14,7 +14,7 @@ from itertools import count
 
 import numpy as np
 
-from .data import TrialSet, format_float
+from .data import FLOAT_FMT, TrialSet
 from .errors import (
     BaselineZero,
     DegenerateGap,
@@ -161,23 +161,17 @@ def _first_unknown(trialset: TrialSet, profile_vectors: dict,
 
 
 def cosine_scorer(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Row-wise cosine of parallel rows of one shape; a row of norm <= EPS_NORM
-    (or NaN) raises ZeroVector instead of scoring NaN."""
+    """Row-wise cosine of parallel rows of one shape; a row whose norm is not
+    in (EPS_NORM, inf) (zero, NaN or overflowed) raises ZeroVector instead of
+    scoring NaN or 0."""
     if p.shape != r.shape:
         raise DimensionMismatch(f"no cosine of profile rows of shape {p.shape} and "
                                 f"runtime rows of shape {r.shape}")
-    p_norm = np.linalg.norm(p, axis=1)
-    r_norm = np.linalg.norm(r, axis=1)
-    if not (np.all(p_norm > EPS_NORM) and np.all(r_norm > EPS_NORM)):
-        raise ZeroVector("cosine of a zero-norm or non-finite row")
+    with np.errstate(over="ignore"):  # an overflowed norm is refused just below
+        p_norm, r_norm = np.linalg.norm(p, axis=1), np.linalg.norm(r, axis=1)
+    if not all(((n > EPS_NORM) & (n < np.inf)).all() for n in (p_norm, r_norm)):
+        raise ZeroVector("cosine of a row whose norm is zero or not finite")
     return np.sum(p * r, axis=1) / (p_norm * r_norm)
-
-
-def score_cosine(trialset: TrialSet, profile_vectors: dict, runtime_vectors: dict,
-                 enroll_map=None, runtime_map=None) -> TrialSet:
-    """The one scoring rule: cosine(enroll_map(profile), runtime_map(runtime))."""
-    return score_trials(trialset, cosine_scorer, profile_vectors, runtime_vectors,
-                        enroll_map, runtime_map)
 
 
 def evaluate(trialset: TrialSet, scorer_id: str,
@@ -186,8 +180,8 @@ def evaluate(trialset: TrialSet, scorer_id: str,
              candidate_impacts: dict | None = None) -> dict:
     """Full report: EER plus FRR (and optional impact) at each FAR target.
 
-    baseline_frrs / candidate_impacts map target-FAR keys (as formatted by
-    far_key) to the baseline FRR and candidate symmetric impact respectively.
+    baseline_frrs / candidate_impacts map target-FAR keys (FLOAT_FMT % far)
+    to the baseline FRR and candidate symmetric impact respectively.
     """
     if trialset.scores is None:
         raise DegenerateTrialSet("trial set is not scored")
@@ -203,7 +197,7 @@ def evaluate(trialset: TrialSet, scorer_id: str,
             "far": float(curve.far[idx]),
             "frr": frr,
         }
-        key = far_key(target)
+        key = FLOAT_FMT % target
         if baseline_frrs is not None and key in baseline_frrs:
             entry["relative_impact"] = relative_impact(baseline_frrs[key], frr)
             if candidate_impacts is not None and key in candidate_impacts:
@@ -220,10 +214,6 @@ def evaluate(trialset: TrialSet, scorer_id: str,
     if recoveries:
         report["gap_recovery"] = recoveries
     return report
-
-
-def far_key(target_far: float) -> str:
-    return format_float(target_far)
 
 
 def save_report(report: dict, path) -> None:

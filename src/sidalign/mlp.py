@@ -1,9 +1,9 @@
-"""Minimal dense network with manual backprop, Adam, and a gradient checker.
+"""Minimal dense network with manual backprop and Adam.
 
 Three weight layers, ReLU on the hidden layers, linear output (a ReLU output
 would confine embeddings to the positive orthant and cripple cosine scoring).
-Forward/backward operate on batches (n, d); parameters are plain numpy arrays
-so the finite-difference checker can perturb them in place.
+Forward/backward operate on batches of rows (n, d); parameters are plain
+numpy arrays that training updates in place.
 """
 
 from __future__ import annotations
@@ -22,24 +22,20 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class Mlp:
-    layer_dims: list[int]
     weights: list[np.ndarray]  # each (out, in)
     biases: list[np.ndarray]
 
     @property
-    def in_dim(self) -> int:
-        return self.layer_dims[0]
+    def layer_dims(self) -> list[int]:
+        """The input width, then each layer's output width."""
+        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def parameters(self) -> list[np.ndarray]:
         """Each layer's weights, then its biases, input layer first."""
         return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def mlp_init(dims, seed: int) -> Mlp:
@@ -54,17 +50,15 @@ def mlp_init(dims, seed: int) -> Mlp:
         w = prng.uniform(-bound, bound, fan_out * fan_in).reshape(fan_out, fan_in)
         weights.append(w)
         biases.append(np.zeros(fan_out))
-    return Mlp(dims, weights, biases)
+    return Mlp(weights, biases)
 
 
 def forward(m: Mlp, x: np.ndarray):
-    """Returns (y, cache); x may be (d,) or (n, d)."""
+    """Returns (y, cache) for a batch of rows x of shape (n, d)."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[1] != m.in_dim:
-        raise DimensionMismatch(f"input dim {x.shape[1]}, model expects {m.in_dim}")
+    d = m.weights[0].shape[1]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise DimensionMismatch(f"input of shape {x.shape}, model expects (n, {d})")
     # Each layer adds its bias and applies its ReLU in place, in the GEMM's
     # output: one array per layer, and the cache holds only the activations.
     acts = [x]
@@ -75,8 +69,7 @@ def forward(m: Mlp, x: np.ndarray):
         if i < last:
             np.maximum(h, 0.0, out=h)
         acts.append(h)
-    y = acts[-1]
-    return (y[0] if squeeze else y), (acts, squeeze)
+    return acts[-1], acts
 
 
 def backward(m: Mlp, cache, dy: np.ndarray) -> list[np.ndarray]:
@@ -86,10 +79,8 @@ def backward(m: Mlp, cache, dy: np.ndarray) -> list[np.ndarray]:
     output, which is > 0 exactly where its pre-activation is (NaN included).
     The gradient of the input is not formed: training never reads it.
     """
-    acts, squeeze = cache
+    acts = cache
     grad = np.asarray(dy, dtype=np.float64)
-    if squeeze and grad.ndim == 1:
-        grad = grad[None, :]
     grads = []
     for i in range(len(m.weights) - 1, -1, -1):
         if i < len(m.weights) - 1:
@@ -97,41 +88,6 @@ def backward(m: Mlp, cache, dy: np.ndarray) -> list[np.ndarray]:
             grad *= acts[i + 1] > 0.0  # in place: the product's bits, one array less
         grads += [grad.sum(axis=0), grad.T @ acts[i]]
     return grads[::-1]
-
-
-def gradient_check(params, loss_fn, analytic_grads, h=1e-5, n_samples=200,
-                   seed=0) -> float:
-    """Max relative error between analytic grads and central differences.
-
-    params and analytic_grads are parallel lists of arrays; loss_fn() evaluates
-    the loss at the current (possibly perturbed) parameter values. Samples at
-    least n_samples coordinates across all parameters (all of them if fewer).
-    """
-    prng = Prng(seed)
-    flat_index = []
-    for pi, p in enumerate(params):
-        for j in range(p.size):
-            flat_index.append((pi, j))
-    total = len(flat_index)
-    if total > n_samples:
-        picks = prng.choice(total, n_samples, replace=False)
-    else:
-        picks = np.arange(total)
-    worst = 0.0
-    for k in picks:
-        pi, j = flat_index[int(k)]
-        p = params[pi].reshape(-1)
-        orig = p[j]
-        p[j] = orig + h
-        up = loss_fn()
-        p[j] = orig - h
-        down = loss_fn()
-        p[j] = orig
-        numeric = (up - down) / (2 * h)
-        analytic = analytic_grads[pi].reshape(-1)[j]
-        err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-        worst = max(worst, err)
-    return worst
 
 
 class AdamState:
@@ -178,7 +134,7 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
 
 def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0) -> dict:
     return {
-        "layer_dims": list(m.layer_dims),
+        "layer_dims": m.layer_dims,
         "weights": [w.ravel().tolist() for w in m.weights],
         "biases": [b.ravel().tolist() for b in m.biases],
         "activation": "relu",
@@ -189,10 +145,29 @@ def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0) -> dict:
 
 
 def mlp_from_dict(obj: dict) -> Mlp:
+    """The network that mlp_to_dict wrote; ValueError unless the activations
+    are relu then linear and every layer has its shape and finite values."""
+    activations = (obj["activation"], obj["output_activation"])
+    if activations != ("relu", "linear"):
+        raise ValueError(f"activations {activations}, expected ('relu', 'linear')")
     dims = [int(d) for d in obj["layer_dims"]]
-    weights = []
-    biases = []
+    if len(dims) < 2 or min(dims) < 1 or not (
+            len(obj["weights"]) == len(obj["biases"]) == len(dims) - 1):
+        raise ValueError(f"layer dims {dims} with {len(obj['weights'])} weight and "
+                         f"{len(obj['biases'])} bias layers")
+    weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weights.append(np.array(obj["weights"][i], dtype=np.float64).reshape(fan_out, fan_in))
-        biases.append(np.array(obj["biases"][i], dtype=np.float64))
-    return Mlp(dims, weights, biases)
+        weights.append(_layer(obj["weights"][i], fan_out * fan_in, f"weights {i}")
+                       .reshape(fan_out, fan_in))
+        biases.append(_layer(obj["biases"][i], fan_out, f"biases {i}"))
+    return Mlp(weights, biases)
+
+
+def _layer(values, size: int, name: str) -> np.ndarray:
+    """A flat list of ``size`` finite floats, as an array."""
+    a = np.array(values, dtype=np.float64)
+    if a.shape != (size,):
+        raise ValueError(f"{name} has shape {a.shape}, expected ({size},)")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite value")
+    return a

@@ -46,7 +46,7 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(va, vb) / (na * nb))
 
 
-def cholesky_upper(a, max_jitter_ladder=JITTER_LADDER) -> tuple[np.ndarray, float]:
+def cholesky_upper(a) -> tuple[np.ndarray, float]:
     """Upper-triangular M with M^T M = a (+ jitter*I when a is near singular).
 
     Returns (m, jitter_applied). Near-singular input is handled by a jitter
@@ -65,7 +65,7 @@ def cholesky_upper(a, max_jitter_ladder=JITTER_LADDER) -> tuple[np.ndarray, floa
         raise NotSymmetric(f"matrix asymmetry {asym:g} exceeds tolerance")
     sym = 0.5 * (ma + ma.T)
     base = float(np.trace(sym)) / n if n else 0.0
-    for lam in max_jitter_ladder:
+    for lam in JITTER_LADDER:
         jitter = lam * base
         target = sym + jitter * np.eye(n)
         try:
@@ -85,8 +85,6 @@ class Prng:
 
     Single-owner: concurrent use requires independent instances.
     """
-
-    ALGORITHM = "pcg64"
 
     def __init__(self, seed: int):
         self.seed = int(seed)

@@ -144,8 +144,8 @@ def generate(config: SynthConfig) -> tuple[Corpus, Corpus, GroundTruth]:
     splits = (["enroll"] * config.n_enroll_utts
               + ["runtime"] * config.n_runtime_utts) * config.n_speakers
     n = len(utterances)
-    return (Corpus.from_columns(speaker_col, utterances, ["X"] * n, splits, vx),
-            Corpus.from_columns(speaker_col, utterances, ["Y"] * n, splits, vy),
+    return (Corpus(speaker_col, utterances, ["X"] * n, splits, vx),
+            Corpus(speaker_col, utterances, ["Y"] * n, splits, vy),
             GroundTruth(dist_x, dist_y))
 
 
@@ -155,12 +155,12 @@ def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> 
         raise ConfigInvalid(f"trial counts must be >= 0, got {n_target} target and "
                             f"{n_imposter} imposter trials")
     prng = Prng(seed)
-    speakers = corpus_y.speaker_ids(split="runtime")
-    if len(speakers) < 2:
-        raise InsufficientData("need at least 2 speakers with runtime utterances")
     rows = corpus_y.rows("runtime")
     runtime_speakers = [corpus_y.speakers[i] for i in rows]
     runtime_utts = [corpus_y.utterances[i] for i in rows]
+    speakers = list(dict.fromkeys(runtime_speakers))
+    if len(speakers) < 2:
+        raise InsufficientData("need at least 2 speakers with runtime utterances")
 
     # The imposter pool pairs each speaker in turn with every runtime
     # utterance of the others, and is indexed through per-speaker cumulative
@@ -192,5 +192,5 @@ def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> 
         skipped = bisect_right(own[spk], offset)
         enroll.append(spk)
         test.append(runtime_utts[offset + skipped])
-    return TrialSet.from_columns(enroll, test,
-                                 ["target"] * n_target + ["imposter"] * n_imposter)
+    return TrialSet.of_columns(enroll, test,
+                               ["target"] * n_target + ["imposter"] * n_imposter)

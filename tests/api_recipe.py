@@ -8,7 +8,9 @@ and m3 aligners and a fused logit transform, draws a 2,000- and a 15,000-trial
 list with repeated ids, and scores each list seven ways: cosine-asym-raw,
 logit-fused and nessa-m1/m2/m3 through ``score_trials`` with dicts of
 pre-mapped vectors (the offline-profile setup), and logit-fused and nessa-m3
-through ``score_cosine`` with the side maps (the CLI's path). Each scored list
+through ``score_trials`` with ``cosine_scorer`` and the side maps (the CLI's
+path; these two keep their "score_cosine-" names, after the wrapper that once
+made that call, so that the lines compare with older runs). Each scored list
 is evaluated. Each list also makes a round trip through the trial files:
 ``save_trials``, ``load_trials``, ``save_scores`` of its cosine-asym-raw scores
 and ``load_trials`` again. It prints "sha256  name" for the float64 bytes of
@@ -142,10 +144,10 @@ def main() -> None:
             ts, metrics.cosine_scorer, prof_m2, run),
         "nessa-m3": lambda ts: metrics.score_trials(
             ts, metrics.cosine_scorer, prof_m3, run_m3),
-        "score_cosine-logit-fused": lambda ts: metrics.score_cosine(
-            ts, prof, run, *logit.fusion_maps(fusion)),
-        "score_cosine-nessa-m3": lambda ts: metrics.score_cosine(
-            ts, prof, run, *align.side_maps(m3)),
+        "score_cosine-logit-fused": lambda ts: metrics.score_trials(
+            ts, metrics.cosine_scorer, prof, run, *logit.fusion_maps(fusion)),
+        "score_cosine-nessa-m3": lambda ts: metrics.score_trials(
+            ts, metrics.cosine_scorer, prof, run, *align.side_maps(m3)),
     }
     speakers, utterances = list(prof), list(run)
     for n in SIZES:

@@ -5,9 +5,10 @@ sha256 of every file written.
 
 For seed 1 in the orthogonal view and in the mlp_nonlinear view (600
 speakers, 5 enroll and 3 runtime utterances each, d = 32) it runs synth,
-profile for both models, logit-align, train m1, m2, m3, m3 --alpha 0 and m3
---beta 0 --gamma 0, score with all seven scorers and eval of each scores
-file. It then prints "sha256  path" for every file under OUTDIR, training
+profile for both models, logit-align over all speakers and over 40 of them
+(N = 40 < 2d, a rank-deficient Gram matrix), train m1, m2, m3, m3 --alpha 0
+and m3 --beta 0 --gamma 0, score with all seven scorers and eval of each
+scores file. It then prints "sha256  path" for every file under OUTDIR, training
 logs hashed without their wall_ms fields, so that two versions of the code
 write the same bytes exactly when they print the same lines:
 
@@ -54,6 +55,9 @@ def view_recipe(root: Path, view: str) -> None:
         run(["profile", "--embeddings", corpus, "--out", root / f"prof_{side}.jsonl"])
     run(["logit-align", "--profiles-x", root / "prof_x.jsonl", "--profiles-y",
          root / "prof_y.jsonl", "--out", root / "fusion.json"])
+    run(["logit-align", "--profiles-x", root / "prof_x.jsonl", "--profiles-y",
+         root / "prof_y.jsonl", "--n-speakers", 40, "--seed", 1,
+         "--out", root / "fusion_n40.json"])
     for name, settings in RUNS.items():
         run(["train", "--corpus-x", x, "--corpus-y", y, *settings, *TRAIN_SETTINGS,
              "--out", root / f"{name}.json", "--log", root / f"{name}_log.jsonl"])

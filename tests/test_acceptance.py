@@ -36,16 +36,19 @@ from sidalign.logit import (
     logit_score_fused_batch,
 )
 from sidalign.metrics import (
+    cosine_scorer,
     eer,
     frr_at_far,
     gap_recovery,
     relative_impact,
     roc,
-    score_cosine,
+    score_trials,
 )
-from sidalign.mlp import gradient_check, mlp_init
+from sidalign.mlp import mlp_init
 from sidalign.numerics import Prng
 from sidalign.synth import SynthConfig, generate, make_trials
+
+from gradcheck import gradient_check
 
 
 VERDICT_LINES: list[str] = []
@@ -114,8 +117,7 @@ def test_criterion_2_gradient_correctness():
             [f"b{i}" for i in range(n_batch)],
             *(unit_rows(prng, n_batch, d) for _ in range(4)),
         )
-        bank = NegativeBank(["z0", "z1"], unit_rows(prng, 2, d),
-                            unit_rows(prng, 2, d))
+        bank = NegativeBank(["z0", "z1"], unit_rows(prng, 2, d))
         f1 = mlp_init([d, h, h, d], seed=900 + point)
         f2 = mlp_init([d, h, h, d], seed=950 + point)
         w = np.array([5.0])
@@ -193,7 +195,7 @@ def vec_maps(corpus):
 
 
 def curve_of(trials, prof, run, enroll_map=None, runtime_map=None):
-    ts = score_cosine(trials, prof, run, enroll_map, runtime_map)
+    ts = score_trials(trials, cosine_scorer, prof, run, enroll_map, runtime_map)
     return roc(ts.scores, ts.labels01())
 
 

@@ -155,7 +155,7 @@ def library_scores(scorer, paths, trials):
 
     def net(variant, name):
         mlp = getattr(load_checkpoint(paths[variant]), name)
-        return lambda v: forward(mlp, v)[0]
+        return lambda v: forward(mlp, v[None, :])[0][0]
 
     def block(side):
         fusion = load_fusion(paths["fusion"])
@@ -238,6 +238,16 @@ def without(path, key):
 def shortened(path, key):
     obj = json.loads(path.read_text())
     obj[key] = obj[key][:-1]
+    return json.dumps(obj)
+
+
+def replaced(path, value, *keys):
+    """The file's JSON with obj[keys[0]][keys[1]]... set to value."""
+    obj = json.loads(path.read_text())
+    inner = obj
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
     return json.dumps(obj)
 
 
@@ -334,17 +344,30 @@ class TestErrors:
         ("--scores", b"a\tu1\ttarget\t0.5\n\xe9\tu2\timposter\t0.1\n", 1),
         ("--fusion", lambda paths: without(paths["fusion"], "m"), 1),
         ("--fusion", lambda paths: shortened(paths["fusion"], "m"), 1),
+        ("--fusion", lambda paths: replaced(paths["fusion"], float("inf"), "m", 3), 1),
         ("--checkpoint", lambda paths: without(paths["m2"], "layer_dims"), 1),
         ("--checkpoint", '{"variant": "m2", ', 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], [0.0], "biases", 0), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], [0.0] * 3, "biases", 0), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], "tanh", "activation"), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], "relu",
+                                                "output_activation"), 1),
+        ("--checkpoint", lambda paths: shortened(paths["m2"], "weights"), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], [0.5] * 3, "weights", 1), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], float("nan"),
+                                                "weights", 2, 0), 1),
         ("--config", "n_speakers = 10", 1),
         ("--config", '{"n_speakers": "ten"}', 1),
         ("--far", None, 2),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "scores-not-utf8", "fusion-without-m",
-            "fusion-wrong-size", "checkpoint-without-layer-dims",
-            "checkpoint-not-json", "config-not-json", "config-wrong-type",
-            "far-not-numbers"])
+            "fusion-wrong-size", "fusion-non-finite", "checkpoint-without-layer-dims",
+            "checkpoint-not-json", "checkpoint-bias-one-entry",
+            "checkpoint-bias-three-entries", "checkpoint-activation-tanh",
+            "checkpoint-output-relu", "checkpoint-layer-missing",
+            "checkpoint-weight-wrong-size", "checkpoint-non-finite-weight",
+            "config-not-json", "config-wrong-type", "far-not-numbers"])
     def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
                                             option, content, code):
         paths = scored_fixture
@@ -367,6 +390,22 @@ class TestErrors:
         if code == 1:
             assert "bad_input" in line
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_rows_exit_one(self, scored_fixture, tmp_path, capsys):
+        # finite weights whose mapped profiles (about 1e200) have an
+        # infinite norm: no score, where an overflowed cosine once read 0
+        paths = scored_fixture
+        obj = json.loads(paths["m2"].read_text())
+        obj["weights"][-1] = [w * 1e200 for w in obj["weights"][-1]]
+        ckpt = tmp_path / "large.json"
+        ckpt.write_text(json.dumps(obj))
+        out = tmp_path / "scores.tsv"
+        line = one_error_line(capsys, [
+            "score", "--scorer", "nessa-m2", "--checkpoint", str(ckpt),
+            "--trials", str(paths["trials"]), "--corpus-x", str(paths["x"]),
+            "--corpus-y", str(paths["y"]), "--out", str(out)])
+        assert "norm" in line
+        assert not out.exists()
 
     def test_views_of_two_dimensions_exit_one(self, tmp_path, capsys):
         # X of dimension 8 and Y of dimension 16: the raw cosine has no meaning

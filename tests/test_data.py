@@ -49,9 +49,15 @@ def rec(speaker, utt, vector, split="enroll", model="X"):
     return EmbeddingRecord(speaker, utt, model, split, vector)
 
 
+def corpus_of(records):
+    """The corpus of EmbeddingRecord rows."""
+    records = list(records)
+    return Corpus(*([getattr(r, f) for r in records] for f in FIELDS))
+
+
 def profile_of(records):
     """The profile of one speaker's records, the first one build_all_profiles builds."""
-    return build_all_profiles(Corpus(records), "X")[0]
+    return build_all_profiles(corpus_of(records), "X")[0]
 
 
 class TestBuildVoiceProfile:
@@ -69,11 +75,11 @@ class TestBuildVoiceProfile:
 
     def test_empty(self):
         with pytest.raises(EmptyEnrollment):
-            build_all_profiles(Corpus([]), None)
+            build_all_profiles(corpus_of([]), None)
 
     def test_mixed_speakers(self):
         profiles = build_all_profiles(
-            Corpus([rec("b", "u1", [1, 0]), rec("a", "u2", [0, 1]), rec("b", "u3", [1, 0])]),
+            corpus_of([rec("b", "u1", [1, 0]), rec("a", "u2", [0, 1]), rec("b", "u3", [1, 0])]),
             "X")
         assert [p.speaker_id for p in profiles] == ["b", "a"]
         np.testing.assert_array_equal(profiles[0].vector, [1, 0])
@@ -107,7 +113,7 @@ class TestEmbeddingIO:
             rec("b", "u3", rng.standard_normal(4).astype(np.float32), "enroll"),
         ]
         path = tmp_path / "c.jsonl"
-        save_embeddings(Corpus(records), path)
+        save_embeddings(corpus_of(records), path)
         loaded = load_embeddings(path)
         assert [r.utterance_id for r in loaded.records] == ["u1", "u2", "u3"]
         assert [r.split for r in loaded.records] == ["enroll", "runtime", "enroll"]
@@ -120,13 +126,13 @@ class TestEmbeddingIO:
         rng = np.random.default_rng(2)
         records = [rec("s", f"u{i}", rng.standard_normal(6)) for i in range(5)]
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_embeddings(Corpus(records), p1)
+        save_embeddings(corpus_of(records), p1)
         save_embeddings(load_embeddings(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_dimension_mismatch_names_utterance(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        save_embeddings(Corpus([rec("a", "u1", [1, 0, 0])]), path)
+        save_embeddings(corpus_of([rec("a", "u1", [1, 0, 0])]), path)
         with open(path, "a") as fh:
             fh.write('{"speaker_id": "b", "utterance_id": "u2", "model_id": "X", '
                      '"split": "enroll", "vector": [1, 0]}\n')
@@ -207,7 +213,7 @@ class TestBuildAllProfiles:
 
     @pytest.mark.parametrize("order", ["grouped", "interleaved"])
     def test_bitwise_equal_to_per_speaker_loop(self, order):
-        corpus = Corpus(self.records(order))
+        corpus = corpus_of(self.records(order))
         got = build_all_profiles(corpus, "X")
         want = reference_profiles(corpus, "X")
         assert [p.speaker_id for p in got] == [s for s, _ in want]
@@ -228,9 +234,9 @@ class TestBuildAllProfiles:
         order = rng.permutation(len(speakers)).tolist()
         vectors = rng.standard_normal((len(speakers), d)) * 10.0 ** rng.integers(-3, 4, (
             len(speakers), 1))
-        corpus = Corpus.from_columns([speakers[i] for i in order],
-                                     [f"u{i}" for i in order], ["X"] * len(order),
-                                     ["enroll"] * len(order), vectors)
+        corpus = Corpus([speakers[i] for i in order],
+                        [f"u{i}" for i in order], ["X"] * len(order),
+                        ["enroll"] * len(order), vectors)
         try:
             want = reference_profiles(corpus, "X")
         except ZeroVector:  # a mean of zero, as of +1 and -1 at d = 1
@@ -245,24 +251,24 @@ class TestBuildAllProfiles:
     def test_zero_norm_runtime_vector_ignored(self):
         records = self.records("interleaved")
         records.append(rec("s0", "s0_zero", np.zeros(7), "runtime"))
-        got = Corpus(records).profiles
-        want = build_all_profiles(Corpus(self.records("interleaved")), "X")
+        got = corpus_of(records).profiles
+        want = build_all_profiles(corpus_of(self.records("interleaved")), "X")
         assert len(got) == len(want) == 40
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.vector, b.vector)
 
     def test_zero_norm_enrollment_vector_rejected(self):
         with pytest.raises(ZeroVector):
-            build_all_profiles(Corpus([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 0])]),
+            build_all_profiles(corpus_of([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 0])]),
                                "X")
 
     def test_other_model_rejected(self):
         with pytest.raises(ModelMismatch):
-            build_all_profiles(Corpus([rec("a", "u1", [1, 0])]), "Y")
+            build_all_profiles(corpus_of([rec("a", "u1", [1, 0])]), "Y")
 
     def test_no_enrollment_records(self):
         with pytest.raises(EmptyEnrollment):
-            build_all_profiles(Corpus([rec("a", "u1", [1, 0], "runtime")]), "X")
+            build_all_profiles(corpus_of([rec("a", "u1", [1, 0], "runtime")]), "X")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +291,7 @@ def column_corpora(draw):
     speakers = draw(st.lists(ids, min_size=n, max_size=n))
     splits = draw(st.lists(st.sampled_from(SPLITS), min_size=n, max_size=n))
     vectors = draw(arrays(np.float64, (n, d), elements=finite))
-    return Corpus.from_columns(speakers, utterances, ["M"] * n, splits, vectors)
+    return Corpus(speakers, utterances, ["M"] * n, splits, vectors)
 
 
 @st.composite
@@ -365,7 +371,7 @@ class TestLoaderProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path, want = Path(tmp) / "p.jsonl", Path(tmp) / "want.jsonl"
             save_profiles(profiles, path)
-            reference_save_embeddings(Corpus([
+            reference_save_embeddings(corpus_of([
                 EmbeddingRecord(s, f"profile:{s}", "M", "enroll", v)
                 for s, v in zip(speakers, units)]), want)
             assert path.read_bytes() == want.read_bytes()
@@ -524,10 +530,10 @@ class TestBulkReader:
     @pytest.mark.parametrize("n", [0, 1, data.WRITE_BLOCK_ROWS - 1, data.WRITE_BLOCK_ROWS,
                                    data.WRITE_BLOCK_ROWS + 1, 2 * data.WRITE_BLOCK_ROWS + 3])
     def test_blocked_writer_writes_the_one_string_bytes(self, tmp_path, n):
-        corpus = Corpus.from_columns([f"s{i % 7}" for i in range(n)],
-                                     [f"u\u00e9\"{i}" for i in range(n)], ["M"] * n,
-                                     [SPLITS[i % 3 == 0] for i in range(n)],
-                                     Prng(n).standard_normal(n, 3))
+        corpus = Corpus([f"s{i % 7}" for i in range(n)],
+                        [f"u\u00e9\"{i}" for i in range(n)], ["M"] * n,
+                        [SPLITS[i % 3 == 0] for i in range(n)],
+                        Prng(n).standard_normal(n, 3))
         got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
         save_embeddings(corpus, got)
         reference_save_embeddings(corpus, want)
@@ -535,8 +541,8 @@ class TestBulkReader:
         assert len(got.read_bytes().splitlines()) == n
 
     def test_saved_corpus_is_read_in_bulk(self, tmp_path):
-        corpus = Corpus.from_columns(["s", "s"], ["u0", "u1"], ["M", "M"],
-                                     ["enroll", "runtime"], Prng(3).standard_normal(2, 5))
+        corpus = Corpus(["s", "s"], ["u0", "u1"], ["M", "M"],
+                        ["enroll", "runtime"], Prng(3).standard_normal(2, 5))
         save_embeddings(corpus, tmp_path / "c.jsonl")
         assert data._bulk_columns((tmp_path / "c.jsonl").read_text()) is not None
 
@@ -601,7 +607,7 @@ def reference_save_scores(trialset, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for t, s in zip(trialset.trials, trialset.scores.tolist()):
             fh.write(f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t{t.label}\t"
-                     f"{data.format_float(s)}\n")
+                     f"{FLOAT_FMT % s}\n")
 
 
 def same_trial_columns(got, want):
@@ -719,34 +725,34 @@ class TestColumnTrialReader:
             assert got.read_bytes() == b"".join(
                 f"{e}\t{u}\t{label}\n".encode() for e, u, label, _ in rows)
 
-    def test_from_columns_refuses_unknown_label(self):
+    def test_of_columns_refuses_unknown_label(self):
         with pytest.raises(UnknownLabel, match="'genuine'"):
-            TrialSet.from_columns(["a", "b"], ["u", "v"], ["target", "genuine"])
+            TrialSet.of_columns(["a", "b"], ["u", "v"], ["target", "genuine"])
 
 
 class TestCorpus:
     def test_duplicate_record_rejected(self):
         with pytest.raises(ParseError):
-            Corpus([rec("a", "u1", [1, 0]), rec("b", "u1", [0, 1])])
+            corpus_of([rec("a", "u1", [1, 0]), rec("b", "u1", [0, 1])])
 
     def test_lookup(self):
-        c = Corpus([rec("a", "u1", [1, 0], "runtime")])
+        c = corpus_of([rec("a", "u1", [1, 0], "runtime")])
         assert (c.speakers, c.utterances, c.rows("runtime")) == (["a"], ["u1"], [0])
         assert (c.model_id, c.dim) == ("X", 2)
 
     def test_empty(self):
-        c = Corpus([])
+        c = corpus_of([])
         assert (c.model_id, c.dim) == (None, None)
         with pytest.raises(EmptyEnrollment):
             c.profiles
 
     def test_second_model_rejected_naming_utterance(self):
         with pytest.raises(ModelMismatch, match="u2"):
-            Corpus([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 1], model="Y")])
+            corpus_of([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 1], model="Y")])
 
     def test_load_names_file_of_mixed_models(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
-        save_embeddings(Corpus([rec("a", "u1", [1, 0])]), path)
+        save_embeddings(corpus_of([rec("a", "u1", [1, 0])]), path)
         with open(path, "a") as fh:
             fh.write('{"speaker_id": "a", "utterance_id": "u2", "model_id": "Y", '
                      '"split": "enroll", "vector": [0, 1]}\n')
@@ -760,7 +766,7 @@ class TestCorpus:
         ids = [["a", "b"], ["u1", "u2"], ["M", "M"]]
         ids[column][1] = 7
         with pytest.raises(ParseError, match="ids must be strings: row 1 has"):
-            Corpus.from_columns(*ids, ["enroll"] * 2, np.eye(2))
+            Corpus(*ids, ["enroll"] * 2, np.eye(2))
         path = tmp_path / "ids.jsonl"
         path.write_text("".join(json.dumps(dict(zip(FIELDS, row))) + "\n" for row in zip(
             *ids, ["enroll"] * 2, [[1.0, 0.0], [0.0, 1.0]])))
@@ -780,8 +786,8 @@ def writer_outputs(tmp_path):
     prng = Prng(11)
     speakers = ['s"0', "sé1", "s2"]
     utterances = [f"{speaker}_u{i}" for i in range(2) for speaker in speakers]
-    corpus = Corpus.from_columns(speakers * 2, utterances, ["Mü"] * 6,
-                                 ["enroll", "runtime"] * 3, prng.standard_normal(6, 4))
+    corpus = Corpus(speakers * 2, utterances, ["Mü"] * 6,
+                    ["enroll", "runtime"] * 3, prng.standard_normal(6, 4))
     profiles = [VoiceProfile(s, "Mü", v)
                 for s, v in zip(speakers, prng.standard_normal(3, 4))]
     trials = TrialSet([Trial(s, u, label) for s, u, label in

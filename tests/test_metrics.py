@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidalign import metrics
-from sidalign.data import Trial, TrialSet
+from sidalign.data import FLOAT_FMT, Trial, TrialSet
 from sidalign.errors import (
     BaselineZero,
     DegenerateGap,
@@ -20,12 +20,10 @@ from sidalign.metrics import (
     cosine_scorer,
     eer,
     evaluate,
-    far_key,
     frr_at_far,
     gap_recovery,
     relative_impact,
     roc,
-    score_cosine,
     score_trials,
 )
 from sidalign.mlp import forward, mlp_init
@@ -302,6 +300,17 @@ class TestScoreTrials:
         with pytest.raises(ZeroVector):
             cosine_scorer(r, p)
 
+    @pytest.mark.parametrize("big", [np.inf, 1e200])
+    def test_infinite_norm_row_raises(self, big):
+        # an inf entry, or finite entries whose norm overflows, must not
+        # score NaN or 0
+        p = np.array([[1.0, 0.0], [big, big]])
+        r = np.ones((2, 2))
+        with pytest.raises(ZeroVector):
+            cosine_scorer(p, r)
+        with pytest.raises(ZeroVector):
+            cosine_scorer(r, p)
+
     def test_dead_network_rows_raise(self):
         # a fresh narrow net maps some inputs to exact zero rows (every
         # hidden unit off, zero biases); they must not score NaN
@@ -310,7 +319,7 @@ class TestScoreTrials:
         with pytest.raises(ZeroVector):
             cosine_scorer(mapped, np.ones_like(mapped))
 
-    def test_score_cosine_maps_each_side_once(self):
+    def test_side_maps_run_once_per_side(self):
         trials = [Trial("a", "u1", "target"), Trial("a", "u2", "imposter"),
                   Trial("b", "u1", "imposter")]
         prof = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
@@ -321,13 +330,11 @@ class TestScoreTrials:
             calls.append(len(rows))
             return rows[:, ::-1]
 
-        scored = score_cosine(TrialSet(trials), prof, run, enroll_map=swap)
+        scored = score_trials(TrialSet(trials), cosine_scorer, prof, run, enroll_map=swap)
         assert calls == [2]
         plain = score_trials(TrialSet(trials), cosine_scorer,
                              {k: v[::-1] for k, v in prof.items()}, run)
         assert scored.scores.tolist() == plain.scores.tolist()
-        assert score_cosine(TrialSet(trials), prof, run).scores.tolist() == \
-            score_trials(TrialSet(trials), cosine_scorer, prof, run).scores.tolist()
 
     def test_unknown_speaker(self):
         ts = TrialSet([Trial("ghost", "u1", "target")])
@@ -367,7 +374,8 @@ class TestScoreTrials:
     def test_bit_for_bit_with_reference(self, d, n_prof, n_run, n_trials, mapped, seed):
         # Ids come from pools two larger than the dicts, so a list repeats
         # ids, leaves dict entries unused and may name unknown ids; mapped
-        # sides go through score_cosine against dicts of the mapped vectors.
+        # sides go through score_trials' side maps against dicts of the
+        # mapped vectors.
         prng = Prng(seed)
         prof = {f"s{i}": prng.standard_normal(d) for i in range(n_prof)}
         run = {f"u{i}": prng.standard_normal(d) for i in range(n_run)}
@@ -378,8 +386,8 @@ class TestScoreTrials:
         ])
         a, b = prng.standard_normal(d, d), prng.standard_normal(d, d)
         if mapped:
-            score = lambda: score_cosine(trials, prof, run, lambda v: v @ a,
-                                         lambda v: v @ b)
+            score = lambda: score_trials(trials, cosine_scorer, prof, run,
+                                         lambda v: v @ a, lambda v: v @ b)
             want_prof = dict(zip(prof, np.stack(list(prof.values())) @ a)) if prof else {}
             want_run = dict(zip(run, np.stack(list(run.values())) @ b)) if run else {}
         else:
@@ -475,9 +483,9 @@ class TestEvaluate:
 
     def test_impact_and_recovery_blocks(self):
         base = evaluate(self.scored_set(seed=9), "base")
-        baseline_frrs = {far_key(e["target_far"]): max(e["frr"], 0.05)
+        baseline_frrs = {FLOAT_FMT % e["target_far"]: max(e["frr"], 0.05)
                          for e in base["per_far"]}
-        candidate = {far_key(e["target_far"]): 50.0 for e in base["per_far"]}
+        candidate = {FLOAT_FMT % e["target_far"]: 50.0 for e in base["per_far"]}
         report = evaluate(self.scored_set(seed=10), "sys",
                           baseline_frrs=baseline_frrs,
                           candidate_impacts=candidate)

@@ -12,13 +12,14 @@ from sidalign.mlp import (
     adam_step,
     backward,
     forward,
-    gradient_check,
     mlp_from_dict,
     mlp_init,
     mlp_to_dict,
 )
 from sidalign.numerics import Prng
 from sidalign.synth import SynthConfig, generate
+
+from gradcheck import gradient_check
 
 
 class TestInit:
@@ -55,20 +56,20 @@ class TestForward:
         m = mlp_init([3, 5, 5, 3], seed=0)
         for w in m.weights:
             w[:] = 0
-        y, _ = forward(m, np.ones(3))
+        y, _ = forward(m, np.ones((1, 3)))
         np.testing.assert_array_equal(y, 0)
 
     def test_relu_gates_negative(self):
         m = mlp_init([1, 1, 1, 1], seed=0)
         for w in m.weights:
             w[:] = 1
-        y, _ = forward(m, np.array([-5.0]))
+        (y,), _ = forward(m, np.array([[-5.0]]))
         np.testing.assert_array_equal(y, [0.0])
 
     def test_matches_straight_line_recomputation(self):
         m = mlp_init([4, 6, 6, 4], seed=3)
         x = Prng(0).standard_normal(4)
-        y, _ = forward(m, x)
+        (y,), _ = forward(m, x[None, :])
         h1 = np.maximum(m.weights[0] @ x + m.biases[0], 0)
         h2 = np.maximum(m.weights[1] @ h1 + m.biases[1], 0)
         expect = m.weights[2] @ h2 + m.biases[2]
@@ -77,11 +78,18 @@ class TestForward:
     def test_dim_mismatch(self):
         m = mlp_init([4, 6, 6, 4], seed=0)
         with pytest.raises(DimensionMismatch):
-            forward(m, np.ones(5))
+            forward(m, np.ones((2, 5)))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_input_not_rows(self, shape):
+        # Only (n, d) rows are input: a vector is a DimensionMismatch too.
+        m = mlp_init([4, 6, 6, 4], seed=0)
+        with pytest.raises(DimensionMismatch):
+            forward(m, np.ones(shape))
 
     def test_positive_homogeneity_with_zero_bias(self):
         m = mlp_init([5, 9, 9, 5], seed=4)
-        x = Prng(1).standard_normal(5)
+        x = Prng(1).standard_normal(1, 5)
         y1, _ = forward(m, x)
         y2, _ = forward(m, 3.0 * x)
         np.testing.assert_allclose(y2, 3.0 * y1, rtol=1e-10)
@@ -91,15 +99,15 @@ class TestForward:
         xs = Prng(2).standard_normal(7, 4)
         ys, _ = forward(m, xs)
         for i in range(7):
-            yi, _ = forward(m, xs[i])
+            (yi,), _ = forward(m, xs[i:i + 1])
             np.testing.assert_allclose(ys[i], yi, rtol=1e-12)
 
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         m = mlp_init([3, 4, 4, 3], seed=0)
-        y, cache = forward(m, np.ones(3))
-        grads = backward(m, cache, np.zeros(3))
+        y, cache = forward(m, np.ones((1, 3)))
+        grads = backward(m, cache, np.zeros((1, 3)))
         assert [g.shape for g in grads] == [p.shape for p in m.parameters()]
         for g in grads:
             np.testing.assert_array_equal(g, 0)
@@ -107,9 +115,9 @@ class TestBackward:
     def test_single_linear_layer_closed_form(self):
         m = mlp_init([3, 2], seed=1)
         x = np.array([1.0, 2.0, 3.0])
-        _, cache = forward(m, x)
+        _, cache = forward(m, x[None, :])
         dy = np.array([0.5, -1.5])
-        gw, gb = backward(m, cache, dy)
+        gw, gb = backward(m, cache, dy[None, :])
         np.testing.assert_allclose(gw, np.outer(dy, x))
         np.testing.assert_allclose(gb, dy)
 
@@ -145,21 +153,19 @@ class TestBackward:
 def reference_forward(m, x):
     """The forward pass with a fresh array per operation that keeps each
     pre-activation, and the backward pass that masks with it."""
-    x = np.asarray(x, dtype=np.float64)
-    h = x[None, :] if x.ndim == 1 else x
+    h = np.asarray(x, dtype=np.float64)
     acts, pre = [h], []
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
         z = h @ w.T + b
         pre.append(z)
         h = np.maximum(z, 0.0) if i < len(m.weights) - 1 else z
         acts.append(h)
-    return (h[0] if x.ndim == 1 else h), (acts, pre)
+    return h, (acts, pre)
 
 
 def reference_backward(m, cache, dy):
     acts, pre = cache
     grad = np.asarray(dy, dtype=np.float64)
-    grad = grad[None, :] if grad.ndim == 1 else grad
     grads = []
     for i in range(len(m.weights) - 1, -1, -1):
         if i < len(m.weights) - 1:
@@ -170,17 +176,17 @@ def reference_backward(m, cache, dy):
 
 class TestAgainstReference:
     @settings(max_examples=40, deadline=None)
-    @given(rows=st.sampled_from([None, 1, 37, 256, 768, 2000]),
+    @given(rows=st.sampled_from([1, 37, 256, 768, 2000]),
            dims=st.sampled_from([[8, 16, 16, 8], [5, 3, 4], [32, 64, 64, 32], [3, 2]]),
            nan=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_forward_backward_bit_for_bit(self, rows, dims, nan, seed):
-        # rows None is a 1-D input; nan puts one NaN into the input, which the
-        # ReLU mask must treat as the pre-activation mask did.
+        # nan puts one NaN into the input, which the ReLU mask must treat as
+        # the pre-activation mask did.
         prng = Prng(seed)
         m = mlp_init(dims, seed % 1000)
         for b in m.biases:
             b += prng.standard_normal(b.size)
-        shape = (dims[0],) if rows is None else (rows, dims[0])
+        shape = (rows, dims[0])
         x = prng.standard_normal(*shape)
         if nan:
             x.reshape(-1)[int(prng.integers(0, x.size))] = np.nan

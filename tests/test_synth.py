@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidalign.data import Corpus
+from sidalign.data import FIELDS, Corpus
 from sidalign.errors import ConfigInvalid, InsufficientData
 from sidalign.metrics import cosine_scorer, eer, roc, score_trials
 from sidalign.numerics import Prng, length_normalize
@@ -125,7 +125,8 @@ def reference_trials(corpus_y, n_target, n_imposter, seed):
     prng = Prng(seed)
     runtime = [r for r in corpus_y.records if r.split == "runtime"]
     target_pool = [(r.speaker_id, r.utterance_id) for r in runtime]
-    imposter_pool = [(spk, r.utterance_id) for spk in corpus_y.speaker_ids(split="runtime")
+    imposter_pool = [(spk, r.utterance_id)
+                     for spk in dict.fromkeys(r.speaker_id for r in runtime)
                      for r in runtime if r.speaker_id != spk]
     t_idx = prng.choice(len(target_pool), n_target, replace=False)
     i_idx = prng.choice(len(imposter_pool), n_imposter, replace=False)
@@ -181,7 +182,7 @@ class TestReference:
             "reversed": uneven[::-1],
         }
         for name, records in orders.items():
-            corpus = Corpus(records)
+            corpus = Corpus(*([getattr(r, f) for r in records] for f in FIELDS))
             for seed in (0, 1, 2):
                 got = trial_tuples(make_trials(corpus, 30, 200, seed))
                 assert got == reference_trials(corpus, 30, 200, seed), name
