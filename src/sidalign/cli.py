@@ -189,8 +189,7 @@ def cmd_logit_align(args) -> int:
     w_y = build_weight_matrix(profiles_y, shared)
     fusion = compute_fusion_transform(w_x, w_y)
     save_fusion(fusion, args.out, extra=_provenance(args))
-    print(f"fusion transform: N={fusion.n_speakers} d={fusion.d} "
-          f"jitter={fusion.jitter_applied:g}", file=sys.stderr)
+    print(f"fusion transform: N={fusion.n_speakers} d={fusion.d}", file=sys.stderr)
     return 0
 
 

@@ -13,14 +13,6 @@ class DimensionMismatch(SidAlignError):
     pass
 
 
-class NotSymmetric(SidAlignError):
-    pass
-
-
-class NotDecomposable(SidAlignError):
-    pass
-
-
 class ParseError(SidAlignError):
     pass
 

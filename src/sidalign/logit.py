@@ -1,10 +1,10 @@
-"""Speaker-logit-space alignment and the Cholesky-fused equivalent scoring.
+"""Speaker-logit-space alignment and the fused equivalent scoring.
 
 Profiles from a shared speaker set form per-model weight matrices. Scoring an
 enrollment profile against a runtime embedding is the cosine of their logit
-vectors; stacking the two weight matrices side by side and factoring the
-2d x 2d Gram matrix gives a fused transform whose cost is independent of the
-number of alignment speakers.
+vectors; the triangular factor of the two weight matrices stacked side by
+side (the R of their QR) gives a 2d x 2d fused transform whose cost is
+independent of the number of alignment speakers.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ FUSION_FLOAT_FMT = "%.17g"
 
 @dataclass
 class WeightMatrix:
-    model_id: str
     speaker_order: list[str]
     w: np.ndarray  # (N, d), unit-norm rows
 
@@ -48,7 +47,6 @@ class FusionTransform:
     m: np.ndarray  # (2d, 2d), upper triangular
     d: int
     n_speakers: int
-    jitter_applied: float
 
 
 def build_weight_matrix(profiles, speaker_order) -> WeightMatrix:
@@ -70,7 +68,7 @@ def build_weight_matrix(profiles, speaker_order) -> WeightMatrix:
         if spk not in by_id:
             raise MissingSpeaker(f"no profile for speaker {spk!r}")
         rows.append(by_id[spk].vector)
-    return WeightMatrix(model_id, speaker_order, np.stack(rows))
+    return WeightMatrix(speaker_order, np.stack(rows))
 
 
 def _check_pair(w_x: WeightMatrix, w_y: WeightMatrix):
@@ -94,10 +92,8 @@ def logit_score_direct(e_x, r_y, w_x: WeightMatrix, w_y: WeightMatrix) -> float:
 
 def compute_fusion_transform(w_x: WeightMatrix, w_y: WeightMatrix) -> FusionTransform:
     _check_pair(w_x, w_y)
-    stacked = np.hstack([w_x.w, w_y.w])  # (N, 2d)
-    gram = stacked.T @ stacked
-    m, jitter = cholesky_upper(gram)
-    return FusionTransform(m, w_x.dim, w_x.n_speakers, jitter)
+    m = cholesky_upper(np.hstack([w_x.w, w_y.w]))  # of the (N, 2d) stack
+    return FusionTransform(m, w_x.dim, w_x.n_speakers)
 
 
 def fusion_maps(f: FusionTransform):
@@ -123,13 +119,7 @@ def logit_score_fused_batch(e_batch: np.ndarray, r_batch: np.ndarray,
 
 def save_fusion(f: FusionTransform, path, extra: dict | None = None) -> None:
     obj = dict(extra or {})
-    obj.update(
-        {
-            "d": f.d,
-            "N": f.n_speakers,
-            "jitter_applied": float(FUSION_FLOAT_FMT % f.jitter_applied),
-        }
-    )
+    obj.update({"d": f.d, "N": f.n_speakers})
     head = json.dumps(obj)
     vals = ",".join(FUSION_FLOAT_FMT % x for x in f.m.ravel())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -145,6 +135,6 @@ def load_fusion(path) -> FusionTransform:
             m = np.array(obj["m"], dtype=np.float64).reshape(2 * d, 2 * d)
             if not np.isfinite(m).all():
                 raise ValueError("m has a non-finite entry")
-            return FusionTransform(m, d, int(obj["N"]), float(obj["jitter_applied"]))
+            return FusionTransform(m, d, int(obj["N"]))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"{path}: malformed fusion transform: {exc!r}") from exc

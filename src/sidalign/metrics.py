@@ -131,11 +131,15 @@ def score_trials(trialset: TrialSet, scorer, profile_vectors: dict,
 
 def _stacked(vectors: dict, fn) -> np.ndarray | None:
     """The vectors stacked in dict order and mapped by fn (None: as they
-    are), as float64; None for no vectors."""
+    are), as float64; None for no vectors. A map may overflow without a
+    warning: the scorer refuses every non-finite row it gives."""
     if not vectors:
         return None
     block = np.array(list(vectors.values()))  # np.stack's rows, in one pass
-    return np.asarray(block if fn is None else fn(block), dtype=np.float64)
+    if fn is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = fn(block)
+    return np.asarray(block, dtype=np.float64)
 
 
 def _positions(keys: list, vectors: dict) -> np.ndarray:

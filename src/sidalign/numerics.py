@@ -9,15 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotDecomposable, NotSymmetric, ZeroVector
+from .errors import DimensionMismatch, ZeroVector
 
 # Norms below this are treated as the zero vector; far below any realistic
 # embedding norm.
 EPS_NORM = 1e-12
-
-# Jitter ladder multipliers for near-singular Gram matrices, scaled by
-# trace(a)/dim(a).
-JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
 
 def length_normalize(v) -> np.ndarray:
@@ -46,38 +42,18 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(va, vb) / (na * nb))
 
 
-def cholesky_upper(a) -> tuple[np.ndarray, float]:
-    """Upper-triangular M with M^T M = a (+ jitter*I when a is near singular).
-
-    Returns (m, jitter_applied). Near-singular input is handled by a jitter
-    ladder scaled by trace(a)/dim(a); NotDecomposable is raised only when the
-    largest jitter still fails (indefinite input).
-    """
-    ma = np.asarray(a, dtype=np.float64)
-    if ma.ndim != 2 or ma.shape[0] != ma.shape[1]:
-        raise DimensionMismatch(f"cholesky of non-square matrix {ma.shape}")
-    if not np.all(np.isfinite(ma)):
+def cholesky_upper(a) -> np.ndarray:
+    """Upper-triangular (k, k) M with M^T M = a^T a for rows a of shape (n, k):
+    the R of a QR of a, with zero rows below it when n < k. a^T a is never
+    formed, so rank-deficient rows need no regularisation."""
+    rows = np.asarray(a, dtype=np.float64)
+    if rows.ndim != 2:
+        raise DimensionMismatch(f"expected rows of shape (n, k), got {rows.shape}")
+    if not np.all(np.isfinite(rows)):
         raise ZeroVector("matrix contains non-finite entries")
-    n = ma.shape[0]
-    scale = float(np.max(np.abs(ma)))
-    asym = float(np.max(np.abs(ma - ma.T)))
-    if asym > 1e-9 * max(scale, 1.0):
-        raise NotSymmetric(f"matrix asymmetry {asym:g} exceeds tolerance")
-    sym = 0.5 * (ma + ma.T)
-    base = float(np.trace(sym)) / n if n else 0.0
-    for lam in JITTER_LADDER:
-        jitter = lam * base
-        target = sym + jitter * np.eye(n)
-        try:
-            lower = np.linalg.cholesky(target)
-        except np.linalg.LinAlgError:
-            continue
-        # Reject numerically bogus factorizations of near-singular input.
-        rel = np.linalg.norm(lower @ lower.T - target) / max(np.linalg.norm(target), 1e-300)
-        if rel > 1e-8:
-            continue
-        return lower.T.copy(), jitter
-    raise NotDecomposable("matrix is not positive definite even after max jitter")
+    n, k = rows.shape
+    r = np.linalg.qr(rows, mode="r")
+    return r if n >= k else np.vstack([r, np.zeros((k - n, k))])
 
 
 class Prng:

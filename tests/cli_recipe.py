@@ -6,7 +6,7 @@ sha256 of every file written.
 For seed 1 in the orthogonal view and in the mlp_nonlinear view (600
 speakers, 5 enroll and 3 runtime utterances each, d = 32) it runs synth,
 profile for both models, logit-align over all speakers and over 40 of them
-(N = 40 < 2d, a rank-deficient Gram matrix), train m1, m2, m3, m3 --alpha 0
+(N = 40 < 2d, stacked weights of rank N), train m1, m2, m3, m3 --alpha 0
 and m3 --beta 0 --gamma 0, score with all seven scorers and eval of each
 scores file. It then prints "sha256  path" for every file under OUTDIR, training
 logs hashed without their wall_ms fields, so that two versions of the code

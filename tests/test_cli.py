@@ -392,20 +392,32 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_rows_exit_one(self, scored_fixture, tmp_path, capsys):
-        # finite weights whose mapped profiles (about 1e200) have an
-        # infinite norm: no score, where an overflowed cosine once read 0
+        # finite parameters whose mapped rows overflow: no score, where an
+        # overflowed cosine once read 0, and no RuntimeWarning before the
+        # one error line
         paths = scored_fixture
-        obj = json.loads(paths["m2"].read_text())
-        obj["weights"][-1] = [w * 1e200 for w in obj["weights"][-1]]
-        ckpt = tmp_path / "large.json"
-        ckpt.write_text(json.dumps(obj))
+        ckpt = json.loads(paths["m2"].read_text())
+        last_large = dict(ckpt, weights=ckpt["weights"][:-1] + [
+            [w * 1e200 for w in ckpt["weights"][-1]]])  # rows of about 1e200
+        all_large = dict(ckpt, weights=[[w * 1e300 for w in layer]
+                                        for layer in ckpt["weights"]])
+        fusion = json.loads(paths["fusion"].read_text())
+        fusion["m"] = [x * 1e300 for x in fusion["m"]]
+        artifacts = {"nessa-m2": ("--checkpoint", [last_large, all_large]),
+                     "logit-fused": ("--fusion", [fusion])}
         out = tmp_path / "scores.tsv"
-        line = one_error_line(capsys, [
-            "score", "--scorer", "nessa-m2", "--checkpoint", str(ckpt),
-            "--trials", str(paths["trials"]), "--corpus-x", str(paths["x"]),
-            "--corpus-y", str(paths["y"]), "--out", str(out)])
-        assert "norm" in line
-        assert not out.exists()
+        for scorer, (flag, objs) in artifacts.items():
+            for obj in objs:
+                artifact = tmp_path / "large.json"
+                artifact.write_text(json.dumps(obj))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    line = one_error_line(capsys, [
+                        "score", "--scorer", scorer, flag, str(artifact),
+                        "--trials", str(paths["trials"]), "--corpus-x", str(paths["x"]),
+                        "--corpus-y", str(paths["y"]), "--out", str(out)])
+                assert "norm" in line
+                assert not out.exists()
 
     def test_views_of_two_dimensions_exit_one(self, tmp_path, capsys):
         # X of dimension 8 and Y of dimension 16: the raw cosine has no meaning

@@ -793,7 +793,7 @@ def writer_outputs(tmp_path):
     trials = TrialSet([Trial(s, u, label) for s, u, label in
                        zip(speakers * 2, utterances, ["target", "imposter"] * 3)],
                       prng.standard_normal(6).tolist())
-    fusion = FusionTransform(prng.standard_normal(8, 8), 4, 3, 1e-9)
+    fusion = FusionTransform(prng.standard_normal(8, 8), 4, 3)
     writers = {
         "save_embeddings": lambda path: save_embeddings(corpus, path),
         "save_profiles": lambda path: save_profiles(profiles, path),
@@ -808,13 +808,14 @@ def writer_outputs(tmp_path):
     return out
 
 
-# Measured at the per-line writers these replaced.
+# Measured at the per-line writers these replaced; save_fusion measured again
+# when fusion files lost their "jitter_applied" key (the old bytes without it).
 WRITER_SHA256 = {
     "save_embeddings": "c9bc18d3a98c561e78f063a3adf864e9fc3bcfeaea306c0eff7c8ae8176df0c1",
     "save_profiles": "4ac945bdaab5e64d1e740cf78d847607c3b35d9c754cb82a24c1fb34f9c6e916",
     "save_trials": "4aafce44850ebe32ad765ff02724d718e151ad69a764210f9e14a6204404bf03",
     "save_scores": "038f5185805f8b581faba21cf78dba233edc74cbcfa3733f546c63ff3a7a5166",
-    "save_fusion": "a6435710166ed34c819cfd331811250af5670cc0cae84b56f8996a750c8d3c69",
+    "save_fusion": "e0aed6caf39efa942531d2719c2c8ad4057b97cf13f26c8610fce9894e0e870d",
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sidalign.errors import DimensionMismatch, NotDecomposable, NotSymmetric, ZeroVector
+from sidalign.errors import DimensionMismatch, ZeroVector
 from sidalign.numerics import (
     Prng,
     cholesky_upper,
@@ -94,46 +94,55 @@ class TestCosineSimilarity:
 
 
 class TestCholeskyUpper:
+    """cholesky_upper(a) for rows a: the upper factor M with M^T M = a^T a."""
+
     def test_identity(self):
-        m, jitter = cholesky_upper(np.eye(3))
-        np.testing.assert_allclose(m, np.eye(3))
-        assert jitter == 0.0
+        m = cholesky_upper(np.eye(3))
+        np.testing.assert_allclose(np.abs(m), np.eye(3))
 
     def test_known_2x2(self):
-        m, _ = cholesky_upper([[4, 2], [2, 3]])
-        np.testing.assert_allclose(m, [[2, 1], [0, np.sqrt(2)]], atol=1e-12)
+        # rows whose Gram matrix is [[4, 2], [2, 3]]; M is unique up to row signs
+        m = cholesky_upper([[2, 1], [0, np.sqrt(2)]])
+        np.testing.assert_allclose(np.abs(m), [[2, 1], [0, np.sqrt(2)]], atol=1e-12)
 
     def test_reconstruction(self):
-        a = np.array([[4.0, 2.0], [2.0, 3.0]])
-        m, _ = cholesky_upper(a)
-        np.testing.assert_allclose(m.T @ m, a, rtol=1e-12)
-
-    def test_indefinite_raises(self):
-        # eigenvalues 3 and -1 by the 2x2 closed form: 1 +- 2
-        with pytest.raises(NotDecomposable):
-            cholesky_upper([[1, 2], [2, 1]])
-
-    def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
-            cholesky_upper([[1, 2], [0, 1]])
+        a = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])
+        m = cholesky_upper(a)
+        np.testing.assert_allclose(m.T @ m, a.T @ a, rtol=1e-12)
 
     def test_random_spd_relative_error(self):
+        # rows [b; I] have the Gram matrix b^T b + I
         rng = Prng(7)
         worst = 0.0
         for _ in range(1000):
-            b = rng.standard_normal(8, 8)
-            a = b.T @ b + np.eye(8)
-            m, jitter = cholesky_upper(a)
-            assert jitter == 0.0
-            rel = np.linalg.norm(m.T @ m - a) / np.linalg.norm(a)
+            a = np.vstack([rng.standard_normal(8, 8), np.eye(8)])
+            m = cholesky_upper(a)
+            rel = np.linalg.norm(m.T @ m - a.T @ a) / np.linalg.norm(a.T @ a)
             worst = max(worst, rel)
-        assert worst <= 1e-10
+        assert worst <= 1e-12
 
     def test_upper_triangular(self):
         rng = Prng(8)
-        b = rng.standard_normal(5, 5)
-        m, _ = cholesky_upper(b.T @ b + np.eye(5))
+        m = cholesky_upper(np.vstack([rng.standard_normal(5, 5), np.eye(5)]))
         np.testing.assert_array_equal(m, np.triu(m))
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_fewer_rows_than_columns(self, n):
+        # a^T a has rank n < k: M is still (k, k), with zero rows below n
+        a = Prng(9).standard_normal(n, 6)
+        m = cholesky_upper(a)
+        assert m.shape == (6, 6)
+        np.testing.assert_array_equal(m, np.triu(m))
+        np.testing.assert_array_equal(m[n:], 0.0)
+        np.testing.assert_allclose(m.T @ m, a.T @ a, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("a, error", [([1.0, 2.0], DimensionMismatch),
+                                          ([[1.0, np.inf]], ZeroVector),
+                                          ([[np.nan, 0.0]], ZeroVector)],
+                             ids=["one-d", "infinite", "nan"])
+    def test_refused(self, a, error):
+        with pytest.raises(error):
+            cholesky_upper(a)
 
 
 class TestPrng:
