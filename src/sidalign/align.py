@@ -10,7 +10,9 @@ Three variants map embeddings between the two frozen models' spaces:
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +25,7 @@ from .errors import (
     DisjointnessViolation,
     InsufficientData,
     ParseError,
+    TrainingDiverged,
     VariantMismatch,
 )
 from .mlp import (
@@ -38,6 +41,9 @@ from .mlp import (
 from .numerics import Prng
 
 VARIANTS = ("m1", "m2", "m3")
+
+# Training runs in float32; checkpoints, scoring and metrics stay float64.
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -94,6 +100,9 @@ class NessaConfig:
         for name in ("alpha", "beta", "gamma", "w_init", "lr0", "lr_decay"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigInvalid(f"{name} = {getattr(self, name)!r} is not finite")
+        if abs(self.w_init) > float(np.finfo(TRAIN_DTYPE).max):
+            raise ConfigInvalid(f"w_init = {self.w_init!r} is outside the range of "
+                                f"{np.dtype(TRAIN_DTYPE).name} training")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ConfigInvalid("alpha, beta, gamma must be >= 0")
         if self.epochs < 0:
@@ -269,6 +278,13 @@ class PairedData:
     def n_speakers(self) -> int:
         return len(self.speaker_ids)
 
+    def astype(self, dtype) -> "PairedData":
+        """A copy whose profile and runtime matrices are cast to dtype."""
+        out = copy.copy(self)
+        for name in ("e_x", "e_y", "r_x", "r_y"):
+            setattr(out, name, getattr(self, name).astype(dtype))
+        return out
+
     def sample_batch(self, size: int, prng: Prng) -> PairBatch:
         """Distinct speakers, one runtime utterance each."""
         size = min(size, self.n_speakers)
@@ -326,17 +342,38 @@ class Checkpoint:
 
 def train(config: NessaConfig, train_pair: PairedData,
           val_pair: PairedData | None) -> Checkpoint:
-    """Minibatch Adam training; returns the best-validation checkpoint."""
+    """Minibatch Adam training; returns the best-validation checkpoint.
+
+    The networks, w, Adam's state and both splits' matrices are float32
+    (TRAIN_DTYPE); the checkpoint holds float64 copies, which are exact. A
+    non-finite training or validation loss, or a non-finite parameter in a
+    checkpoint, raises TrainingDiverged: numpy's overflow warnings are off
+    while training, since the loss or the parameters carry any overflow.
+    """
     config.validate()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _train(config, train_pair.astype(TRAIN_DTYPE),
+                      val_pair.astype(TRAIN_DTYPE) if val_pair is not None else None)
+
+
+def _finite_loss(loss, what: str, when: str):
+    """loss (a float or None), unless it is not finite."""
+    if loss is not None and not math.isfinite(loss):
+        raise TrainingDiverged(f"training diverged: {what} loss is {loss} {when}")
+    return loss
+
+
+def _train(config: NessaConfig, train_pair: PairedData,
+           val_pair: PairedData | None) -> Checkpoint:
     prng = Prng(config.seed)
     d = train_pair.d
     dims = [d, config.hidden, config.hidden, d]
     m3 = config.variant == "m3"
     fit = {"m1": loss_m1, "m2": loss_m2}.get(config.variant)
 
-    f1 = mlp_init(dims, config.seed)
-    f2 = mlp_init(dims, config.seed + 1) if m3 else None
-    w = np.array([config.w_init]) if m3 else None
+    f1 = mlp_init(dims, config.seed).astype(TRAIN_DTYPE)
+    f2 = mlp_init(dims, config.seed + 1).astype(TRAIN_DTYPE) if m3 else None
+    w = np.array([config.w_init], dtype=TRAIN_DTYPE) if m3 else None
 
     params = f1.parameters() + (f2.parameters() + [w] if m3 else [])
     state = AdamState(params)
@@ -363,12 +400,18 @@ def train(config: NessaConfig, train_pair: PairedData,
         return fit(f1, batch, want_grads=False)[0]
 
     def snapshot(epochs: int) -> Checkpoint:
-        return Checkpoint(config.variant, f1.copy(), f2.copy() if m3 else None,
+        """float64 copies of the networks, which hold the float32 bits."""
+        if not all(np.isfinite(p).all() for p in params):
+            raise TrainingDiverged(
+                f"training diverged: a parameter is not finite after {epochs} epochs")
+        return Checkpoint(config.variant, f1.astype(np.float64),
+                          f2.astype(np.float64) if m3 else None,
                           float(w[0]) if m3 else None, config.alpha, config.beta,
                           config.gamma, config.seed, epochs)
 
     best = snapshot(0)
-    best_val = val_loss() if config.epochs > 0 else float("inf")
+    best_val = (_finite_loss(val_loss(), "the validation", "before training")
+                if config.epochs > 0 else float("inf"))
     log: list[dict] = []
 
     for epoch in range(config.epochs):
@@ -386,12 +429,12 @@ def train(config: NessaConfig, train_pair: PairedData,
                 loss, g1, g2, dw = loss_m3(
                     f1, f2, float(w[0]), batch, bank,
                     config.alpha, config.beta, config.gamma)
-                grads = g1 + g2 + [np.array([dw])]
+                grads = g1 + g2 + [np.array([dw], dtype=w.dtype)]
             else:
                 loss, grads = fit(f1, batch)
             adam_step(params, grads, state, lr)
-            train_losses.append(loss)
-        vloss = val_loss()
+            train_losses.append(_finite_loss(loss, "a step's", f"in epoch {epoch}"))
+        vloss = _finite_loss(val_loss(), "the validation", f"after epoch {epoch}")
         entry = {
             "epoch": epoch,
             "lr": lr,
@@ -402,7 +445,7 @@ def train(config: NessaConfig, train_pair: PairedData,
         if m3:
             entry["w"] = float(w[0])
         log.append(entry)
-        if val_pair is None or vloss <= best_val or np.isnan(best_val):
+        if val_pair is None or vloss <= best_val:
             best_val = vloss
             best = snapshot(epoch + 1)
     best.log = log
@@ -483,7 +526,7 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return checkpoint_from_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+        except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from exc
 
 

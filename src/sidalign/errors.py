@@ -67,3 +67,7 @@ class DegenerateGap(SidAlignError):
 
 class UnknownId(SidAlignError):
     pass
+
+
+class TrainingDiverged(SidAlignError):
+    pass

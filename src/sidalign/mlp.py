@@ -2,8 +2,10 @@
 
 Three weight layers, ReLU on the hidden layers, linear output (a ReLU output
 would confine embeddings to the positive orthant and cripple cosine scoring).
-Forward/backward operate on batches of rows (n, d); parameters are plain
-numpy arrays that training updates in place.
+Forward/backward operate on batches of rows (n, d) in the dtype of the
+network's weights: training runs float32 networks, scoring and the gradient
+check float64 ones, through the same code. Parameters are plain numpy arrays
+that training updates in place.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ class Mlp:
         """Each layer's weights, then its biases, input layer first."""
         return [p for layer in zip(self.weights, self.biases) for p in layer]
 
-    def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+    def astype(self, dtype) -> "Mlp":
+        """A copy with every parameter cast to dtype."""
+        return Mlp([w.astype(dtype) for w in self.weights],
+                   [b.astype(dtype) for b in self.biases])
 
 
 def mlp_init(dims, seed: int) -> Mlp:
@@ -54,8 +58,9 @@ def mlp_init(dims, seed: int) -> Mlp:
 
 
 def forward(m: Mlp, x: np.ndarray):
-    """Returns (y, cache) for a batch of rows x of shape (n, d)."""
-    x = np.asarray(x, dtype=np.float64)
+    """Returns (y, cache) for a batch of rows x of shape (n, d), computed in
+    the weights' dtype."""
+    x = np.asarray(x, dtype=m.weights[0].dtype)
     d = m.weights[0].shape[1]
     if x.ndim != 2 or x.shape[1] != d:
         raise DimensionMismatch(f"input of shape {x.shape}, model expects (n, {d})")
@@ -78,9 +83,10 @@ def backward(m: Mlp, cache, dy: np.ndarray) -> list[np.ndarray]:
     ReLU subgradient at exactly 0 is taken as 0: the mask reads the layer's
     output, which is > 0 exactly where its pre-activation is (NaN included).
     The gradient of the input is not formed: training never reads it.
+    Computed in the weights' dtype.
     """
     acts = cache
-    grad = np.asarray(dy, dtype=np.float64)
+    grad = np.asarray(dy, dtype=m.weights[0].dtype)
     grads = []
     for i in range(len(m.weights) - 1, -1, -1):
         if i < len(m.weights) - 1:
@@ -93,13 +99,14 @@ def backward(m: Mlp, cache, dy: np.ndarray) -> list[np.ndarray]:
 class AdamState:
     """First/second moment accumulators mirroring a parameter list, plus two
     scratch buffers, each as large as the largest parameter, that adam_step
-    computes in."""
+    computes in. All are in the parameters' dtype."""
 
     def __init__(self, params):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         size = max((p.size for p in params), default=0)
-        self.scratch = (np.empty(size), np.empty(size))
+        dtype = np.result_type(*params) if params else np.float64
+        self.scratch = (np.empty(size, dtype), np.empty(size, dtype))
         self.t = 0
 
 

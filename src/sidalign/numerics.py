@@ -23,7 +23,8 @@ def length_normalize(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64, order="C")
     if arr.ndim not in (1, 2):
         raise DimensionMismatch(f"expected a vector or rows, got shape {arr.shape}")
-    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        norms = np.linalg.norm(arr, axis=-1, keepdims=True)
     ok = (norms > EPS_NORM) & np.isfinite(norms)
     if not ok.all():
         raise ZeroVector(f"cannot normalize a row of norm {norms[~ok][0]:g}")

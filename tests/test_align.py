@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from sidalign.align import (
     Checkpoint,
+    side_maps,
     NegativeBank,
     NessaConfig,
     PairBatch,
@@ -24,7 +25,12 @@ from sidalign.align import (
     train,
 )
 from sidalign.data import FIELDS, Corpus, EmbeddingRecord
-from sidalign.errors import ConfigInvalid, DisjointnessViolation, InsufficientData
+from sidalign.errors import (
+    ConfigInvalid,
+    DisjointnessViolation,
+    InsufficientData,
+    TrainingDiverged,
+)
 from sidalign.mlp import (
     AdamState,
     Mlp,
@@ -317,6 +323,44 @@ class TestTraining:
         with pytest.raises(ConfigInvalid):
             NessaConfig(variant="m9").validate()
 
+    @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+    def test_trains_in_float32_returns_float64(self, variant):
+        # Every returned parameter and w is a float32 value held as float64,
+        # and the caller's paired data keeps its float64 rows.
+        paired = paired_from_synth()
+        rows = [paired.e_x.copy(), paired.r_y.copy()]
+        cfg = NessaConfig(variant=variant, epochs=2, steps_per_epoch=4,
+                          batch_size=8, bank_size=8, hidden=8, seed=2)
+        ckpt = train(cfg, paired, paired)
+        nets = [ckpt.f1] + ([ckpt.f2] if variant == "m3" else [])
+        values = [p for f in nets for p in f.parameters()]
+        if variant == "m3":
+            values.append(np.array([ckpt.w]))
+        for a in values:
+            assert a.dtype == np.float64
+            assert (a.astype(np.float32).astype(np.float64) == a).all()
+        assert paired.e_x.dtype == np.float64
+        assert paired.e_x.tobytes() == rows[0].tobytes()
+        assert paired.r_y.tobytes() == rows[1].tobytes()
+
+    @pytest.mark.parametrize("variant, settings", [
+        ("m2", dict(lr0=1e6)),
+        ("m3", dict(lr0=1e6, bank_size=8)),
+        ("m1", dict(lr0=1e6)),
+    ])
+    @pytest.mark.parametrize("with_val", [True, False])
+    def test_non_finite_loss_raises_diverged(self, variant, settings, with_val):
+        paired = paired_from_synth()
+        cfg = NessaConfig(variant=variant, epochs=3, steps_per_epoch=4,
+                          batch_size=8, hidden=8, seed=2, **settings)
+        with pytest.raises(TrainingDiverged, match="diverged"):
+            train(cfg, paired, paired if with_val else None)
+
+    def test_w_init_beyond_float32_refused(self):
+        NessaConfig(variant="m3", w_init=-3e38).validate()
+        with pytest.raises(ConfigInvalid, match="w_init"):
+            NessaConfig(variant="m3", w_init=-1e300).validate()
+
 
 class TestCheckpointIO:
     def test_m2_round_trip(self, tmp_path):
@@ -343,6 +387,25 @@ class TestCheckpointIO:
         assert back.w == pytest.approx(ckpt.w)
         for a, b in zip(back.f2.parameters(), ckpt.f2.parameters()):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+    def test_trained_checkpoint_scores_alike_after_reload(self, tmp_path, variant):
+        # The file holds each float32 value as the shortest float64 text,
+        # which parses back to the same bits: the reloaded checkpoint maps
+        # both sides bit for bit as the one in memory.
+        paired = paired_from_synth()
+        cfg = NessaConfig(variant=variant, epochs=2, steps_per_epoch=3,
+                          batch_size=8, bank_size=8, hidden=8, seed=7)
+        ckpt = train(cfg, paired, paired)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        back = load_checkpoint(path)
+        assert back.w == ckpt.w
+        rows = paired.e_x[:5]
+        for got, want in zip(side_maps(back), side_maps(ckpt)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got(rows).tobytes() == want(rows).tobytes()
 
     @given(st.data())
     def test_parameters_round_trip_bit_for_bit(self, data):
@@ -576,30 +639,41 @@ class TestAgainstReferences:
         # fewer than ~38 rows at these widths, takes another kernel, and
         # the gradient's sum over 256 < n + M < 512 rows is split in two at
         # a different row. There the results agree to rounding (checked in
-        # test_loss_m3_equals_reference).
+        # test_loss_m3_equals_reference). It holds for training's float32
+        # networks and rows as for float64 ones.
         prng = Prng(n + m)
         d, h = 32, 256
-        batch = random_batch(prng, n, d)
-        bank = random_bank(prng, m, d, offset=n)
-        f1, f2 = mlp_init([d, h, h, d], seed=1), mlp_init([d, h, h, d], seed=2)
-        got = loss_m3(f1, f2, 5.0, batch, bank, 0.0, 0.5, 0.1, want_grads)
-        want = reference_loss_m3(f1, f2, 5.0, batch, bank, 0.0, 0.5, 0.1, want_grads)
-        assert got[0] == want[0]
-        if want_grads:
-            assert got[3] == want[3] == 0.0
-            for g, r in zip(got[1] + got[2], want[1] + want[2]):
-                np.testing.assert_array_equal(g, r)
+        batch64 = random_batch(prng, n, d)
+        bank64 = random_bank(prng, m, d, offset=n)
+        for dtype in (np.float64, np.float32):
+            batch = PairBatch(batch64.speakers, *(getattr(batch64, k).astype(dtype)
+                                                  for k in ("e_x", "e_y", "r_x", "r_y")))
+            bank = NegativeBank(bank64.speakers, bank64.e_x.astype(dtype))
+            f1 = mlp_init([d, h, h, d], seed=1).astype(dtype)
+            f2 = mlp_init([d, h, h, d], seed=2).astype(dtype)
+            got = loss_m3(f1, f2, 5.0, batch, bank, 0.0, 0.5, 0.1, want_grads)
+            want = reference_loss_m3(f1, f2, 5.0, batch, bank, 0.0, 0.5, 0.1,
+                                     want_grads)
+            assert got[0] == want[0]
+            if want_grads:
+                assert got[3] == want[3] == 0.0
+                for g, r in zip(got[1] + got[2], want[1] + want[2]):
+                    assert g.dtype == dtype
+                    np.testing.assert_array_equal(g, r)
 
     def test_alpha_zero_training_steps_bit_equal(self):
         # Ten Adam steps of the ablation at batch 256 + bank 512: the same
-        # parameter and w bits as with the bank mapped.
-        paired = paired_from_synth(seed=3, n_speakers=800, latent_dim=32,
-                                   embed_dim=32)
+        # parameter and w bits as with the bank mapped, in training's float32
+        # and in float64.
+        paired64 = paired_from_synth(seed=3, n_speakers=800, latent_dim=32,
+                                     embed_dim=32)
         d, h = 32, 256
 
-        def run(loss_fn):
-            f1, f2 = mlp_init([d, h, h, d], seed=5), mlp_init([d, h, h, d], seed=6)
-            w = np.array([5.0])
+        def run(loss_fn, dtype):
+            paired = paired64.astype(dtype)
+            f1 = mlp_init([d, h, h, d], seed=5).astype(dtype)
+            f2 = mlp_init([d, h, h, d], seed=6).astype(dtype)
+            w = np.array([5.0], dtype=dtype)
             params = f1.parameters() + f2.parameters() + [w]
             state, prng = AdamState(params), Prng(7)
             for _ in range(10):
@@ -607,8 +681,10 @@ class TestAgainstReferences:
                 bank = sample_negative_bank(paired, batch.speakers, 512, prng)
                 _, g1, g2, dw = loss_fn(f1, f2, float(w[0]), batch, bank,
                                         0.0, 0.5, 0.1)
-                adam_step(params, g1 + g2 + [np.array([dw])], state, 1e-3)
+                adam_step(params, g1 + g2 + [np.array([dw], dtype=dtype)], state, 1e-3)
             return params
 
-        for got, want in zip(run(loss_m3), run(reference_loss_m3)):
-            assert got.tobytes() == want.tobytes()
+        for dtype in (np.float64, np.float32):
+            for got, want in zip(run(loss_m3, dtype), run(reference_loss_m3, dtype)):
+                assert got.dtype == dtype
+                assert got.tobytes() == want.tobytes()

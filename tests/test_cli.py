@@ -391,6 +391,20 @@ class TestErrors:
             assert "bad_input" in line
         assert not (tmp_path / "out").exists()
 
+    def test_checkpoint_epochs_overflow_exit_one(self, scored_fixture, tmp_path, capsys):
+        # int(1e999) raises OverflowError, which once escaped as a traceback
+        paths = scored_fixture
+        bad = tmp_path / "bad_input"
+        bad.write_text(replaced(paths["m2"], "EPOCHS", "trained_epochs")
+                       .replace('"EPOCHS"', "1e999"))
+        out = tmp_path / "scores.tsv"
+        line = one_error_line(capsys, [
+            "score", "--scorer", "nessa-m2", "--checkpoint", str(bad),
+            "--trials", str(paths["trials"]), "--corpus-x", str(paths["x"]),
+            "--corpus-y", str(paths["y"]), "--out", str(out)])
+        assert "bad_input" in line and "OverflowError" in line
+        assert not out.exists()
+
     def test_overflowing_rows_exit_one(self, scored_fixture, tmp_path, capsys):
         # finite parameters whose mapped rows overflow: no score, where an
         # overflowed cosine once read 0, and no RuntimeWarning before the
@@ -575,6 +589,7 @@ class TestTrainSettings:
         ("--beta", "inf"),
         ("--gamma", "nan"),
         ("--w-init", "nan"),
+        ("--w-init", "1e300"),  # beyond float32, the dtype of training
         ("--lr", "0"),
         ("--decay", "0"),
         ("--decay", "1.5"),
@@ -618,6 +633,25 @@ class TestTrainSettings:
         err = capsys.readouterr().err.splitlines()
         assert [line.split(": train ")[0] for line in err] == ["epoch 0", "epoch 1"]
         assert all(line.endswith(" val none") == (val_fraction == "0") for line in err)
+
+    @pytest.mark.parametrize("variant, flag, value, word", [
+        ("m2", "--lr", "1e6", "diverged"),  # the loss overflows float32
+        ("m3", "--w-init", "1e300", "w_init"),  # refused before training
+    ])
+    def test_diverged_training_exit_one(self, scored_fixture, tmp_path, capsys,
+                                        variant, flag, value, word):
+        # no checkpoint, no log, no RuntimeWarning: one error line
+        paths = scored_fixture
+        out, log = tmp_path / "ckpt.json", tmp_path / "log.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            line = one_error_line(capsys, [
+                "train", "--corpus-x", str(paths["x"]), "--corpus-y", str(paths["y"]),
+                "--variant", variant, "--epochs", "2", "--steps", "4", "--batch", "16",
+                "--bank-size", "8", "--hidden", "8", flag, value,
+                "--out", str(out), "--log", str(log)])
+        assert word in line
+        assert not out.exists() and not log.exists()
 
     def test_settings_checked_before_corpora_load(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.jsonl")

@@ -198,6 +198,28 @@ class TestAgainstReference:
         want = reference_backward(m, want_cache, dy)
         assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
+    def test_dtype_follows_weights(self):
+        # float32 weights compute in float32, close to the float64 pass;
+        # float64 weights keep the reference's float64 bits for float32 rows.
+        prng = Prng(4)
+        m64 = mlp_init([8, 16, 16, 8], seed=4)
+        m32 = m64.astype(np.float32)
+        x = prng.standard_normal(37, 8).astype(np.float32)
+        dy = prng.standard_normal(37, 8).astype(np.float32)
+        y32, cache32 = forward(m32, x)
+        grads32 = backward(m32, cache32, dy)
+        assert y32.dtype == np.float32
+        assert all(a.dtype == np.float32 for a in list(cache32) + grads32)
+        y64, cache64 = forward(m64, x)
+        want_y, want_cache = reference_forward(m64, x.astype(np.float64))
+        assert y64.dtype == np.float64 and y64.tobytes() == want_y.tobytes()
+        grads64 = backward(m64, cache64, dy)
+        want = reference_backward(m64, want_cache, dy.astype(np.float64))
+        assert [g.tobytes() for g in grads64] == [g.tobytes() for g in want]
+        np.testing.assert_allclose(y32, y64, rtol=1e-5, atol=1e-5)
+        for g32, g64 in zip(grads32, grads64):
+            np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4)
+
 
 class TestAdam:
     def test_zero_grad_no_change(self):
@@ -247,12 +269,14 @@ class TestAdam:
                            min_size=1, max_size=4),
            steps=st.integers(1, 6),
            lr=st.sampled_from([0.0, 1e-3, 0.37, 5.0]),
+           dtype=st.sampled_from([np.float64, np.float32]),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_temporaries_reference(self, shapes, steps, lr, seed):
+    def test_equals_temporaries_reference(self, shapes, steps, lr, dtype, seed):
         # Parameters and moments after several steps equal, bit for bit,
-        # those of the update written with temporaries.
+        # those of the update written with temporaries, in float64 and in
+        # training's float32 (whose scratch buffers are float32 too).
         prng = Prng(seed)
-        params = [prng.standard_normal(*s) for s in shapes]
+        params = [prng.standard_normal(*s).astype(dtype) for s in shapes]
         ref_params = [p.copy() for p in params]
         state, ref = AdamState(params), ReferenceAdam(ref_params)
         for _ in range(steps):
@@ -260,11 +284,13 @@ class TestAdam:
             for s in shapes:
                 g = prng.standard_normal(*s) * 10.0 ** float(prng.integers(-8, 4))
                 g[prng.uniform(0, 1, g.size).reshape(s) < 0.2] = 0.0
-                grads.append(g)
+                grads.append(g.astype(dtype))
             adam_step(params, grads, state, lr)
             ref.step(ref_params, grads, lr)
         assert state.t == ref.t == steps
+        assert all(buf.dtype == dtype for buf in state.scratch)
         for got, want in zip(params + state.m + state.v, ref_params + ref.m + ref.v):
+            assert got.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
 

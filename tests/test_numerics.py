@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,16 @@ class TestLengthNormalize:
             rows[where, 2] = bad
         with pytest.raises(ZeroVector):
             length_normalize(rows)
+
+    def test_overflowing_norm_raises_without_warnings(self):
+        # A row near 1e300 overflows its norm: one ZeroVector, and no numpy
+        # RuntimeWarning before it.
+        rows = Prng(8).standard_normal(3, 4)
+        rows[1] *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroVector, match="norm inf"):
+                length_normalize(rows)
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 1, 1), ()])
     def test_not_vector_or_rows_raises(self, shape):
