@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from sidalign.align import (
     Checkpoint,
-    side_maps,
     NegativeBank,
     NessaConfig,
     PairBatch,
@@ -22,6 +21,7 @@ from sidalign.align import (
     load_checkpoint,
     sample_negative_bank,
     save_checkpoint,
+    side_maps,
     train,
 )
 from sidalign.data import FIELDS, Corpus, EmbeddingRecord
@@ -343,16 +343,13 @@ class TestTraining:
         assert paired.e_x.tobytes() == rows[0].tobytes()
         assert paired.r_y.tobytes() == rows[1].tobytes()
 
-    @pytest.mark.parametrize("variant, settings", [
-        ("m2", dict(lr0=1e6)),
-        ("m3", dict(lr0=1e6, bank_size=8)),
-        ("m1", dict(lr0=1e6)),
-    ])
+    @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
     @pytest.mark.parametrize("with_val", [True, False])
-    def test_non_finite_loss_raises_diverged(self, variant, settings, with_val):
+    def test_non_finite_loss_raises_diverged(self, variant, with_val):
+        # lr 1e6 overflows float32 within a few steps
         paired = paired_from_synth()
-        cfg = NessaConfig(variant=variant, epochs=3, steps_per_epoch=4,
-                          batch_size=8, hidden=8, seed=2, **settings)
+        cfg = NessaConfig(variant=variant, epochs=3, steps_per_epoch=4, batch_size=8,
+                          bank_size=8, hidden=8, lr0=1e6, seed=2)
         with pytest.raises(TrainingDiverged, match="diverged"):
             train(cfg, paired, paired if with_val else None)
 
