@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     TrainingDiverged,
     VariantMismatch,
+    ZeroVector,
 )
 from .mlp import (
     AdamState,
@@ -305,6 +306,24 @@ class PairedData:
                          self.r_x[utt_idx], self.r_y[utt_idx])
 
 
+def split_train_val(corpus_x: Corpus, corpus_y: Corpus, val_fraction: float,
+                    seed: int) -> tuple[PairedData, PairedData | None]:
+    """(training, validation) PairedData over the speakers of corpus_x that
+    corpus_y also holds, in X order: Prng(seed + 7) permutes them and the
+    first round(val_fraction * n) go to validation (None if that is none)."""
+    if not 0 <= val_fraction < 1:
+        raise ConfigInvalid(f"val-fraction {val_fraction} is not in [0, 1)")
+    have_y = set(corpus_y.speaker_ids())
+    speakers = [s for s in corpus_x.speaker_ids() if s in have_y]
+    n_val = round(val_fraction * len(speakers))
+    if speakers and n_val == len(speakers):
+        raise ConfigInvalid(f"a val-fraction of {val_fraction} leaves no training "
+                            f"speaker: all {n_val} shared speakers go to validation")
+    order = [speakers[int(i)] for i in Prng(seed + 7).permutation(len(speakers))]
+    train_pair = PairedData(corpus_x, corpus_y, order[n_val:])
+    return train_pair, PairedData(corpus_x, corpus_y, order[:n_val]) if n_val else None
+
+
 def sample_negative_bank(paired: PairedData, excluded, m: int,
                          prng: Prng) -> NegativeBank:
     """Uniform sample without replacement from the speakers of ``paired``
@@ -346,14 +365,29 @@ def train(config: NessaConfig, train_pair: PairedData,
 
     The networks, w, Adam's state and both splits' matrices are float32
     (TRAIN_DTYPE); the checkpoint holds float64 copies, which are exact. A
-    non-finite training or validation loss, or a non-finite parameter in a
-    checkpoint, raises TrainingDiverged: numpy's overflow warnings are off
-    while training, since the loss or the parameters carry any overflow.
+    paired value beyond float32's range raises ZeroVector before the first
+    step. A non-finite training or validation loss, or a non-finite
+    parameter in a checkpoint, raises TrainingDiverged: numpy's overflow
+    warnings are off while training, since the loss or the parameters carry
+    any overflow.
     """
     config.validate()
     with np.errstate(over="ignore", invalid="ignore"):
-        return _train(config, train_pair.astype(TRAIN_DTYPE),
-                      val_pair.astype(TRAIN_DTYPE) if val_pair is not None else None)
+        return _train(config, _train_copy(train_pair),
+                      _train_copy(val_pair) if val_pair is not None else None)
+
+
+def _train_copy(pair: PairedData) -> PairedData:
+    """pair cast to TRAIN_DTYPE; ZeroVector if a cast row is not finite, which
+    is a value beyond the dtype's range."""
+    cast = pair.astype(TRAIN_DTYPE)
+    for name, view in (("e_x", "X profiles"), ("e_y", "Y profiles"),
+                       ("r_x", "X runtime vectors"), ("r_y", "Y runtime vectors")):
+        if not np.isfinite(getattr(cast, name)).all():
+            limit = float(np.finfo(TRAIN_DTYPE).max)
+            raise ZeroVector(f"{view} hold a value beyond ±{limit:.4g}, the range of "
+                             f"{np.dtype(TRAIN_DTYPE).name} training")
+    return cast
 
 
 def _finite_loss(loss, what: str, when: str):
@@ -508,11 +542,11 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 def checkpoint_from_dict(obj: dict) -> Checkpoint:
     m3 = obj["variant"] == "m3"
     f1 = obj["f1"] if m3 else obj  # the seed and epochs are read from F1's dict
+    old = NessaConfig()  # the settings an old file lacks take their defaults
     return Checkpoint(obj["variant"], mlp_from_dict(f1),
-                      mlp_from_dict(obj["f2"]) if m3 else None,
-                      obj.get("w"), obj.get("alpha", 1.0), obj.get("beta", 0.5),
-                      obj.get("gamma", 0.1), int(f1.get("seed", 0)),
-                      int(f1.get("trained_epochs", 0)))
+                      mlp_from_dict(obj["f2"]) if m3 else None, obj.get("w"),
+                      *(obj.get(k, getattr(old, k)) for k in ("alpha", "beta", "gamma")),
+                      int(f1.get("seed", old.seed)), int(f1.get("trained_epochs", 0)))
 
 
 def save_checkpoint(ckpt: Checkpoint, path, extra: dict | None = None) -> None:

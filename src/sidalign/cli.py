@@ -10,16 +10,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .align import (
+    VARIANTS,
     NessaConfig,
-    PairedData,
     load_checkpoint,
     save_checkpoint,
     save_training_log,
     side_maps,
+    split_train_val,
     train,
 )
 from .data import (
@@ -47,7 +50,15 @@ from .logit import (
     load_fusion,
     save_fusion,
 )
-from .metrics import cosine_scorer, evaluate, load_report, save_report, score_trials
+from .metrics import (
+    DEFAULT_FAR_TARGETS,
+    cosine_scorer,
+    evaluate,
+    load_report,
+    report_json,
+    save_report,
+    score_trials,
+)
 from .numerics import Prng
 from .synth import SynthConfig, generate, make_trials
 
@@ -93,20 +104,7 @@ def _provenance(args) -> dict:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        n_speakers=args.n_speakers,
-        n_enroll_utts=args.n_enroll,
-        n_runtime_utts=args.n_runtime,
-        latent_dim=args.latent_dim,
-        embed_dim=args.embed_dim,
-        within_noise_x=args.noise_x,
-        within_noise_y=args.noise_y,
-        distortion_x=args.distortion_x,
-        distortion_y=args.distortion_y,
-        nonlinear_gain=args.nonlinear_gain,
-        seed=args.seed,
-        model_seed=args.model_seed,
-    )
+    cfg = _config(SynthConfig, args)
     if args.config:
         _apply_config(cfg, args.config)
     corpus_x, corpus_y, _ = generate(cfg)
@@ -124,8 +122,8 @@ def cmd_synth(args) -> int:
 
 def _apply_config(cfg: SynthConfig, path) -> None:
     """Override cfg with a JSON config file's settings. A value must have its
-    setting's type: an int is also a float, a bool is neither, and
-    model_seed (default None) takes an int or null."""
+    setting's type (_setting_type): an int is also a float, a bool is
+    neither, and model_seed (default None) takes an int or null."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             overrides = json.load(fh)
@@ -137,9 +135,9 @@ def _apply_config(cfg: SynthConfig, path) -> None:
         if not hasattr(cfg, key):
             raise SidAlignError(f"unknown config key {key!r}")
         default = getattr(SynthConfig(), key)
-        kinds = (int, float) if isinstance(default, float) else type(default or 0)
-        if not (isinstance(value, kinds) and not isinstance(value, bool)
-                or value is None and default is None):
+        kind = _setting_type(default)
+        if not (isinstance(value, (int, float) if kind is float else kind)
+                and not isinstance(value, bool) or value is None and default is None):
             raise ParseError(f"{path}: {key} = {value!r} has the wrong type")
         setattr(cfg, key, value)
 
@@ -196,21 +194,7 @@ def cmd_logit_align(args) -> int:
 def cmd_train(args) -> int:
     if not 0 <= args.val_fraction < 1:
         raise ConfigInvalid(f"--val-fraction {args.val_fraction} is not in [0, 1)")
-    cfg = NessaConfig(
-        variant=args.variant,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        w_init=args.w_init,
-        epochs=args.epochs,
-        steps_per_epoch=args.steps,
-        batch_size=args.batch,
-        bank_size=args.bank_size,
-        hidden=args.hidden,
-        lr0=args.lr,
-        lr_decay=args.decay,
-        seed=args.seed,
-    )
+    cfg = _config(NessaConfig, args)
     cfg.validate()  # before any corpus is loaded
     corpus_x = load_embeddings(args.corpus_x)
     corpus_y = load_embeddings(args.corpus_y)
@@ -219,22 +203,7 @@ def cmd_train(args) -> int:
     # view can be named.
     _profiles(corpus_x, args.corpus_x)
     _profiles(corpus_y, args.corpus_y)
-
-    have_y = set(corpus_y.speaker_ids())
-    all_speakers = [s for s in corpus_x.speaker_ids() if s in have_y]
-    n_val = int(round(args.val_fraction * len(all_speakers)))
-    prng = Prng(args.seed + 7)
-    order = prng.permutation(len(all_speakers))
-    val_ids = [all_speakers[int(i)] for i in order[:n_val]]
-    train_ids = [all_speakers[int(i)] for i in order[n_val:]]
-    if all_speakers and not train_ids:
-        raise ConfigInvalid(f"--val-fraction {args.val_fraction} leaves no training "
-                            f"speaker: all {n_val} shared speakers go to validation")
-
-    train_pair = PairedData(corpus_x, corpus_y, train_ids)
-    val_pair = PairedData(corpus_x, corpus_y, val_ids) if val_ids else None
-
-    ckpt = train(cfg, train_pair, val_pair)
+    ckpt = train(cfg, *split_train_val(corpus_x, corpus_y, args.val_fraction, args.seed))
     save_checkpoint(ckpt, args.out, extra=_provenance(args))
     if args.log:
         save_training_log(ckpt.log, args.log)
@@ -290,7 +259,7 @@ def cmd_eval(args) -> int:
     baseline_frrs = None
     candidate_impacts = None
     if args.baseline_report:
-        baseline_frrs = _per_far(args.baseline_report, "frr", required=True)
+        baseline_frrs = _per_far(args.baseline_report, "frr", required=True, unit=True)
     if args.candidate_report:
         candidate_impacts = _per_far(args.candidate_report, "relative_impact",
                                      required=False)
@@ -299,21 +268,30 @@ def cmd_eval(args) -> int:
     report.update(_provenance(args))
     save_report(report, args.out)
     if args.stdout:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        sys.stdout.write(report_json(report))
     print(f"eer {report['eer']:.4f}", file=sys.stderr)
     return 0
 
 
-def _per_far(path, key: str, required: bool) -> dict:
+def _per_far(path, key: str, required: bool, unit: bool = False) -> dict:
     """{far key: entry[key]} over a saved report's per_far entries; entries
-    without the key are skipped unless it is required."""
+    without the key are skipped unless it is required. Each value must be a
+    finite number (a bool is not one), in [0, 1] if unit."""
     report = load_report(path)
     try:
-        return {FLOAT_FMT % e["target_far"]: e[key] for e in report["per_far"]
-                if required or key in e}
+        values = {FLOAT_FMT % e["target_far"]: e[key] for e in report["per_far"]
+                  if required or key in e}
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed report, missing {exc}") from exc
+    for value in values.values():
+        try:  # TypeError: not a number; OverflowError: an int beyond float
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok or unit and not 0 <= value <= 1:
+            raise ParseError(f"{path}: {key} {value!r} is not a finite number"
+                             + (" in [0, 1]" if unit else ""))
+    return values
 
 
 def _far_list(text: str) -> str:
@@ -331,6 +309,33 @@ def _far_list(text: str) -> str:
 # Parser
 
 
+# The settings flags of synth and train are the fields of SynthConfig and
+# NessaConfig. A field's argparse dest is its name, apart from these; the
+# config hash covers the dests, so they keep their spelling.
+_DESTS = {"n_enroll_utts": "n_enroll", "n_runtime_utts": "n_runtime",
+          "within_noise_x": "noise_x", "within_noise_y": "noise_y",
+          "steps_per_epoch": "steps", "batch_size": "batch", "lr0": "lr", "lr_decay": "decay"}
+
+
+def _setting_type(default) -> type:
+    """A setting's type from its default: int, float or str; None is int."""
+    return int if default is None else type(default)
+
+
+def _add_settings(parser, config_cls, **extra) -> None:
+    """One flag per field of config_cls, with the field's default and type;
+    extra holds more add_argument keywords per field name."""
+    for f in fields(config_cls):
+        parser.add_argument("--" + _DESTS.get(f.name, f.name).replace("_", "-"), **{
+            "default": f.default, "type": _setting_type(f.default), **extra.get(f.name, {})})
+
+
+def _config(config_cls, args):
+    """config_cls built from the flags that _add_settings added."""
+    return config_cls(**{f.name: getattr(args, _DESTS.get(f.name, f.name))
+                         for f in fields(config_cls)})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sidalign")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -338,19 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a paired synthetic corpus")
     p.add_argument("--config",
                    help="JSON object of settings; they override the flags")
-    p.add_argument("--n-speakers", type=int, default=200)
-    p.add_argument("--n-enroll", type=int, default=5)
-    p.add_argument("--n-runtime", type=int, default=3)
-    p.add_argument("--latent-dim", type=int, default=16)
-    p.add_argument("--embed-dim", type=int, default=16)
-    p.add_argument("--noise-x", type=float, default=0.3)
-    p.add_argument("--noise-y", type=float, default=0.15)
-    p.add_argument("--distortion-x", default="orthogonal")
-    p.add_argument("--distortion-y", default="orthogonal")
-    p.add_argument("--nonlinear-gain", type=float, default=1.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model-seed", type=int,
-                   help="seed for the distortion maps (defaults to --seed)")
+    _add_settings(p, SynthConfig, model_seed={
+        "help": "seed for the distortion maps (defaults to --seed)"})
     p.add_argument("--out-x", required=True)
     p.add_argument("--out-y", required=True)
     p.add_argument("--trials-out")
@@ -376,20 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an embedding space aligner")
     p.add_argument("--corpus-x", required=True)
     p.add_argument("--corpus-y", required=True)
-    p.add_argument("--variant", choices=("m1", "m2", "m3"), required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--w-init", type=float, default=5.0)
-    p.add_argument("--bank-size", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=1024)
-    p.add_argument("--hidden", type=int, default=800)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--decay", type=float, default=0.96)
+    _add_settings(p, NessaConfig, variant={
+        "choices": VARIANTS, "required": True, "default": None})
     p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--log")
     p.set_defaults(func=cmd_train)
@@ -407,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compute EER and FRR@FAR report")
     p.add_argument("--scores", required=True)
     p.add_argument("--scorer-id", default="system")
-    p.add_argument("--far", default="0.125,0.05,0.02", type=_far_list)
+    p.add_argument("--far", default=",".join(map(str, DEFAULT_FAR_TARGETS)),
+                   type=_far_list)
     p.add_argument("--baseline-report")
     p.add_argument("--candidate-report")
     p.add_argument("--stdout", action="store_true")

@@ -9,6 +9,7 @@ present.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import count
 
@@ -220,10 +221,24 @@ def evaluate(trialset: TrialSet, scorer_id: str,
     return report
 
 
+def report_json(report: dict) -> str:
+    """The text of a report file: indented, key-sorted, strict JSON. The +inf
+    operating point (a FAR target below every finite threshold's FAR) has the
+    threshold null; any other non-finite number is DegenerateTrialSet."""
+    per_far = [dict(e, threshold=e["threshold"] if math.isfinite(e["threshold"]) else None)
+               for e in report["per_far"]]
+    try:
+        return json.dumps(dict(report, per_far=per_far), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DegenerateTrialSet(f"the report holds a number that is not finite: "
+                                 f"{exc}") from exc
+
+
 def save_report(report: dict, path) -> None:
+    text = report_json(report)  # before the file is opened: no partial file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_report(path) -> dict:

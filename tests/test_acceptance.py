@@ -19,11 +19,11 @@ from sidalign.align import (
     NegativeBank,
     NessaConfig,
     PairBatch,
-    PairedData,
     loss_m1,
     loss_m2,
     loss_m3,
     side_maps,
+    split_train_val,
     train,
 )
 from sidalign.cli import main
@@ -199,16 +199,6 @@ def curve_of(trials, prof, run, enroll_map=None, runtime_map=None):
     return roc(ts.scores, ts.labels01())
 
 
-def split_train_val(corpus_x, corpus_y, seed, val_fraction=0.1):
-    speakers = corpus_x.speaker_ids()
-    order = Prng(seed + 7).permutation(len(speakers))
-    n_val = int(val_fraction * len(speakers))
-    val_ids = [speakers[int(i)] for i in order[:n_val]]
-    train_ids = [speakers[int(i)] for i in order[n_val:]]
-    return (PairedData(corpus_x, corpus_y, train_ids),
-            PairedData(corpus_x, corpus_y, val_ids))
-
-
 def make_corpora(seed, distortion, nx, ny, gain, n_train, n_eval, d=32,
                  n_enroll=25):
     def cfg(s, n):
@@ -240,7 +230,7 @@ def test_criterion_4_linear_recovery():
     eer_sym_y = eer(curve_of(trials, py, ry))
     eer_raw = eer(curve_of(trials, px, ry))
 
-    tp, vp = split_train_val(cx_t, cy_t, seed)
+    tp, vp = split_train_val(cx_t, cy_t, 0.1, seed)
     cfg = NessaConfig(variant="m2", epochs=20, steps_per_epoch=50,
                       batch_size=256, hidden=64, seed=seed)
     ckpt = train(cfg, tp, vp)
@@ -310,7 +300,7 @@ def nonlinear_seed(seed, pool):
     fusion = compute_fusion_transform(wx, wy)
     res["logit"] = impact(curve_of(trials, px, ry, *fusion_maps(fusion)))
 
-    tp, vp = split_train_val(cx_t, cy_t, seed)
+    tp, vp = split_train_val(cx_t, cy_t, 0.1, seed)
     runs = {
         "m1": NessaConfig(variant="m1", epochs=12, steps_per_epoch=200,
                           batch_size=256, hidden=256, seed=seed),

@@ -22,6 +22,7 @@ from sidalign.align import (
     sample_negative_bank,
     save_checkpoint,
     side_maps,
+    split_train_val,
     train,
 )
 from sidalign.data import FIELDS, Corpus, EmbeddingRecord
@@ -276,6 +277,20 @@ class TestPairedData:
         everyone = set(cx.speaker_ids())
         with pytest.raises(InsufficientData):
             PairedData(without_runtime(cx, everyone), without_runtime(cy, everyone))
+
+    def test_split_train_val(self):
+        cx, cy, _ = generate(SynthConfig(n_speakers=40, latent_dim=6, embed_dim=6, seed=4))
+        gone = cx.speaker_ids()[0]  # Y lacks it: the other 39 are split, in X order
+        cy_cut = corpus_of([r for r in cy.records if r.speaker_id != gone])
+        shared = cx.speaker_ids()[1:]
+        val = {shared[i] for i in Prng(3 + 7).permutation(39)[:4]}  # round(3.9)
+        train_pair, val_pair = split_train_val(cx, cy_cut, 0.1, seed=3)
+        assert val_pair.speaker_ids == [s for s in shared if s in val]
+        assert train_pair.speaker_ids == [s for s in shared if s not in val]
+        assert split_train_val(cx, cy, 0.0, seed=3)[1] is None
+        for val_fraction in (-0.1, 1.0, 0.99):  # 0.99 rounds to all 40 speakers
+            with pytest.raises(ConfigInvalid, match="val-fraction"):
+                split_train_val(cx, cy, val_fraction, seed=3)
 
     def test_bank_disjoint_from_batch(self):
         paired = paired_from_synth()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 from unittest import mock
@@ -6,12 +7,14 @@ import numpy as np
 import pytest
 
 from sidalign import data
-from sidalign.align import load_checkpoint
-from sidalign.cli import SCORERS, main
+from sidalign.align import NessaConfig, load_checkpoint
+from sidalign.cli import SCORERS, build_parser, main
 from sidalign.data import build_all_profiles, load_embeddings, load_profiles, load_trials
+from sidalign.errors import SidAlignError
 from sidalign.logit import build_weight_matrix, load_fusion, logit_score_direct
 from sidalign.mlp import forward
 from sidalign.numerics import cosine_similarity
+from sidalign.synth import SynthConfig
 
 
 def run_pipeline(root, seed=0):
@@ -251,6 +254,11 @@ def replaced(path, value, *keys):
     return json.dumps(obj)
 
 
+def raw_value(path, text, *keys):
+    """The file's JSON with obj[keys[0]][keys[1]]... set to the raw JSON text."""
+    return replaced(path, "@raw@", *keys).replace('"@raw@"', text)
+
+
 def one_error_line(capsys, argv, code=1):
     """Run argv; assert its exit code and that stderr holds exactly one
     `error:` line (and, for exit 1, nothing else). Returns that line."""
@@ -361,6 +369,21 @@ class TestErrors:
         ("--config", "n_speakers = 10", 1),
         ("--config", '{"n_speakers": "ten"}', 1),
         ("--far", None, 2),
+        # numbers eval reads from other reports: finite, not bools, FRRs in [0, 1]
+        ("--baseline-report", lambda paths: raw_value(paths["report"], "1e999",
+                                                      "per_far", 0, "frr"), 1),
+        ("--baseline-report", lambda paths: raw_value(paths["report"], '"0.5"',
+                                                      "per_far", 0, "frr"), 1),
+        ("--baseline-report", lambda paths: raw_value(paths["report"], "null",
+                                                      "per_far", 0, "frr"), 1),
+        ("--baseline-report", lambda paths: raw_value(paths["report"], "true",
+                                                      "per_far", 0, "frr"), 1),
+        ("--baseline-report", lambda paths: raw_value(paths["report"], "1" + "0" * 400,
+                                                      "per_far", 0, "frr"), 1),
+        ("--baseline-report", lambda paths: raw_value(paths["report"], "1.5",
+                                                      "per_far", 0, "frr"), 1),
+        ("--candidate-report", lambda paths: raw_value(paths["report"], "1e999",
+                                                       "per_far", 0, "relative_impact"), 1),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "scores-not-utf8", "fusion-without-m",
@@ -370,7 +393,10 @@ class TestErrors:
             "checkpoint-output-relu", "checkpoint-layer-missing",
             "checkpoint-weight-wrong-size", "checkpoint-non-finite-weight",
             "checkpoint-epochs-overflow",
-            "config-not-json", "config-wrong-type", "far-not-numbers"])
+            "config-not-json", "config-wrong-type", "far-not-numbers",
+            "baseline-frr-overflow", "baseline-frr-string", "baseline-frr-null",
+            "baseline-frr-bool", "baseline-frr-int-too-large", "baseline-frr-above-one",
+            "candidate-impact-overflow"])
     def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
                                             option, content, code):
         paths = scored_fixture
@@ -388,6 +414,11 @@ class TestErrors:
                             + corpora,
             "--config": ["synth", "--config", str(bad), "--out-x", out, "--out-y", out],
             "--far": ["eval", "--scores", str(paths["scores"]), "--far", "abc", "--out", out],
+            "--baseline-report": ["eval", "--scores", str(paths["scores"]),
+                                  "--baseline-report", str(bad), "--out", out],
+            "--candidate-report": ["eval", "--scores", str(paths["scores"]),
+                                   "--baseline-report", str(paths["report"]),
+                                   "--candidate-report", str(bad), "--out", out],
         }[option]
         line = one_error_line(capsys, argv, code)
         if code == 1:
@@ -472,6 +503,45 @@ class TestErrors:
                 "--candidate-report", str(paths["report"]), "--out", str(out),
             ]) == 0
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_eval_unreachable_far_writes_null_threshold(self, tmp_path, capsys):
+        # the top score is an imposter's, so a FAR target below 1/3 is met only
+        # at the +inf threshold, which strict JSON writes as null
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("a\tu1\ttarget\t0.1\na\tu2\ttarget\t0.2\na\tu3\ttarget\t0.3\n"
+                          "b\tv1\timposter\t0.05\nb\tv2\timposter\t0.15\n"
+                          "b\tv3\timposter\t0.9\n")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--scores", str(scores), "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        entry = next(e for e in report["per_far"] if e["target_far"] == 0.05)
+        assert entry["threshold"] is None
+        assert (entry["far"], entry["frr"]) == (0.0, 1.0)
+
+    def test_eval_stdout_prints_the_report_file(self, scored_fixture, tmp_path, capsys):
+        paths = scored_fixture
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(paths["scores"]), "--scorer-id", "nessa-m2",
+                     "--baseline-report", str(paths["report"]), "--stdout",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_eval_impact_beyond_float_exit_one(self, scored_fixture, tmp_path, capsys):
+        # a subnormal baseline FRR is in [0, 1], but the impact against it
+        # overflows: no report, one error line
+        paths = scored_fixture
+        base = tmp_path / "base.json"
+        base.write_text(raw_value(paths["report"], "5e-324", "per_far", 0, "frr"))
+        out = tmp_path / "report.json"
+        line = one_error_line(capsys, ["eval", "--scores", str(paths["scores"]),
+                                       "--baseline-report", str(base), "--out", str(out)])
+        assert "not finite" in line
+        assert not out.exists()
 
 
 class TestOneModelPerCorpus:
@@ -642,9 +712,139 @@ class TestTrainSettings:
         assert word in line
         assert not out.exists() and not log.exists()
 
+    def test_vectors_beyond_float32_exit_one(self, scored_fixture, tmp_path, capsys):
+        # 40 Y runtime vectors scaled by 1e39 do not fit float32 training: an
+        # error that names them, not a diverged loss
+        paths = scored_fixture
+        records = [json.loads(line) for line in paths["y"].read_text().splitlines()]
+        runtime = [r for r in records if r["split"] == "runtime"]
+        for record in runtime[-40:]:
+            record["vector"] = [v * 1e39 for v in record["vector"]]
+        corpus_y = tmp_path / "y_large.jsonl"
+        corpus_y.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out, log = tmp_path / "ckpt.json", tmp_path / "log.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            line = one_error_line(capsys, [
+                "train", "--corpus-x", str(paths["x"]), "--corpus-y", str(corpus_y),
+                "--variant", "m1", "--epochs", "1", "--steps", "2", "--batch", "8",
+                "--hidden", "8", "--out", str(out), "--log", str(log)])
+        assert "diverged" not in line and "Y runtime vectors" in line and "float32" in line
+        assert not out.exists() and not log.exists()
+
     def test_settings_checked_before_corpora_load(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.jsonl")
         line = one_error_line(capsys, ["train", "--corpus-x", missing, "--corpus-y",
                                        missing, "--variant", "m2", "--hidden", "0",
                                        "--out", str(tmp_path / "ckpt.json")])
         assert "hidden" in line and "missing" not in line
+
+
+# Every subcommand's flags at the time the synth and train settings flags were
+# first built from SynthConfig and NessaConfig: flag -> (dest, default, type,
+# choices, required). The type is the name of argparse's type function, "str"
+# for a flag that keeps its text and None for a switch. config_hash hashes the
+# dests and values, so a renamed dest changes the bytes of every artifact.
+CLI_SURFACE = {
+    "synth": {
+        "--config": ("config", None, "str", None, False),
+        "--n-speakers": ("n_speakers", 200, "int", None, False),
+        "--n-enroll": ("n_enroll", 5, "int", None, False),
+        "--n-runtime": ("n_runtime", 3, "int", None, False),
+        "--latent-dim": ("latent_dim", 16, "int", None, False),
+        "--embed-dim": ("embed_dim", 16, "int", None, False),
+        "--noise-x": ("noise_x", 0.3, "float", None, False),
+        "--noise-y": ("noise_y", 0.15, "float", None, False),
+        "--distortion-x": ("distortion_x", "orthogonal", "str", None, False),
+        "--distortion-y": ("distortion_y", "orthogonal", "str", None, False),
+        "--nonlinear-gain": ("nonlinear_gain", 1.5, "float", None, False),
+        "--seed": ("seed", 0, "int", None, False),
+        "--model-seed": ("model_seed", None, "int", None, False),
+        "--out-x": ("out_x", None, "str", None, True),
+        "--out-y": ("out_y", None, "str", None, True),
+        "--trials-out": ("trials_out", None, "str", None, False),
+        "--n-target": ("n_target", 500, "int", None, False),
+        "--n-imposter": ("n_imposter", 500, "int", None, False),
+        "--trial-seed": ("trial_seed", None, "int", None, False),
+    },
+    "profile": {
+        "--embeddings": ("embeddings", None, "str", None, True),
+        "--out": ("out", None, "str", None, True),
+    },
+    "logit-align": {
+        "--profiles-x": ("profiles_x", None, "str", None, True),
+        "--profiles-y": ("profiles_y", None, "str", None, True),
+        "--n-speakers": ("n_speakers", 0, "int", None, False),
+        "--seed": ("seed", 0, "int", None, False),
+        "--out": ("out", None, "str", None, True),
+    },
+    "train": {
+        "--corpus-x": ("corpus_x", None, "str", None, True),
+        "--corpus-y": ("corpus_y", None, "str", None, True),
+        "--variant": ("variant", None, "str", ("m1", "m2", "m3"), True),
+        "--alpha": ("alpha", 1.0, "float", None, False),
+        "--beta": ("beta", 0.5, "float", None, False),
+        "--gamma": ("gamma", 0.1, "float", None, False),
+        "--w-init": ("w_init", 5.0, "float", None, False),
+        "--bank-size": ("bank_size", 0, "int", None, False),
+        "--epochs": ("epochs", 50, "int", None, False),
+        "--steps": ("steps", 2000, "int", None, False),
+        "--batch": ("batch", 1024, "int", None, False),
+        "--hidden": ("hidden", 800, "int", None, False),
+        "--lr": ("lr", 0.001, "float", None, False),
+        "--decay": ("decay", 0.96, "float", None, False),
+        "--val-fraction": ("val_fraction", 0.1, "float", None, False),
+        "--seed": ("seed", 0, "int", None, False),
+        "--out": ("out", None, "str", None, True),
+        "--log": ("log", None, "str", None, False),
+    },
+    "score": {
+        "--scorer": ("scorer", None, "str", ("cosine-sym-x", "cosine-sym-y",
+                                             "cosine-asym-raw", "logit-fused", "nessa-m1",
+                                             "nessa-m2", "nessa-m3"), True),
+        "--trials": ("trials", None, "str", None, True),
+        "--corpus-x": ("corpus_x", None, "str", None, True),
+        "--corpus-y": ("corpus_y", None, "str", None, True),
+        "--fusion": ("fusion", None, "str", None, False),
+        "--checkpoint": ("checkpoint", None, "str", None, False),
+        "--out": ("out", None, "str", None, True),
+    },
+    "eval": {
+        "--scores": ("scores", None, "str", None, True),
+        "--scorer-id": ("scorer_id", "system", "str", None, False),
+        "--far": ("far", "0.125,0.05,0.02", "_far_list", None, False),
+        "--baseline-report": ("baseline_report", None, "str", None, False),
+        "--candidate-report": ("candidate_report", None, "str", None, False),
+        "--stdout": ("stdout", False, None, None, False),
+        "--out": ("out", None, "str", None, True),
+    },
+}
+
+
+class TestCliSurface:
+    def test_flags_are_pinned(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {a.option_strings[0]: (
+                   a.dest, a.default,
+                   getattr(a.type, "__name__", None) or ("str" if a.nargs != 0 else None),
+                   None if a.choices is None else tuple(a.choices), a.required)
+                   for a in parser._actions if a.dest != "help"}
+               for name, parser in sub.choices.items()}
+        assert got == CLI_SURFACE
+
+    def test_required_flags_alone_build_default_configs(self, tmp_path):
+        # the config each command builds is caught where it is first used
+        built = []
+
+        def catch(cfg, *args):
+            built.append(cfg)
+            raise SidAlignError("caught")
+
+        with mock.patch("sidalign.cli.generate", side_effect=catch):
+            assert main(["synth", "--out-x", str(tmp_path / "x"),
+                         "--out-y", str(tmp_path / "y")]) == 1
+        with mock.patch.object(NessaConfig, "validate", autospec=True, side_effect=catch):
+            assert main(["train", "--corpus-x", "x", "--corpus-y", "y", "--variant", "m1",
+                         "--out", str(tmp_path / "ckpt")]) == 1
+        assert built == [SynthConfig(), NessaConfig(variant="m1")]
