@@ -275,23 +275,29 @@ def cmd_eval(args) -> int:
 
 def _per_far(path, key: str, required: bool, unit: bool = False) -> dict:
     """{far key: entry[key]} over a saved report's per_far entries; entries
-    without the key are skipped unless it is required. Each value must be a
-    finite number (a bool is not one), in [0, 1] if unit."""
+    without the key are skipped unless it is required. Each target_far and
+    value must be a finite number, the value in [0, 1] if unit."""
     report = load_report(path)
     try:
-        values = {FLOAT_FMT % e["target_far"]: e[key] for e in report["per_far"]
-                  if required or key in e}
+        entries = [(e["target_far"], e[key]) for e in report["per_far"]
+                   if required or key in e]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed report, missing {exc}") from exc
-    for value in values.values():
-        try:  # TypeError: not a number; OverflowError: an int beyond float
-            ok = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            ok = False
-        if not ok or unit and not 0 <= value <= 1:
+    for far, value in entries:
+        if not _finite(far):
+            raise ParseError(f"{path}: target_far {far!r} is not a finite number")
+        if not _finite(value) or unit and not 0 <= value <= 1:
             raise ParseError(f"{path}: {key} {value!r} is not a finite number"
                              + (" in [0, 1]" if unit else ""))
-    return values
+    return {FLOAT_FMT % far: value for far, value in entries}
+
+
+def _finite(value) -> bool:
+    """Whether a value read from JSON is a finite number; a bool is not one."""
+    try:  # TypeError: not a number; OverflowError: an int beyond float
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _far_list(text: str) -> str:

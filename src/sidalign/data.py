@@ -4,7 +4,8 @@ File formats:
   * embeddings / profiles: UTF-8 JSONL, one object per line with keys
     speaker_id, utterance_id, model_id, split ("enroll"|"runtime"),
     vector (list of floats, 9 significant digits on disk). Files in the
-    layout save_embeddings writes are read in bulk, others line by line.
+    layout save_embeddings writes are read in bulk, others line by line;
+    json.loads judges the numbers on both paths.
   * trials: TSV ``enroll_speaker_id \\t test_utterance_id \\t target|imposter``.
   * scores: trial columns plus a score column (9 significant digits).
 
@@ -48,7 +49,7 @@ FIELDS = ("speaker_id", "utterance_id", "model_id", "split", "vector")
 # load_embeddings reads files made of such lines in bulk.
 RECORD_LAYOUT = "{" + ", ".join(f'"{key}": %s' for key in FIELDS) + "}"
 # A JSON string that decodes to its own text (no escape, no control
-# character), each of the splits, and the vector text that _json_numbers
+# character), each of the splits, and the vector text that json.loads
 # checks, between the whitespace that str.strip() takes off a line. No part
 # matches a newline, so each match is one whole line of a text.
 _RECORD_LINE = re.compile(r"^[^\S\n]*" + re.escape(RECORD_LAYOUT) % (
@@ -303,9 +304,11 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
 # File IO
 
 
-# Rows that save_embeddings formats and writes at a time: only one block's
-# text and Python floats are alive at once, whatever the corpus size.
+# Rows that save_embeddings formats and writes, and that load_embeddings
+# parses, at a time: only one block's text or Python floats are alive at
+# once, whatever the corpus size.
 WRITE_BLOCK_ROWS = 4096
+READ_BLOCK_ROWS = 512
 
 
 def save_embeddings(corpus: Corpus, path) -> None:
@@ -341,41 +344,11 @@ def _read_text(path) -> str:
     return text
 
 
-# Comma-separated JSON numbers, -?int frac? exp? (RFC 8259, section 6), as
-# byte classes and which class may follow which. Class 0 is every other byte.
-_CLASS_CHARS = (b"123456789", b"0", b",", b"-", b"+", b".", b"eE")
-_DIGIT, _ZERO, _COMMA, _MINUS, _PLUS, _POINT, _EXP = range(1, len(_CLASS_CHARS) + 1)
-_BYTE_CLASS = bytes(next((cls for cls, chars in enumerate(_CLASS_CHARS, start=1)
-                          if byte in chars), 0) for byte in range(256))
-_DIGITS = (_DIGIT, _ZERO)
-_AFTER_DIGIT = (*_DIGITS, _COMMA, _POINT, _EXP)
-_FOLLOWERS = {_DIGIT: _AFTER_DIGIT, _ZERO: _AFTER_DIGIT, _COMMA: (*_DIGITS, _MINUS),
-              _MINUS: _DIGITS, _PLUS: _DIGITS, _POINT: _DIGITS,
-              _EXP: (*_DIGITS, _MINUS, _PLUS)}
-_PAIRS = bytes(cls << 3 | nxt for cls, followers in _FOLLOWERS.items() for nxt in followers)
-
-
-def _json_numbers(text: bytes) -> bool:
-    """Whether ``text`` is comma-separated JSON numbers, checked on all its
-    bytes at once. np.loadtxt also takes '+1', '.5', '1.', '01', spaces, 'inf'
-    and 'nan', which JSON refuses; tokens that np.loadtxt refuses too
-    ('1.2.3', '1e5e5') may pass."""
-    c = np.frombuffer((b"," + text + b",").translate(_BYTE_CLASS), dtype=np.uint8)
-    # Each adjacent pair of classes as one byte: none is left once the
-    # allowed pairs are deleted.
-    if ((c[:-1] << 3) | c[1:]).tobytes().translate(None, _PAIRS):
-        return False
-    # Every number now opens with a digit or '-' and a digit; the first digit
-    # of its integer part is 0 only if it is the only one.
-    first = np.flatnonzero(c[:-1] == _COMMA) + 1
-    first += c[first] == _MINUS
-    return not ((c[first] == _ZERO) & (c[first + 1] <= _ZERO)).any()
-
-
 def _bulk_columns(text: str):
     """The columns of a text whose nonblank lines all have RECORD_LAYOUT, ids
-    without escapes and JSON numbers in equal count, parsed by one np.loadtxt
-    call (the bits of float()); None for any other text."""
+    without escapes and vectors of one length that json.loads reads (with
+    _json_columns' integers as floats), READ_BLOCK_ROWS rows per call; None
+    for any other text."""
     # The text split at each match: the text before it, then its fields. A
     # match is one whole line, so every nonblank line matched if only
     # whitespace lies between the matches.
@@ -385,20 +358,24 @@ def _bulk_columns(text: str):
     if len(parts) == 1 or (between and not between.isspace()):
         return None
     *ids, vectors = (parts[i::stride] for i in range(1, stride))
-    if not _json_numbers(",".join(vectors).encode()):
+    # Only number bytes and commas: no bracket, so each line is one row, and
+    # no letter, so true, null, NaN and strings are left to the line reader.
+    if ",".join(vectors).encode().translate(None, b"0123456789-+.eE,"):
         return None
-    try:
-        matrix = np.loadtxt(vectors, delimiter=",", dtype=np.float64, ndmin=2,
-                            comments=None)
-    except ValueError:  # rows of unequal length
+    try:  # a grammar error, or rows of unequal length
+        matrix = np.concatenate([
+            np.array(json.loads("[[" + "],[".join(vectors[i:i + READ_BLOCK_ROWS]) + "]]",
+                                parse_int=float), dtype=np.float64, ndmin=2)
+            for i in range(0, len(vectors), READ_BLOCK_ROWS)])
+    except ValueError:
         return None
     return (*ids, matrix)
 
 
 def _json_columns(path, text: str):
     """The columns of the nonblank lines, one json.loads each; an error names
-    the line. Integers parse as floats, so that 1e400 written out in digits
-    is inf, as np.loadtxt reads it."""
+    the line. Integers parse as floats, as in _bulk_columns, so that 1e400
+    written out in digits is inf."""
     columns = tuple([] for _ in FIELDS)
     for lineno, line in enumerate(map(str.strip, text.split("\n")), start=1):
         if not line:

@@ -16,8 +16,12 @@ is evaluated. Each list also makes a round trip through the trial files:
 and ``load_trials`` again. It prints "sha256  name" for the float64 bytes of
 every score array, the sorted-key JSON of every report, both files and the
 columns of both loaded lists, and of both views' vectors that ``generate``
-draws for each distortion, so two versions of the code synthesise, score,
-evaluate, write and read alike exactly when they print the same lines:
+draws for each distortion. Last, a 1,500-row corpus makes a round trip through
+``save_embeddings`` and ``load_embeddings``, once with ASCII ids (read in bulk)
+and once with non-ASCII ids (written escaped, so read line by line), and it
+prints the digests of the loaded id columns and vectors. So two versions of
+the code synthesise, score, evaluate, write and read alike exactly when they
+print the same lines:
 
     diff <(PYTHONPATH=old/src python tests/api_recipe.py) \\
          <(PYTHONPATH=src python tests/api_recipe.py)
@@ -125,6 +129,23 @@ def generate_hashes() -> None:
             print(f"{sha256(corpus.vectors.tobytes())}  generate/{kind}/{view}")
 
 
+def corpus_round_trips() -> None:
+    """Save and load one corpus under ASCII and under non-ASCII ids."""
+    n = 1_500
+    vectors = Prng(31).standard_normal(n, 16)
+    splits = [data.SPLITS[i % 4 == 0] for i in range(n)]
+    for name, prefix in (("ascii", ""), ("escaped", "\u00e9\u4e2d-")):
+        corpus = data.Corpus([f"{prefix}s{i // 5}" for i in range(n)],
+                             [f"{prefix}u{i}" for i in range(n)], ["M"] * n, splits,
+                             vectors)
+        with tempfile.TemporaryDirectory() as tmp:
+            data.save_embeddings(corpus, Path(tmp) / "c.jsonl")
+            back = data.load_embeddings(Path(tmp) / "c.jsonl")
+        ids = [back.speakers, back.utterances, back.model_id, back.enroll.tolist()]
+        print(f"{sha256(json.dumps(ids).encode())}  corpus/{name}/ids")
+        print(f"{sha256(back.vectors.tobytes())}  corpus/{name}/vectors")
+
+
 def main() -> None:
     generate_hashes()
     prof, run, owners, fusion, ckpts = setup()
@@ -160,6 +181,7 @@ def main() -> None:
             print(f"{sha256(json.dumps(report, sort_keys=True).encode())}  "
                   f"report/{n}/{name}")
         round_trip(ts, systems["cosine-asym-raw"], n)
+    corpus_round_trips()
 
 
 if __name__ == "__main__":

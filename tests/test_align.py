@@ -19,6 +19,8 @@ from sidalign.align import (
     loss_m2,
     loss_m3,
     load_checkpoint,
+    map_profiles,
+    map_runtime,
     sample_negative_bank,
     save_checkpoint,
     side_maps,
@@ -31,6 +33,7 @@ from sidalign.errors import (
     DisjointnessViolation,
     InsufficientData,
     TrainingDiverged,
+    VariantMismatch,
 )
 from sidalign.mlp import (
     AdamState,
@@ -418,6 +421,14 @@ class TestCheckpointIO:
             assert (got is None) == (want is None)
             if got is not None:
                 assert got(rows).tobytes() == want(rows).tobytes()
+
+    @pytest.mark.parametrize("variant, unmapped", [("m1", map_profiles),
+                                                   ("m2", map_runtime)])
+    def test_side_the_variant_leaves_raises_variant_mismatch(self, variant, unmapped):
+        ckpt = Checkpoint(variant, Mlp([np.eye(2)], [np.zeros(2)]), None, None,
+                          0.0, 1.0, 1.0, 0, 1)
+        with pytest.raises(VariantMismatch, match=f"variant '{variant}' does not map"):
+            unmapped(ckpt, np.ones((3, 2)))
 
     @given(st.data())
     def test_parameters_round_trip_bit_for_bit(self, data):

@@ -8,7 +8,7 @@ import pytest
 
 from sidalign import data
 from sidalign.align import NessaConfig, load_checkpoint
-from sidalign.cli import SCORERS, build_parser, main
+from sidalign.cli import SCORERS, _config_hash, build_parser, main
 from sidalign.data import build_all_profiles, load_embeddings, load_profiles, load_trials
 from sidalign.errors import SidAlignError
 from sidalign.logit import build_weight_matrix, load_fusion, logit_score_direct
@@ -259,6 +259,14 @@ def raw_value(path, text, *keys):
     return replaced(path, "@raw@", *keys).replace('"@raw@"', text)
 
 
+def candidate_far(path, text):
+    """The report with a relative_impact in its first per_far entry, whose
+    target_far is set to the raw JSON text."""
+    obj = json.loads(path.read_text())
+    obj["per_far"][0].update(relative_impact=0.5, target_far="@raw@")
+    return json.dumps(obj).replace('"@raw@"', text)
+
+
 def one_error_line(capsys, argv, code=1):
     """Run argv; assert its exit code and that stderr holds exactly one
     `error:` line (and, for exit 1, nothing else). Returns that line."""
@@ -384,6 +392,11 @@ class TestErrors:
                                                       "per_far", 0, "frr"), 1),
         ("--candidate-report", lambda paths: raw_value(paths["report"], "1e999",
                                                        "per_far", 0, "relative_impact"), 1),
+        ("--baseline-report", lambda paths: raw_value(paths["report"], "true",
+                                                      "per_far", 0, "target_far"), 1),
+        ("--baseline-report", lambda paths: raw_value(paths["report"], '"0.125"',
+                                                      "per_far", 0, "target_far"), 1),
+        ("--candidate-report", lambda paths: candidate_far(paths["report"], "true"), 1),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "scores-not-utf8", "fusion-without-m",
@@ -396,9 +409,10 @@ class TestErrors:
             "config-not-json", "config-wrong-type", "far-not-numbers",
             "baseline-frr-overflow", "baseline-frr-string", "baseline-frr-null",
             "baseline-frr-bool", "baseline-frr-int-too-large", "baseline-frr-above-one",
-            "candidate-impact-overflow"])
+            "candidate-impact-overflow", "baseline-target-far-bool",
+            "baseline-target-far-string", "candidate-target-far-bool"])
     def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
-                                            option, content, code):
+                                            request, option, content, code):
         paths = scored_fixture
         bad = tmp_path / "bad_input"
         content = content(paths) if callable(content) else content or ""
@@ -423,6 +437,8 @@ class TestErrors:
         line = one_error_line(capsys, argv, code)
         if code == 1:
             assert "bad_input" in line
+        if "target-far" in request.node.callspec.id:
+            assert "bad_input: target_far " in line
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_rows_exit_one(self, scored_fixture, tmp_path, capsys):
@@ -820,6 +836,16 @@ CLI_SURFACE = {
     },
 }
 
+# Every flag that names a file, by hand: config_hash must not depend on them.
+PATH_FLAGS = {
+    "synth": ("--config", "--out-x", "--out-y", "--trials-out"),
+    "profile": ("--embeddings", "--out"),
+    "logit-align": ("--profiles-x", "--profiles-y", "--out"),
+    "train": ("--corpus-x", "--corpus-y", "--out", "--log"),
+    "score": ("--trials", "--corpus-x", "--corpus-y", "--fusion", "--checkpoint", "--out"),
+    "eval": ("--scores", "--baseline-report", "--candidate-report", "--out"),
+}
+
 
 class TestCliSurface:
     def test_flags_are_pinned(self):
@@ -832,6 +858,18 @@ class TestCliSurface:
                    for a in parser._actions if a.dest != "help"}
                for name, parser in sub.choices.items()}
         assert got == CLI_SURFACE
+
+    @pytest.mark.parametrize("command", list(PATH_FLAGS))
+    def test_config_hash_ignores_every_path_flag(self, command):
+        required = {"train": ["--variant", "m3"], "score": ["--scorer", "nessa-m3"]}
+
+        def config_hash_under(root):
+            argv = [command, *required.get(command, [])]
+            for flag in PATH_FLAGS[command]:
+                argv += [flag, f"{root}/{flag[2:]}"]
+            return _config_hash(build_parser().parse_args(argv))
+
+        assert config_hash_under("/a") == config_hash_under("/b/c")
 
     def test_required_flags_alone_build_default_configs(self, tmp_path):
         # the config each command builds is caught where it is first used

@@ -443,6 +443,16 @@ id_texts = st.one_of(plain_ids.map(json.dumps),
 number_texts = st.builds(lambda fmt, x: fmt(x),
                          st.sampled_from([FLOAT_FMT.__mod__, "%.17g".__mod__, repr]),
                          st.one_of(finite, st.floats(-1e-307, 1e-307)))
+# Vector entries, JSON numbers or not: near misses of the grammar, brackets,
+# letters, quotes, and integers too long for a double.
+number_tokens = st.one_of(
+    st.from_regex(JSON_NUMBER, fullmatch=True),
+    st.text("0123456789+-.eE ", max_size=6),
+    st.text("0123456789-.,[]\"aefilnrstuyIN ", max_size=6),
+    st.integers(300, 500).map("9".__mul__),
+    st.sampled_from(["+1", ".5", "1.", "01", "-.5", "1.e5", "-01", "1e", "-0", "inf",
+                     "nan", " 1", "NaN", "-Infinity", "true", "null", '"1.5"', "[1]",
+                     "1],[2", "1e999"]))
 
 
 @st.composite
@@ -510,6 +520,14 @@ def reference_save_embeddings(corpus, path):
     Path(path).write_bytes(text.encode())
 
 
+def load_or_error(load, path):
+    """load(path), or the SidAlignError it raises."""
+    try:
+        return load(path)
+    except SidAlignError as exc:
+        return exc
+
+
 def both_readers_agree(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.jsonl"
@@ -539,6 +557,7 @@ class TestBulkReader:
         reference_save_embeddings(corpus, want)
         assert got.read_bytes() == want.read_bytes()
         assert len(got.read_bytes().splitlines()) == n
+        same_corpus(load_embeddings(got), load_line_by_line(got))
 
     def test_saved_corpus_is_read_in_bulk(self, tmp_path):
         corpus = Corpus(["s", "s"], ["u0", "u1"], ["M", "M"],
@@ -560,18 +579,41 @@ class TestBulkReader:
         assert str(bulk.value) == str(by_line.value)
         assert str(bulk.value).startswith(f"{path}:{lineno}: ")
 
-    @given(st.lists(st.one_of(st.from_regex(JSON_NUMBER, fullmatch=True),
-                              st.text("0123456789+-.eE ", max_size=6),
-                              st.sampled_from(["+1", ".5", "1.", "01", "-.5", "1.e5",
-                                               "-01", "1e", "inf", "nan", " 1"])),
-                    min_size=1, max_size=4))
-    def test_number_check_is_json_where_loadtxt_reads(self, tokens):
-        text = ",".join(tokens)
-        json_ok = all(re.fullmatch(JSON_NUMBER, token) for token in tokens)
-        assert data._json_numbers(text.encode()) or not json_ok
-        if data._json_numbers(text.encode()) and not json_ok:
-            with pytest.raises(ValueError):
-                np.loadtxt([text], delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+    @given(st.lists(st.lists(number_tokens, min_size=1, max_size=4), min_size=1,
+                    max_size=4))
+    def test_bulk_and_line_readers_agree_on_any_vector_text(self, rows):
+        text = "".join(layout_line('"s"', f'"u{i}"', '"M"', "enroll", tokens) + "\n"
+                       for i, tokens in enumerate(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.jsonl"
+            path.write_bytes(text.encode())
+            bulk, by_line = (load_or_error(load, path)
+                             for load in (load_embeddings, load_line_by_line))
+        if isinstance(by_line, Corpus):
+            same_corpus(bulk, by_line)
+        else:
+            assert (type(bulk), str(bulk)) == (type(by_line), str(by_line))
+
+    @pytest.mark.parametrize("n", [data.READ_BLOCK_ROWS - 1, data.READ_BLOCK_ROWS,
+                                   data.READ_BLOCK_ROWS + 1, 2 * data.READ_BLOCK_ROWS + 3])
+    def test_bulk_reads_across_read_blocks(self, tmp_path, n):
+        corpus = Corpus([f"s{i % 7}" for i in range(n)], [f"u{i}" for i in range(n)],
+                        ["M"] * n, [SPLITS[i % 3 == 0] for i in range(n)],
+                        Prng(n).standard_normal(n, 3))
+        save_embeddings(corpus, tmp_path / "c.jsonl")
+        assert data._bulk_columns((tmp_path / "c.jsonl").read_text()) is not None
+        same_corpus(load_embeddings(tmp_path / "c.jsonl"),
+                    load_line_by_line(tmp_path / "c.jsonl"))
+
+    def test_ragged_row_after_a_read_block_is_named(self, tmp_path):
+        n = data.READ_BLOCK_ROWS + 1
+        lines = [layout_line('"s"', f'"u{i}"', '"M"', "enroll", ["0.5", "1"])
+                 for i in range(n - 1)]
+        lines.append(layout_line('"s"', f'"u{n}"', '"M"', "enroll", ["0.5"]))
+        (tmp_path / "c.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DimensionMismatch) as exc:
+            load_embeddings(tmp_path / "c.jsonl")
+        assert str(exc.value).startswith(f"{tmp_path / 'c.jsonl'}:{n}: ")
 
 
 # ---------------------------------------------------------------------------
