@@ -27,7 +27,6 @@ from .errors import (
     ParseError,
     TrainingDiverged,
     VariantMismatch,
-    ZeroVector,
 )
 from .mlp import (
     AdamState,
@@ -365,7 +364,7 @@ def train(config: NessaConfig, train_pair: PairedData,
 
     The networks, w, Adam's state and both splits' matrices are float32
     (TRAIN_DTYPE); the checkpoint holds float64 copies, which are exact. A
-    paired value beyond float32's range raises ZeroVector before the first
+    paired value beyond float32's range raises ParseError before the first
     step. A non-finite training or validation loss, or a non-finite
     parameter in a checkpoint, raises TrainingDiverged: numpy's overflow
     warnings are off while training, since the loss or the parameters carry
@@ -378,14 +377,15 @@ def train(config: NessaConfig, train_pair: PairedData,
 
 
 def _train_copy(pair: PairedData) -> PairedData:
-    """pair cast to TRAIN_DTYPE; ZeroVector if a cast row is not finite, which
-    is a value beyond the dtype's range."""
+    """pair cast to TRAIN_DTYPE; ParseError, as Corpus gives for a non-finite
+    vector, if a cast row is not finite, which is a value beyond the dtype's
+    range."""
     cast = pair.astype(TRAIN_DTYPE)
     for name, view in (("e_x", "X profiles"), ("e_y", "Y profiles"),
                        ("r_x", "X runtime vectors"), ("r_y", "Y runtime vectors")):
         if not np.isfinite(getattr(cast, name)).all():
             limit = float(np.finfo(TRAIN_DTYPE).max)
-            raise ZeroVector(f"{view} hold a value beyond ±{limit:.4g}, the range of "
+            raise ParseError(f"{view} hold a value beyond ±{limit:.4g}, the range of "
                              f"{np.dtype(TRAIN_DTYPE).name} training")
     return cast
 

@@ -276,20 +276,25 @@ def cmd_eval(args) -> int:
 def _per_far(path, key: str, required: bool, unit: bool = False) -> dict:
     """{far key: entry[key]} over a saved report's per_far entries; entries
     without the key are skipped unless it is required. Each target_far and
-    value must be a finite number, the value in [0, 1] if unit."""
+    value must be a finite number, the value in [0, 1] if unit, and no two
+    target_fars may share a far key."""
     report = load_report(path)
     try:
         entries = [(e["target_far"], e[key]) for e in report["per_far"]
                    if required or key in e]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed report, missing {exc}") from exc
+    per_far = {}
     for far, value in entries:
         if not _finite(far):
             raise ParseError(f"{path}: target_far {far!r} is not a finite number")
         if not _finite(value) or unit and not 0 <= value <= 1:
             raise ParseError(f"{path}: {key} {value!r} is not a finite number"
                              + (" in [0, 1]" if unit else ""))
-    return {FLOAT_FMT % far: value for far, value in entries}
+        if FLOAT_FMT % far in per_far:
+            raise ParseError(f"{path}: target_far {far!r} is repeated")
+        per_far[FLOAT_FMT % far] = value
+    return per_far
 
 
 def _finite(value) -> bool:

@@ -5,7 +5,9 @@ File formats:
     speaker_id, utterance_id, model_id, split ("enroll"|"runtime"),
     vector (list of floats, 9 significant digits on disk). Files in the
     layout save_embeddings writes are read in bulk, others line by line;
-    json.loads judges the numbers on both paths.
+    json.loads judges the numbers on both paths. Both save_embeddings and
+    the bulk reader hold the text of BLOCK_ROWS lines at a time, so the
+    memory they need beyond the corpus itself does not grow with its size.
   * trials: TSV ``enroll_speaker_id \\t test_utterance_id \\t target|imposter``.
   * scores: trial columns plus a score column (9 significant digits).
 
@@ -20,6 +22,7 @@ import json
 import re
 from copy import copy
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -304,23 +307,22 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
 # File IO
 
 
-# Rows that save_embeddings formats and writes, and that load_embeddings
-# parses, at a time: only one block's text or Python floats are alive at
-# once, whatever the corpus size.
-WRITE_BLOCK_ROWS = 4096
-READ_BLOCK_ROWS = 512
+# Lines that save_embeddings formats and writes, and that load_embeddings
+# reads and parses, at a time, and trials that metrics.score_trials gathers
+# for a cosine at a time: only one block's text, Python floats or gathered
+# rows are alive at once, whatever the corpus or trial-list size.
+BLOCK_ROWS = 512
 
 
 def save_embeddings(corpus: Corpus, path) -> None:
     """One RECORD_LAYOUT line per row, vector entries as FLOAT_FMT (json.dumps
-    would re-expand the rounded floats), written WRITE_BLOCK_ROWS rows at a
-    time."""
+    would re-expand the rounded floats), written BLOCK_ROWS rows at a time."""
     line = RECORD_LAYOUT % ("%s", "%s", "%s", '"%s"',
                             "[" + ",".join([FLOAT_FMT] * (corpus.dim or 0)) + "]") + "\n"
     model = encode_basestring_ascii(corpus.model_id or "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(corpus), WRITE_BLOCK_ROWS):
-            block = slice(start, start + WRITE_BLOCK_ROWS)
+        for start in range(0, len(corpus), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
             fh.write("".join([
                 line % (encode_basestring_ascii(speaker), encode_basestring_ascii(utt),
                         model, "enroll" if enroll else "runtime", *vector)
@@ -347,8 +349,7 @@ def _read_text(path) -> str:
 def _bulk_columns(text: str):
     """The columns of a text whose nonblank lines all have RECORD_LAYOUT, ids
     without escapes and vectors of one length that json.loads reads (with
-    _json_columns' integers as floats), READ_BLOCK_ROWS rows per call; None
-    for any other text."""
+    _json_columns' integers as floats) in one call; None for any other text."""
     # The text split at each match: the text before it, then its fields. A
     # match is one whole line, so every nonblank line matched if only
     # whitespace lies between the matches.
@@ -363,13 +364,56 @@ def _bulk_columns(text: str):
     if ",".join(vectors).encode().translate(None, b"0123456789-+.eE,"):
         return None
     try:  # a grammar error, or rows of unequal length
-        matrix = np.concatenate([
-            np.array(json.loads("[[" + "],[".join(vectors[i:i + READ_BLOCK_ROWS]) + "]]",
-                                parse_int=float), dtype=np.float64, ndmin=2)
-            for i in range(0, len(vectors), READ_BLOCK_ROWS)])
+        matrix = np.array(json.loads("[[" + "],[".join(vectors) + "]]", parse_int=float),
+                          dtype=np.float64, ndmin=2)
     except ValueError:
         return None
     return (*ids, matrix)
+
+
+def _streamed_columns(path):
+    """_bulk_columns over the file's text, read BLOCK_ROWS lines at a time
+    with newlines translated as in _read_text, the vectors written into one
+    matrix sized by _brace_count; None, before reading, for a stream that
+    cannot seek back (a pipe), and None for a file that holds no record, a
+    block that _bulk_columns refuses, blocks of unequal width or bytes that
+    are not UTF-8, all of which the line reader reads or names."""
+    ids = ([], [], [], [])
+    matrix = None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if not fh.seekable():
+                return None
+            braces, size = _brace_count(fh.buffer)
+            fh.seek(0)
+            while block := "".join(islice(fh, BLOCK_ROWS)):
+                if block.isspace():
+                    continue
+                columns = _bulk_columns(block)
+                if columns is None:
+                    return None
+                rows, start = columns[-1], len(ids[0])
+                if matrix is None:
+                    # Each record holds a "{" and at least two bytes per
+                    # number, so neither count is below the record count,
+                    # and a flood of braces cannot inflate the matrix.
+                    width = rows.shape[1]
+                    matrix = np.empty((min(braces, size // (2 * max(width, 1)) + 1), width))
+                if rows.shape[1] != matrix.shape[1]:
+                    return None
+                matrix[start:start + len(rows)] = rows
+                for column, values in zip(ids, columns):
+                    column.extend(values)
+    except ValueError:  # a UnicodeDecodeError
+        return None
+    return None if matrix is None else (*ids, matrix[:len(ids[0])])
+
+
+def _brace_count(raw) -> tuple[int, int]:
+    """The number of "{" bytes in a binary file, and its size."""
+    braces = sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("{"))
+                 for chunk in iter(partial(raw.read, 1 << 16), b""))
+    return braces, raw.tell()
 
 
 def _json_columns(path, text: str):
@@ -397,11 +441,14 @@ def load_embeddings(path) -> Corpus:
     """A corpus of a JSONL file; an error names the file and the line. Files
     that save_embeddings writes are read in bulk, any other JSON layout of the
     same keys line by line, to the same values and errors."""
-    text = _read_text(path)
-    columns = _bulk_columns(text) or _json_columns(path, text)
+    columns = _streamed_columns(path)
+    text = None if columns else _read_text(path)  # read once: it may be a pipe
+    columns = columns or _json_columns(path, text)
     try:
         return Corpus(*columns)
     except SidAlignError as exc:
+        if text is None:  # a streamed file: read again, for the line numbers
+            text = _read_text(path)
         nonblank = compress(count(1), map(str.strip, text.split("\n")))
         lineno = next(islice(nonblank, exc.row, None))
         raise type(exc)(f"{path}:{lineno}: {exc}") from exc

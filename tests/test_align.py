@@ -32,6 +32,7 @@ from sidalign.errors import (
     ConfigInvalid,
     DisjointnessViolation,
     InsufficientData,
+    ParseError,
     TrainingDiverged,
     VariantMismatch,
 )
@@ -375,6 +376,16 @@ class TestTraining:
         NessaConfig(variant="m3", w_init=-3e38).validate()
         with pytest.raises(ConfigInvalid, match="w_init"):
             NessaConfig(variant="m3", w_init=-1e300).validate()
+
+    def test_vector_beyond_float32_is_a_parse_error(self):
+        # a finite float64 row that float32 cannot hold: the error Corpus
+        # gives for a non-finite vector, not a zero-vector one
+        paired = paired_from_synth()
+        paired.r_y[0] = 1e39
+        cfg = NessaConfig(variant="m1", epochs=1, steps_per_epoch=2, batch_size=8,
+                          hidden=8, seed=2)
+        with pytest.raises(ParseError, match="Y runtime vectors hold a value beyond"):
+            train(cfg, paired, None)
 
 
 class TestCheckpointIO:

@@ -267,6 +267,16 @@ def candidate_far(path, text):
     return json.dumps(obj).replace('"@raw@"', text)
 
 
+def repeated_far(path, key):
+    """The report with a copy of its first per_far entry appended: two
+    values of key, 0.5 and then 0.25, for one target_far."""
+    obj = json.loads(path.read_text())
+    first = obj["per_far"][0]
+    first[key] = 0.5
+    obj["per_far"].append(dict(first, **{key: 0.25}))
+    return json.dumps(obj)
+
+
 def one_error_line(capsys, argv, code=1):
     """Run argv; assert its exit code and that stderr holds exactly one
     `error:` line (and, for exit 1, nothing else). Returns that line."""
@@ -397,6 +407,9 @@ class TestErrors:
         ("--baseline-report", lambda paths: raw_value(paths["report"], '"0.125"',
                                                       "per_far", 0, "target_far"), 1),
         ("--candidate-report", lambda paths: candidate_far(paths["report"], "true"), 1),
+        ("--baseline-report", lambda paths: repeated_far(paths["report"], "frr"), 1),
+        ("--candidate-report", lambda paths: repeated_far(paths["report"],
+                                                          "relative_impact"), 1),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "scores-not-utf8", "fusion-without-m",
@@ -410,7 +423,8 @@ class TestErrors:
             "baseline-frr-overflow", "baseline-frr-string", "baseline-frr-null",
             "baseline-frr-bool", "baseline-frr-int-too-large", "baseline-frr-above-one",
             "candidate-impact-overflow", "baseline-target-far-bool",
-            "baseline-target-far-string", "candidate-target-far-bool"])
+            "baseline-target-far-string", "candidate-target-far-bool",
+            "baseline-target-far-repeated", "candidate-target-far-repeated"])
     def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
                                             request, option, content, code):
         paths = scored_fixture

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -545,8 +546,10 @@ class TestBulkReader:
         assert data._bulk_columns(text.replace("\r\n", "\n")) is not None
         both_readers_agree(text)
 
-    @pytest.mark.parametrize("n", [0, 1, data.WRITE_BLOCK_ROWS - 1, data.WRITE_BLOCK_ROWS,
-                                   data.WRITE_BLOCK_ROWS + 1, 2 * data.WRITE_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("n", [0, 1, data.BLOCK_ROWS - 1, data.BLOCK_ROWS,
+                                   data.BLOCK_ROWS + 1, 8 * data.BLOCK_ROWS - 1,
+                                   8 * data.BLOCK_ROWS, 8 * data.BLOCK_ROWS + 1,
+                                   16 * data.BLOCK_ROWS + 3])
     def test_blocked_writer_writes_the_one_string_bytes(self, tmp_path, n):
         corpus = Corpus([f"s{i % 7}" for i in range(n)],
                         [f"u\u00e9\"{i}" for i in range(n)], ["M"] * n,
@@ -563,7 +566,7 @@ class TestBulkReader:
         corpus = Corpus(["s", "s"], ["u0", "u1"], ["M", "M"],
                         ["enroll", "runtime"], Prng(3).standard_normal(2, 5))
         save_embeddings(corpus, tmp_path / "c.jsonl")
-        assert data._bulk_columns((tmp_path / "c.jsonl").read_text()) is not None
+        assert data._streamed_columns(tmp_path / "c.jsonl") is not None
 
     @given(spoiled_files())
     def test_spoiled_line_same_error_as_json(self, drawn):
@@ -594,19 +597,19 @@ class TestBulkReader:
         else:
             assert (type(bulk), str(bulk)) == (type(by_line), str(by_line))
 
-    @pytest.mark.parametrize("n", [data.READ_BLOCK_ROWS - 1, data.READ_BLOCK_ROWS,
-                                   data.READ_BLOCK_ROWS + 1, 2 * data.READ_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("n", [data.BLOCK_ROWS - 1, data.BLOCK_ROWS,
+                                   data.BLOCK_ROWS + 1, 2 * data.BLOCK_ROWS + 3])
     def test_bulk_reads_across_read_blocks(self, tmp_path, n):
         corpus = Corpus([f"s{i % 7}" for i in range(n)], [f"u{i}" for i in range(n)],
                         ["M"] * n, [SPLITS[i % 3 == 0] for i in range(n)],
                         Prng(n).standard_normal(n, 3))
         save_embeddings(corpus, tmp_path / "c.jsonl")
-        assert data._bulk_columns((tmp_path / "c.jsonl").read_text()) is not None
+        assert data._streamed_columns(tmp_path / "c.jsonl") is not None
         same_corpus(load_embeddings(tmp_path / "c.jsonl"),
                     load_line_by_line(tmp_path / "c.jsonl"))
 
     def test_ragged_row_after_a_read_block_is_named(self, tmp_path):
-        n = data.READ_BLOCK_ROWS + 1
+        n = data.BLOCK_ROWS + 1
         lines = [layout_line('"s"', f'"u{i}"', '"M"', "enroll", ["0.5", "1"])
                  for i in range(n - 1)]
         lines.append(layout_line('"s"', f'"u{n}"', '"M"', "enroll", ["0.5"]))
@@ -614,6 +617,59 @@ class TestBulkReader:
         with pytest.raises(DimensionMismatch) as exc:
             load_embeddings(tmp_path / "c.jsonl")
         assert str(exc.value).startswith(f"{tmp_path / 'c.jsonl'}:{n}: ")
+
+    @pytest.mark.parametrize("edge", ["crlf", "lone-cr", "not-utf8", "blank-block",
+                                      "width-change", "empty"])
+    def test_block_edges_read_as_line_by_line(self, tmp_path, edge):
+        # Lines 1 to BLOCK_ROWS are the first block the streamed reader takes.
+        n, b = data.BLOCK_ROWS + 5, data.BLOCK_ROWS
+        lines = [layout_line('"s"', f'"u{i}"', '"M"', SPLITS[i % 2],
+                             ["0.5", f"{i}e-3"] + ["1"] * (edge == "width-change" and i >= b))
+                 for i in range(n)]
+        if edge == "blank-block":  # the second block holds blank lines alone
+            lines = lines[:3] + [""] * (b - 3) + [" \t"] * b + lines[3:]
+        if edge == "not-utf8":
+            lines[b + 1] = lines[b + 1].replace('"s"', '"s\udcff"')
+        text = {"crlf": "\r\n", "lone-cr": "\r"}.get(edge, "\n").join(lines) + "\n"
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"" if edge == "empty" else
+                         text.encode("utf-8", "surrogateescape"))
+        bulk, by_line = (load_or_error(load, path)
+                         for load in (load_embeddings, load_line_by_line))
+        if edge in ("not-utf8", "width-change"):
+            assert (type(bulk), str(bulk)) == (type(by_line), str(by_line))
+            assert str(bulk).startswith(f"{path}:{b + 2 if edge == 'not-utf8' else b + 1}: ")
+            return
+        same_corpus(bulk, by_line)
+        assert len(bulk) == (0 if edge == "empty" else n)
+        if edge != "empty":
+            assert data._streamed_columns(path) is not None
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("spoiled", [False, True])
+    def test_pipe_is_read_once(self, tmp_path, spoiled):
+        # a pipe cannot be read twice: its corpus, or its error's line, is
+        # that of the same bytes in a file
+        corpus = Corpus(["s"] * 3, ["u0", "u1", "u2"], ["M"] * 3, ["enroll"] * 3,
+                        Prng(1).standard_normal(3, 4))
+        path = tmp_path / "c.jsonl"
+        save_embeddings(corpus, path)
+        if spoiled:  # line 3 repeats line 1's record
+            path.write_bytes(path.read_bytes().replace(b'"u2"', b'"u0"'))
+        read, write = os.pipe()
+        os.write(write, path.read_bytes())
+        os.close(write)
+        try:
+            piped = load_or_error(load_embeddings, f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        want = load_or_error(load_embeddings, path)
+        if spoiled:
+            assert str(want).startswith(f"{path}:3: ")
+            assert (type(piped), str(piped)) == (type(want),
+                                                 str(want).replace(str(path), f"/dev/fd/{read}"))
+        else:
+            same_corpus(piped, want)
 
 
 # ---------------------------------------------------------------------------

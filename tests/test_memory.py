@@ -1,0 +1,64 @@
+"""The memory that corpus IO and cosine scoring need beyond their inputs and
+results stays bounded by their block size as the corpus or trial list grows."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sidalign.data import Corpus, TrialSet, load_embeddings, save_embeddings
+from sidalign.metrics import cosine_scorer, score_trials
+from sidalign.numerics import Prng
+
+N = 1024
+DIM = 32
+
+
+def transient_bytes(call) -> int:
+    """The tracemalloc peak of call() less what is still allocated when it
+    returns: its result and anything else it keeps."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return (peak - before) - (held - before)
+
+
+def corpus_of(n: int) -> Corpus:
+    prng = Prng(n)
+    return Corpus([f"spk{i // 8:05d}" for i in range(n)], [f"utt{i:06d}" for i in range(n)],
+                  ["model-x"] * n, ["enroll" if i % 8 < 4 else "runtime" for i in range(n)],
+                  prng.standard_normal(n, DIM))
+
+
+def save_call(n: int, tmp_path):
+    corpus = corpus_of(n)
+    return lambda: save_embeddings(corpus, tmp_path / f"save{n}.jsonl")
+
+
+def load_call(n: int, tmp_path):
+    path = tmp_path / f"load{n}.jsonl"
+    save_embeddings(corpus_of(n), path)
+    return lambda: load_embeddings(path)
+
+
+def score_call(n: int, tmp_path):
+    prng = Prng(n)
+    prof = {f"s{i}": prng.standard_normal(DIM) for i in range(64)}
+    run = {f"u{i}": prng.standard_normal(DIM) for i in range(256)}
+    trials = TrialSet.of_columns([f"s{i}" for i in prng.integers(0, 64, n)],
+                                 [f"u{i}" for i in prng.integers(0, 256, n)],
+                                 ["target", "imposter"] * (n // 2))
+    return lambda: score_trials(trials, cosine_scorer, prof, run)
+
+
+@pytest.mark.parametrize("make_call", [save_call, load_call, score_call],
+                         ids=["save_embeddings", "load_embeddings", "score_trials"])
+def test_transient_memory_grows_less_than_twice_at_eight_times_the_size(tmp_path,
+                                                                        make_call):
+    small, large = (transient_bytes(make_call(n, tmp_path)) for n in (N, 8 * N))
+    assert large < 2 * small, (small, large)

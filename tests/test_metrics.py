@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidalign import metrics
-from sidalign.data import FLOAT_FMT, Trial, TrialSet
+from sidalign.data import BLOCK_ROWS, FLOAT_FMT, Trial, TrialSet
 from sidalign.errors import (
     BaselineZero,
     DegenerateGap,
@@ -405,6 +405,42 @@ class TestScoreTrials:
         got = score()
         assert got.scores.dtype == np.float64 and got.scores.tolist() == want
         assert got.trials == trials.trials
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   3 * BLOCK_ROWS + 7])
+    def test_blocked_cosine_is_cosine_of_gathered_rows(self, n, mapped):
+        # the side maps give Fortran-ordered rows, whose own row norms may
+        # reduce in another order than those of the gathered copies
+        prng = Prng(n)
+        prof = {f"s{i}": prng.standard_normal(32) for i in range(40)}
+        run = {f"u{i}": prng.standard_normal(32) for i in range(90)}
+        p_rows, r_rows = prng.integers(0, 40, n), prng.integers(0, 90, n)
+        trials = TrialSet.of_columns([f"s{i}" for i in p_rows], [f"u{i}" for i in r_rows],
+                                     ["target"] * n)
+        a, b = prng.standard_normal(32, 32), prng.standard_normal(32, 32)
+        maps = ((lambda v: np.asfortranarray(np.tanh(v @ a)),
+                 lambda v: np.asfortranarray(v @ b)) if mapped else (None, None))
+        p, r = np.stack(list(prof.values())), np.stack(list(run.values()))
+        if mapped:
+            p, r = maps[0](p), maps[1](r)
+        got = score_trials(trials, cosine_scorer, prof, run, *maps).scores
+        want = cosine_scorer(np.ascontiguousarray(p)[p_rows], np.ascontiguousarray(r)[r_rows])
+        assert got.tobytes() == want.tobytes()
+
+    def test_blocked_cosine_refuses_only_bad_rows_in_use(self):
+        n = BLOCK_ROWS + 1
+        prof = {"a": np.ones(3), "zero": np.zeros(3)}
+        run = {"u": np.full(3, 2.0), "inf": np.full(3, np.inf)}
+        unused = TrialSet.of_columns(["a"] * n, ["u"] * n, ["target"] * n)
+        assert (score_trials(unused, cosine_scorer, prof, run).scores.tobytes()
+                == cosine_scorer(np.ones((n, 3)), np.full((n, 3), 2.0)).tobytes())
+        for enroll, test in (("zero", "u"), ("a", "inf")):
+            used = TrialSet.of_columns(["a"] * (n - 1) + [enroll], ["u"] * (n - 1) + [test],
+                                       ["target"] * n)
+            with pytest.raises(ZeroVector, match="^cosine of a row whose norm is zero "
+                                                 "or not finite$"):
+                score_trials(used, cosine_scorer, prof, run)
 
     def test_scored_set_shares_columns(self):
         trials = TrialSet([Trial("a", "u1", "target"), Trial("a", "u2", "imposter")])
