@@ -307,12 +307,15 @@ def _finite(value) -> bool:
 
 def _far_list(text: str) -> str:
     """Check --far at parse time, so a bad list is a usage error; the text is
-    kept as given because the config hash covers it."""
+    kept as given because the config hash covers it. Two targets with one
+    FLOAT_FMT key would be two report entries that eval cannot tell apart."""
     try:
-        [float(x) for x in text.split(",")]
+        keys = [FLOAT_FMT % float(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+    if len(set(keys)) != len(keys):
+        raise argparse.ArgumentTypeError(f"a target FAR is repeated in {text!r}")
     return text
 
 

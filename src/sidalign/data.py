@@ -136,7 +136,7 @@ class Corpus:
             i = next(i for i, split in enumerate(splits) if split not in SPLITS)
             raise _row_error(ParseError, i, f"utterance {utterances[i]!r} has unknown "
                                             f"split {splits[i]!r}")
-        self.enroll = np.array([split == "enroll" for split in splits], dtype=bool)
+        self.enroll = np.fromiter(map("enroll".__eq__, splits), bool, n)
         self.vectors = _vector_matrix(vectors, utterances) if n else np.zeros((0, 0))
         finite = np.isfinite(self.vectors).all(axis=1)
         if not finite.all():
@@ -308,9 +308,9 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
 
 
 # Lines that save_embeddings formats and writes, and that load_embeddings
-# reads and parses, at a time, and trials that metrics.score_trials gathers
-# for a cosine at a time: only one block's text, Python floats or gathered
-# rows are alive at once, whatever the corpus or trial-list size.
+# reads and parses, at a time, and trials whose rows metrics.score_trials
+# gathers for one scorer call: only one block's text, Python floats or
+# gathered rows are alive at once, whatever the corpus or trial-list size.
 BLOCK_ROWS = 512
 
 

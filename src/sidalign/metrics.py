@@ -115,22 +115,29 @@ def score_trials(trialset: TrialSet, scorer, profile_vectors: dict,
     test_utterance_id to a vector. Each side is stacked once, in dict order,
     and a side's map, if given, takes that (n, d) block and runs once over
     every vector of its side (the offline-profile property of m2/m3). The
-    block is then read as float64 and gathered into trial order by the list's
-    index columns, and the scorer gets the two gathered blocks. The cosine
-    gathers BLOCK_ROWS trials at a time instead, to the same bits.
+    block is then read as float64. The scorer is called once per BLOCK_ROWS
+    trials, in list order, on that block's rows gathered by the list's index
+    columns, and must give one score per trial of the block; the scores go
+    into one float64 array, so the memory beyond the inputs and the scores
+    does not grow with the trial count. A row-wise scorer such as the cosine
+    gives the bits of one call on all gathered rows; a matrix product over
+    the short last block may round the last bit differently.
     """
     blocks = [_stacked(vectors, fn) for vectors, fn in
               ((profile_vectors, enroll_map), (runtime_vectors, runtime_map))]
-    if not len(trialset):
-        return trialset.with_scores(np.zeros(0))
     try:
         p_rows = _positions(trialset.enroll_keys, profile_vectors)[trialset.enroll_rows]
         r_rows = _positions(trialset.test_keys, runtime_vectors)[trialset.test_rows]
     except KeyError:
         raise _first_unknown(trialset, profile_vectors, runtime_vectors) from None
-    if scorer is cosine_scorer:
-        return trialset.with_scores(_blocked_cosine(*blocks, p_rows, r_rows))
-    return trialset.with_scores(scorer(blocks[0][p_rows], blocks[1][r_rows]))
+    scores = np.empty(len(trialset))
+    for start in range(0, len(scores), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        part = scorer(blocks[0][p_rows[block]], blocks[1][r_rows[block]])
+        if np.shape(part) != scores[block].shape:  # no scalar broadcast
+            raise DimensionMismatch("scores and trials must have equal length")
+        scores[block] = part
+    return trialset.with_scores(scores)
 
 
 def _stacked(vectors: dict, fn) -> np.ndarray | None:
@@ -172,47 +179,14 @@ def cosine_scorer(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Row-wise cosine of parallel rows of one shape; a row whose norm is not
     in (EPS_NORM, inf) (zero, NaN or overflowed) raises ZeroVector instead of
     scoring NaN or 0."""
-    _check_shapes(p.shape, r.shape)
-    (p_norm, p_ok), (r_norm, r_ok) = _norms(p), _norms(r)
-    _check_norms(p_ok, r_ok)
-    return np.sum(p * r, axis=1) / (p_norm * r_norm)
-
-
-def _blocked_cosine(p: np.ndarray, r: np.ndarray, p_rows: np.ndarray,
-                    r_rows: np.ndarray) -> np.ndarray:
-    """cosine_scorer(p[p_rows], r[r_rows]) with the rows gathered BLOCK_ROWS
-    trials at a time and each norm taken once per row of p and r, which are
-    C-contiguous. A row's norm and row sum are reduced over that row alone,
-    so the bits are cosine_scorer's; a bad row that no trial uses is not
-    refused, as there."""
-    n = len(p_rows)
-    _check_shapes((n, *p.shape[1:]), (n, *r.shape[1:]))
-    (p_norm, p_ok), (r_norm, r_ok) = _norms(p), _norms(r)
-    _check_norms(p_ok[p_rows], r_ok[r_rows])
-    scores = np.empty(n)
-    for start in range(0, n, BLOCK_ROWS):
-        pb, rb = p_rows[start:start + BLOCK_ROWS], r_rows[start:start + BLOCK_ROWS]
-        scores[start:start + BLOCK_ROWS] = (np.sum(p[pb] * r[rb], axis=1)
-                                            / (p_norm[pb] * r_norm[rb]))
-    return scores
-
-
-def _check_shapes(p_shape: tuple, r_shape: tuple) -> None:
-    if p_shape != r_shape:
-        raise DimensionMismatch(f"no cosine of profile rows of shape {p_shape} and "
-                                f"runtime rows of shape {r_shape}")
-
-
-def _norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The L2 norm of each row, and whether it is in (EPS_NORM, inf)."""
-    with np.errstate(over="ignore"):  # an overflowed norm is refused by the mask
-        norm = np.linalg.norm(rows, axis=1)
-    return norm, (norm > EPS_NORM) & (norm < np.inf)
-
-
-def _check_norms(p_ok: np.ndarray, r_ok: np.ndarray) -> None:
-    if not (p_ok.all() and r_ok.all()):
+    if p.shape != r.shape:
+        raise DimensionMismatch(f"no cosine of profile rows of shape {p.shape} and "
+                                f"runtime rows of shape {r.shape}")
+    with np.errstate(over="ignore"):  # an overflowed norm is refused below
+        p_norm, r_norm = np.linalg.norm(p, axis=1), np.linalg.norm(r, axis=1)
+    if not all(((norm > EPS_NORM) & (norm < np.inf)).all() for norm in (p_norm, r_norm)):
         raise ZeroVector("cosine of a row whose norm is zero or not finite")
+    return np.sum(p * r, axis=1) / (p_norm * r_norm)
 
 
 def evaluate(trialset: TrialSet, scorer_id: str,

@@ -342,6 +342,15 @@ class TestTraining:
         with pytest.raises(ConfigInvalid):
             NessaConfig(variant="m9").validate()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(gamma=-0.5), "alpha, beta, gamma must be >= 0"),
+        (dict(epochs=-1), "epochs must be >= 0"),
+        (dict(bank_size=-1), "bank_size must be >= 0"),
+    ], ids=["negative-weight", "negative-epochs", "negative-bank"])
+    def test_config_refused(self, overrides, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            NessaConfig(variant="m3", **overrides).validate()
+
     @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
     def test_trains_in_float32_returns_float64(self, variant):
         # Every returned parameter and w is a float32 value held as float64,
@@ -371,6 +380,15 @@ class TestTraining:
                           bank_size=8, hidden=8, lr0=1e6, seed=2)
         with pytest.raises(TrainingDiverged, match="diverged"):
             train(cfg, paired, paired if with_val else None)
+
+    def test_non_finite_parameter_raises_diverged(self):
+        # lr 1e39 is inf in float32: the first step's loss is finite, the
+        # parameters it leaves are not, and the snapshot refuses them
+        paired = paired_from_synth()
+        cfg = NessaConfig(variant="m2", epochs=1, steps_per_epoch=1, batch_size=8,
+                          hidden=8, lr0=1e39, seed=2)
+        with pytest.raises(TrainingDiverged, match="a parameter is not finite after 1 "):
+            train(cfg, paired, None)
 
     def test_w_init_beyond_float32_refused(self):
         NessaConfig(variant="m3", w_init=-3e38).validate()

@@ -194,6 +194,28 @@ def test_score_and_eval_build_no_trial(scored_fixture, tmp_path):
     assert report.read_bytes() == paths["report"].read_bytes()
 
 
+def test_logit_align_speaker_subsample(scored_fixture, tmp_path):
+    """--n-speakers k fuses k of the 40 shared speakers, picked by --seed; a k
+    of at least the shared count fuses them all, as 0 does."""
+    paths = scored_fixture
+
+    def fusion(k, seed):
+        out = tmp_path / f"fusion_{k}_{seed}.json"
+        assert main(["logit-align", "--profiles-x", str(paths["prof_x"]),
+                     "--profiles-y", str(paths["prof_y"]), "--n-speakers", str(k),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        return load_fusion(out)
+
+    picked = fusion(5, 3)
+    assert picked.n_speakers == 5
+    assert fusion(5, 3).m.tobytes() == picked.m.tobytes()
+    assert fusion(5, 4).m.tobytes() != picked.m.tobytes()
+    every = fusion(0, 3)
+    assert every.n_speakers == 40
+    for k in (40, 41):
+        assert fusion(k, 3).m.tobytes() == every.m.tobytes()
+
+
 class TestScorerParity:
     @pytest.mark.parametrize("scorer", list(SCORERS))
     def test_cli_matches_library(self, scored_fixture, scorer, tmp_path):
@@ -386,7 +408,10 @@ class TestErrors:
         ("--checkpoint", lambda paths: replaced(paths["m2"], 1e999, "trained_epochs"), 1),
         ("--config", "n_speakers = 10", 1),
         ("--config", '{"n_speakers": "ten"}', 1),
-        ("--far", None, 2),
+        ("--far", "abc", 2),
+        # two targets of one report key: eval --baseline-report would refuse it
+        ("--far", "0.5,0.5", 2),
+        ("--far", "0.05,0.050", 2),
         # numbers eval reads from other reports: finite, not bools, FRRs in [0, 1]
         ("--baseline-report", lambda paths: raw_value(paths["report"], "1e999",
                                                       "per_far", 0, "frr"), 1),
@@ -419,7 +444,8 @@ class TestErrors:
             "checkpoint-output-relu", "checkpoint-layer-missing",
             "checkpoint-weight-wrong-size", "checkpoint-non-finite-weight",
             "checkpoint-epochs-overflow",
-            "config-not-json", "config-wrong-type", "far-not-numbers",
+            "config-not-json", "config-wrong-type", "far-not-numbers", "far-repeated",
+            "far-repeated-one-key",
             "baseline-frr-overflow", "baseline-frr-string", "baseline-frr-null",
             "baseline-frr-bool", "baseline-frr-int-too-large", "baseline-frr-above-one",
             "candidate-impact-overflow", "baseline-target-far-bool",
@@ -441,7 +467,7 @@ class TestErrors:
             "--checkpoint": ["score", "--scorer", "nessa-m2", "--checkpoint", str(bad)]
                             + corpora,
             "--config": ["synth", "--config", str(bad), "--out-x", out, "--out-y", out],
-            "--far": ["eval", "--scores", str(paths["scores"]), "--far", "abc", "--out", out],
+            "--far": ["eval", "--scores", str(paths["scores"]), "--far", content, "--out", out],
             "--baseline-report": ["eval", "--scores", str(paths["scores"]),
                                   "--baseline-report", str(bad), "--out", out],
             "--candidate-report": ["eval", "--scores", str(paths["scores"]),

@@ -1,4 +1,4 @@
-"""The memory that corpus IO and cosine scoring need beyond their inputs and
+"""The memory that corpus IO and trial scoring need beyond their inputs and
 results stays bounded by their block size as the corpus or trial list grows."""
 
 import tracemalloc
@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 
 from sidalign.data import Corpus, TrialSet, load_embeddings, save_embeddings
+from sidalign.logit import (
+    WeightMatrix,
+    compute_fusion_transform,
+    logit_score_fused_batch,
+)
 from sidalign.metrics import cosine_scorer, score_trials
 from sidalign.numerics import Prng
 
@@ -46,18 +51,29 @@ def load_call(n: int, tmp_path):
     return lambda: load_embeddings(path)
 
 
-def score_call(n: int, tmp_path):
+def score_call(n: int, tmp_path, scorer=cosine_scorer):
     prng = Prng(n)
     prof = {f"s{i}": prng.standard_normal(DIM) for i in range(64)}
     run = {f"u{i}": prng.standard_normal(DIM) for i in range(256)}
     trials = TrialSet.of_columns([f"s{i}" for i in prng.integers(0, 64, n)],
                                  [f"u{i}" for i in prng.integers(0, 256, n)],
                                  ["target", "imposter"] * (n // 2))
-    return lambda: score_trials(trials, cosine_scorer, prof, run)
+    return lambda: score_trials(trials, scorer, prof, run)
 
 
-@pytest.mark.parametrize("make_call", [save_call, load_call, score_call],
-                         ids=["save_embeddings", "load_embeddings", "score_trials"])
+def fused_score_call(n: int, tmp_path):
+    """score_call with a scorer that multiplies matrices: the logit fusion
+    of two 64-speaker weight matrices."""
+    prng = Prng(1)
+    speakers = [f"s{i}" for i in range(64)]
+    fusion = compute_fusion_transform(WeightMatrix(speakers, prng.standard_normal(64, DIM)),
+                                      WeightMatrix(speakers, prng.standard_normal(64, DIM)))
+    return score_call(n, tmp_path, lambda p, r: logit_score_fused_batch(p, r, fusion))
+
+
+@pytest.mark.parametrize("make_call", [save_call, load_call, score_call, fused_score_call],
+                         ids=["save_embeddings", "load_embeddings", "score_trials",
+                              "score_trials_fused"])
 def test_transient_memory_grows_less_than_twice_at_eight_times_the_size(tmp_path,
                                                                         make_call):
     small, large = (transient_bytes(make_call(n, tmp_path)) for n in (N, 8 * N))

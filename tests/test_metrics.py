@@ -12,6 +12,7 @@ from sidalign.errors import (
     BaselineZero,
     DegenerateGap,
     DegenerateTrialSet,
+    DimensionMismatch,
     UnknownId,
     ZeroVector,
 )
@@ -441,6 +442,39 @@ class TestScoreTrials:
             with pytest.raises(ZeroVector, match="^cosine of a row whose norm is zero "
                                                  "or not finite$"):
                 score_trials(used, cosine_scorer, prof, run)
+
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   3 * BLOCK_ROWS + 7])
+    def test_scorer_gets_gathered_rows_one_block_at_a_time(self, n):
+        prng = Prng(n)
+        prof = {f"s{i}": prng.standard_normal(8) for i in range(40)}
+        run = {f"u{i}": prng.standard_normal(8) for i in range(90)}
+        p_rows, r_rows = prng.integers(0, 40, n), prng.integers(0, 90, n)
+        trials = TrialSet.of_columns([f"s{i}" for i in p_rows], [f"u{i}" for i in r_rows],
+                                     ["target"] * n)
+        calls = []
+
+        def counting(p, r):
+            calls.append((p, r))
+            return cosine_scorer(p, r)
+
+        got = score_trials(trials, counting, prof, run).scores
+        assert [len(p) for p, _ in calls] == [min(BLOCK_ROWS, n - start)
+                                              for start in range(0, n, BLOCK_ROWS)]
+        p, r = np.stack(list(prof.values())), np.stack(list(run.values()))
+        assert np.concatenate([p for p, _ in calls]).tobytes() == p[p_rows].tobytes()
+        assert np.concatenate([r for _, r in calls]).tobytes() == r[r_rows].tobytes()
+        assert got.tolist() == reference_score_trials(trials, cosine_scorer, prof, run)
+
+    @pytest.mark.parametrize("scorer", [lambda p, r: 0.5,
+                                        lambda p, r: cosine_scorer(p, r)[1:]],
+                             ids=["scalar", "one-short"])
+    def test_block_of_wrong_length_refused(self, scorer):
+        n = BLOCK_ROWS + 1
+        trials = TrialSet.of_columns(["a"] * n, ["u"] * n, ["target"] * n)
+        with pytest.raises(DimensionMismatch,
+                           match="^scores and trials must have equal length$"):
+            score_trials(trials, scorer, {"a": np.ones(3)}, {"u": np.full(3, 2.0)})
 
     def test_scored_set_shares_columns(self):
         trials = TrialSet([Trial("a", "u1", "target"), Trial("a", "u2", "imposter")])

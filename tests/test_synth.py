@@ -233,6 +233,17 @@ class TestGenerate:
         with pytest.raises(ConfigInvalid):
             generate(small_config(within_noise_x=0.1, within_noise_y=0.2))
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(latent_dim=0), "dimensions must be >= 1"),
+        (dict(within_noise_x=-0.1), "noise std-devs must be >= 0"),
+        (dict(distortion_y="warp"), "unknown distortion 'warp'"),
+        (dict(distortion_x="identity", embed_dim=10), "needs latent_dim == embed_dim"),
+        (dict(embed_dim=6), "embed_dim must be >= latent_dim"),
+    ], ids=["dimension", "noise", "distortion", "identity-dims", "embed-below-latent"])
+    def test_config_refused(self, overrides, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            generate(small_config(**overrides))
+
     def test_model_seed_shares_distortions(self):
         a = small_config(seed=1, model_seed=99)
         b = small_config(seed=2, model_seed=99)
@@ -279,6 +290,15 @@ class TestMakeTrials:
         _, cy, _ = generate(cfg)
         with pytest.raises(InsufficientData):
             make_trials(cy, 2, 3, seed=0)
+
+    @pytest.mark.parametrize("n_speakers, n_target, message", [
+        (1, 1, "need at least 2 speakers"),
+        (2, 5, "requested 5 target trials, only 4 available"),
+    ], ids=["one-speaker", "targets"])
+    def test_too_few_refused(self, n_speakers, n_target, message):
+        _, cy, _ = generate(small_config(n_speakers=n_speakers, n_runtime_utts=2))
+        with pytest.raises(InsufficientData, match=message):
+            make_trials(cy, n_target, 0, seed=0)
 
     @pytest.mark.parametrize("n_target, n_imposter", [(-1, 2), (2, -3)])
     def test_negative_count_refused(self, n_target, n_imposter):
