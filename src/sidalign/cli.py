@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import fields
 
@@ -26,7 +25,6 @@ from .align import (
     train,
 )
 from .data import (
-    FLOAT_FMT,
     load_embeddings,
     load_profiles,
     load_trials,
@@ -54,12 +52,13 @@ from .metrics import (
     DEFAULT_FAR_TARGETS,
     cosine_scorer,
     evaluate,
+    far_key,
     load_report,
     report_json,
     save_report,
     score_trials,
 )
-from .numerics import Prng
+from .numerics import Prng, finite_number
 from .synth import SynthConfig, generate, make_trials
 
 # Every scorer is cosine(enroll_map(profile), runtime_map(runtime)). Scorer id
@@ -254,6 +253,8 @@ def _side_maps(scorer_id: str, source: str | None, args):
 
 
 def cmd_eval(args) -> int:
+    if args.candidate_report and not args.baseline_report:
+        raise ConfigInvalid("--candidate-report needs --baseline-report")
     trials = load_trials(args.scores)
     far_targets = [float(x) for x in args.far.split(",")]
     baseline_frrs = None
@@ -286,34 +287,30 @@ def _per_far(path, key: str, required: bool, unit: bool = False) -> dict:
         raise ParseError(f"{path}: malformed report, missing {exc}") from exc
     per_far = {}
     for far, value in entries:
-        if not _finite(far):
+        if not finite_number(far):
             raise ParseError(f"{path}: target_far {far!r} is not a finite number")
-        if not _finite(value) or unit and not 0 <= value <= 1:
+        if not finite_number(value) or unit and not 0 <= value <= 1:
             raise ParseError(f"{path}: {key} {value!r} is not a finite number"
                              + (" in [0, 1]" if unit else ""))
-        if FLOAT_FMT % far in per_far:
+        if far_key(far) in per_far:
             raise ParseError(f"{path}: target_far {far!r} is repeated")
-        per_far[FLOAT_FMT % far] = value
+        per_far[far_key(far)] = value
     return per_far
-
-
-def _finite(value) -> bool:
-    """Whether a value read from JSON is a finite number; a bool is not one."""
-    try:  # TypeError: not a number; OverflowError: an int beyond float
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
 
 
 def _far_list(text: str) -> str:
     """Check --far at parse time, so a bad list is a usage error; the text is
-    kept as given because the config hash covers it. Two targets with one
-    FLOAT_FMT key would be two report entries that eval cannot tell apart."""
+    kept as given because the config hash covers it. A FAR has no FRR unless
+    it is in (0, 1), and two targets with one far_key would be two report
+    entries that eval cannot tell apart."""
     try:
-        keys = [FLOAT_FMT % float(x) for x in text.split(",")]
+        fars = [float(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+    if not all(0 < far < 1 for far in fars):
+        raise argparse.ArgumentTypeError(f"a target FAR is not in (0, 1) in {text!r}")
+    keys = [far_key(far) for far in fars]
     if len(set(keys)) != len(keys):
         raise argparse.ArgumentTypeError(f"a target FAR is repeated in {text!r}")
     return text

@@ -189,13 +189,19 @@ def cosine_scorer(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.sum(p * r, axis=1) / (p_norm * r_norm)
 
 
+def far_key(far) -> str:
+    """A target FAR's key in evaluate's FRR, impact and gap-recovery maps: its
+    FLOAT_FMT text, so two targets that print alike share one key."""
+    return FLOAT_FMT % far
+
+
 def evaluate(trialset: TrialSet, scorer_id: str,
              far_targets=DEFAULT_FAR_TARGETS,
              baseline_frrs: dict | None = None,
              candidate_impacts: dict | None = None) -> dict:
     """Full report: EER plus FRR (and optional impact) at each FAR target.
 
-    baseline_frrs / candidate_impacts map target-FAR keys (FLOAT_FMT % far)
+    baseline_frrs / candidate_impacts map target-FAR keys (far_key)
     to the baseline FRR and candidate symmetric impact respectively.
     """
     if trialset.scores is None:
@@ -212,7 +218,7 @@ def evaluate(trialset: TrialSet, scorer_id: str,
             "far": float(curve.far[idx]),
             "frr": frr,
         }
-        key = FLOAT_FMT % target
+        key = far_key(target)
         if baseline_frrs is not None and key in baseline_frrs:
             entry["relative_impact"] = relative_impact(baseline_frrs[key], frr)
             if candidate_impacts is not None and key in candidate_impacts:

@@ -97,27 +97,18 @@ def backward(m: Mlp, cache, dy: np.ndarray) -> list[np.ndarray]:
 
 
 class AdamState:
-    """First/second moment accumulators mirroring a parameter list, plus two
-    scratch buffers, each as large as the largest parameter, that adam_step
-    computes in. All are in the parameters' dtype."""
+    """First/second moment accumulators mirroring a parameter list, in the
+    parameters' dtype, and the step count."""
 
     def __init__(self, params):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        size = max((p.size for p in params), default=0)
-        dtype = np.result_type(*params) if params else np.float64
-        self.scratch = (np.empty(size, dtype), np.empty(size, dtype))
         self.t = 0
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """In-place Adam update with bias correction.
-
-    Computes in the state's scratch buffers, so no parameter-sized temporary
-    is allocated, with the operations and their grouping of the textbook form
-    ``p -= (lr * m_hat) / (sqrt(v_hat) + eps)`` (multiplication commutes
-    exactly in IEEE arithmetic, so ``g * c`` has the bits of ``c * g``).
-    """
+    """In-place Adam update with bias correction:
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise DimensionMismatch("params/grads/state length mismatch")
     state.t += 1
@@ -125,18 +116,11 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise DimensionMismatch(f"parameter {p.shape} vs gradient {g.shape}")
-        a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch)
         m *= b1
-        m += np.multiply(g, 1 - b1, out=a)  # (1 - b1) * g
+        m += (1 - b1) * g
         v *= b2
-        np.multiply(g, 1 - b2, out=a)
-        v += np.multiply(a, g, out=a)  # ((1 - b2) * g) * g
-        np.divide(v, 1 - b2**state.t, out=a)  # v_hat
-        np.sqrt(a, out=a)
-        a += ADAM_EPS
-        np.divide(m, 1 - b1**state.t, out=b)  # m_hat
-        b *= lr
-        p -= np.divide(b, a, out=b)
+        v += (1 - b2) * g * g
+        p -= lr * (m / (1 - b1**state.t)) / (np.sqrt(v / (1 - b2**state.t)) + ADAM_EPS)
 
 
 def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0) -> dict:

@@ -7,6 +7,8 @@ letting numpy produce NaNs silently.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVector
@@ -14,6 +16,15 @@ from .errors import DimensionMismatch, ZeroVector
 # Norms below this are treated as the zero vector; far below any realistic
 # embedding norm.
 EPS_NORM = 1e-12
+
+
+def finite_number(value) -> bool:
+    """Whether a value read from a flag or a JSON file is a finite number; a
+    bool is not one."""
+    try:  # TypeError: not a number; OverflowError: an int beyond float
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def length_normalize(v) -> np.ndarray:

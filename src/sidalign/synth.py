@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Corpus, TrialSet
 from .errors import ConfigInvalid, InsufficientData
-from .numerics import Prng, length_normalize, random_orthogonal
+from .numerics import Prng, finite_number, length_normalize, random_orthogonal
 
 DISTORTIONS = ("identity", "orthogonal", "affine", "mlp_nonlinear")
 
@@ -49,6 +49,9 @@ class SynthConfig:
             raise ConfigInvalid("speaker and utterance counts must be >= 1")
         if min(self.latent_dim, self.embed_dim) < 1:
             raise ConfigInvalid("dimensions must be >= 1")
+        for name in ("within_noise_x", "within_noise_y", "nonlinear_gain"):
+            if not finite_number(getattr(self, name)):
+                raise ConfigInvalid(f"{name} = {getattr(self, name)!r} is not finite")
         if self.within_noise_x < 0 or self.within_noise_y < 0:
             raise ConfigInvalid("noise std-devs must be >= 0")
         if self.within_noise_y > self.within_noise_x:
@@ -80,6 +83,8 @@ class Distortion:
         elif kind == "mlp_nonlinear":
             hidden = 2 * max(latent_dim, embed_dim)
             w1 = gain * prng.standard_normal(hidden, latent_dim) / np.sqrt(latent_dim)
+            if not np.isfinite(w1).all():
+                raise ConfigInvalid(f"nonlinear_gain = {gain!r} overflows the map's weights")
             w2 = prng.standard_normal(embed_dim, hidden) / np.sqrt(hidden)
             self.params = {"w1": w1, "w2": w2}
         else:
@@ -113,27 +118,30 @@ def generate(config: SynthConfig) -> tuple[Corpus, Corpus, GroundTruth]:
     prng = Prng(config.seed)
     model_seed = config.model_seed if config.model_seed is not None else config.seed
     model_prng = Prng(model_seed)
-    dist_x = Distortion(config.distortion_x, config.latent_dim, config.embed_dim,
-                        model_prng, config.nonlinear_gain)
-    dist_y = Distortion(config.distortion_y, config.latent_dim, config.embed_dim,
-                        model_prng, config.nonlinear_gain)
+    # A finite setting can still overflow a map or a view; the row it spoils
+    # is refused by length_normalize, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist_x = Distortion(config.distortion_x, config.latent_dim, config.embed_dim,
+                            model_prng, config.nonlinear_gain)
+        dist_y = Distortion(config.distortion_y, config.latent_dim, config.embed_dim,
+                            model_prng, config.nonlinear_gain)
 
-    # The one draw of the corpus (see the module docstring). Each view's
-    # noise is scaled, then shifted by z: the same sums as z + sigma * noise.
-    n_utts = config.n_enroll_utts + config.n_runtime_utts
-    dim = config.latent_dim
-    draw = prng.standard_normal(config.n_speakers, dim * (1 + 2 * n_utts))
-    z = length_normalize(draw[:, :dim])[:, None, :]
-    noise = draw[:, dim:].reshape(config.n_speakers, n_utts, 2, dim)
-    noisy = [noise[:, :, k, :] * sigma
-             for k, sigma in enumerate((config.within_noise_x, config.within_noise_y))]
-    del draw, noise
-    views = []
-    for dist in (dist_x, dist_y):
-        u = noisy.pop(0)
-        u += z
-        u = length_normalize(u.reshape(-1, dim))
-        views.append(dist.apply(u))
+        # The one draw of the corpus (see the module docstring). Each view's
+        # noise is scaled, then shifted by z: the same sums as z + sigma * noise.
+        n_utts = config.n_enroll_utts + config.n_runtime_utts
+        dim = config.latent_dim
+        draw = prng.standard_normal(config.n_speakers, dim * (1 + 2 * n_utts))
+        z = length_normalize(draw[:, :dim])[:, None, :]
+        noise = draw[:, dim:].reshape(config.n_speakers, n_utts, 2, dim)
+        noisy = [noise[:, :, k, :] * sigma
+                 for k, sigma in enumerate((config.within_noise_x, config.within_noise_y))]
+        del draw, noise
+        views = []
+        for dist in (dist_x, dist_y):
+            u = noisy.pop(0)
+            u += z
+            u = length_normalize(u.reshape(-1, dim))
+            views.append(dist.apply(u))
     vx, vy = views
 
     # One id column of each kind, shared by both views.

@@ -412,6 +412,13 @@ class TestErrors:
         # two targets of one report key: eval --baseline-report would refuse it
         ("--far", "0.5,0.5", 2),
         ("--far", "0.05,0.050", 2),
+        # a target FAR outside (0, 1) has no FRR; 1e-400 reads as 0.0
+        ("--far", "0", 2),
+        ("--far", "0.1,1", 2),
+        ("--far", "-0.5", 2),
+        ("--far", "nan", 2),
+        ("--far", "inf", 2),
+        ("--far", "1e-400", 2),
         # numbers eval reads from other reports: finite, not bools, FRRs in [0, 1]
         ("--baseline-report", lambda paths: raw_value(paths["report"], "1e999",
                                                       "per_far", 0, "frr"), 1),
@@ -445,7 +452,8 @@ class TestErrors:
             "checkpoint-weight-wrong-size", "checkpoint-non-finite-weight",
             "checkpoint-epochs-overflow",
             "config-not-json", "config-wrong-type", "far-not-numbers", "far-repeated",
-            "far-repeated-one-key",
+            "far-repeated-one-key", "far-zero", "far-one", "far-negative", "far-nan",
+            "far-inf", "far-underflows-to-zero",
             "baseline-frr-overflow", "baseline-frr-string", "baseline-frr-null",
             "baseline-frr-bool", "baseline-frr-int-too-large", "baseline-frr-above-one",
             "candidate-impact-overflow", "baseline-target-far-bool",
@@ -547,6 +555,49 @@ class TestErrors:
                                 "--out-y", str(out["y"]), "--trials-out", str(trials),
                                 "--n-target", "4", "--n-imposter", "4", flag, "-3"])
         assert not any(path.exists() for path in (*out.values(), trials))
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("flags, config, names", [
+        (["--noise-x", "nan"], {"within_noise_x": float("nan")}, "within_noise_x"),
+        (["--noise-y", "nan"], {"within_noise_y": float("nan")}, "within_noise_y"),
+        (["--nonlinear-gain", "nan"], {"nonlinear_gain": float("nan")}, "nonlinear_gain"),
+        (["--nonlinear-gain", "inf", "--distortion-x", "mlp_nonlinear"],
+         {"nonlinear_gain": float("inf"), "distortion_x": "mlp_nonlinear"}, "nonlinear_gain"),
+        (["--nonlinear-gain", "1e308", "--distortion-x", "mlp_nonlinear"],
+         {"nonlinear_gain": 1e308, "distortion_x": "mlp_nonlinear"}, "nonlinear_gain"),
+        # a finite noise whose product overflows: the overflowed rows are refused
+        (["--noise-x", "1e308"], {"within_noise_x": 1e308}, "norm inf"),
+    ], ids=["noise-x-nan", "noise-y-nan", "gain-nan", "gain-inf", "gain-overflows",
+            "noise-overflows"])
+    def test_synth_setting_out_of_range_writes_nothing(self, tmp_path, capsys, flags,
+                                                       config, names, source):
+        # one error line, no RuntimeWarning before it, and no file
+        out = {k: tmp_path / f"{k}.jsonl" for k in ("x", "y")}
+        trials = tmp_path / "trials.tsv"
+        settings = flags
+        if source == "config":
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))  # NaN and Infinity, as json writes them
+            settings = ["--config", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            line = one_error_line(capsys, [
+                "synth", "--n-speakers", "6", "--latent-dim", "4", "--embed-dim", "4",
+                "--out-x", str(out["x"]), "--out-y", str(out["y"]),
+                "--trials-out", str(trials)] + settings)
+        assert names in line
+        assert not any(path.exists() for path in (*out.values(), trials))
+
+    def test_eval_candidate_report_needs_baseline(self, scored_fixture, tmp_path, capsys):
+        # the candidate's impacts are compared with this run's, which need a baseline
+        paths = scored_fixture
+        out = tmp_path / "r.json"
+        line = one_error_line(capsys, ["eval", "--scores", str(tmp_path / "missing.tsv"),
+                                       "--candidate-report", str(paths["report"]),
+                                       "--out", str(out)])
+        assert "--candidate-report" in line and "--baseline-report" in line
+        assert "missing" not in line
+        assert not out.exists()
 
     def test_eval_closes_report_files(self, scored_fixture, tmp_path):
         paths = scored_fixture

@@ -274,7 +274,7 @@ class TestAdam:
     def test_equals_temporaries_reference(self, shapes, steps, lr, dtype, seed):
         # Parameters and moments after several steps equal, bit for bit,
         # those of the update written with temporaries, in float64 and in
-        # training's float32 (whose scratch buffers are float32 too).
+        # training's float32.
         prng = Prng(seed)
         params = [prng.standard_normal(*s).astype(dtype) for s in shapes]
         ref_params = [p.copy() for p in params]
@@ -288,14 +288,13 @@ class TestAdam:
             adam_step(params, grads, state, lr)
             ref.step(ref_params, grads, lr)
         assert state.t == ref.t == steps
-        assert all(buf.dtype == dtype for buf in state.scratch)
         for got, want in zip(params + state.m + state.v, ref_params + ref.m + ref.v):
             assert got.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
 
 class ReferenceAdam:
-    """The Adam update as it was written before scratch buffers: one
+    """The textbook Adam update, with its betas and eps as arguments: one
     temporary per operation."""
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -239,7 +239,16 @@ class TestGenerate:
         (dict(distortion_y="warp"), "unknown distortion 'warp'"),
         (dict(distortion_x="identity", embed_dim=10), "needs latent_dim == embed_dim"),
         (dict(embed_dim=6), "embed_dim must be >= latent_dim"),
-    ], ids=["dimension", "noise", "distortion", "identity-dims", "embed-below-latent"])
+        (dict(within_noise_x=float("nan")), "within_noise_x = nan is not finite"),
+        (dict(within_noise_y=float("inf")), "within_noise_y = inf is not finite"),
+        (dict(nonlinear_gain=float("nan")), "nonlinear_gain = nan is not finite"),
+        # a config file's int may exceed every float
+        (dict(within_noise_x=10**400), "within_noise_x = 1000* is not finite"),
+        (dict(distortion_y="mlp_nonlinear", nonlinear_gain=1e308),
+         r"nonlinear_gain = 1e\+308 overflows"),
+    ], ids=["dimension", "noise", "distortion", "identity-dims", "embed-below-latent",
+            "noise-x-nan", "noise-y-inf", "gain-nan", "noise-x-int-beyond-float",
+            "gain-overflows-weights"])
     def test_config_refused(self, overrides, message):
         with pytest.raises(ConfigInvalid, match=message):
             generate(small_config(**overrides))
