@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Corpus
+from .data import Corpus, _read_text
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -40,7 +40,9 @@ from .mlp import (
 )
 from .numerics import Prng
 
-VARIANTS = ("m1", "m2", "m3")
+# Each variant, with the names of the networks of its checkpoint that map
+# its (enrollment, runtime) sides; None leaves a side in its own space.
+VARIANTS = {"m1": (None, "f1"), "m2": ("f1", None), "m3": ("f1", "f2")}
 
 # Training runs in float32; checkpoints, scoring and metrics stay float64.
 TRAIN_DTYPE = np.float32
@@ -400,17 +402,22 @@ def _finite_loss(loss, what: str, when: str):
 def _train(config: NessaConfig, train_pair: PairedData,
            val_pair: PairedData | None) -> Checkpoint:
     prng = Prng(config.seed)
-    d = train_pair.d
-    dims = [d, config.hidden, config.hidden, d]
+    dims = [train_pair.d, config.hidden, config.hidden, train_pair.d]
     m3 = config.variant == "m3"
-    fit = {"m1": loss_m1, "m2": loss_m2}.get(config.variant)
-
-    f1 = mlp_init(dims, config.seed).astype(TRAIN_DTYPE)
-    f2 = mlp_init(dims, config.seed + 1).astype(TRAIN_DTYPE) if m3 else None
+    n_nets = sum(name is not None for name in VARIANTS[config.variant])
+    nets = [mlp_init(dims, config.seed + k).astype(TRAIN_DTYPE) for k in range(n_nets)]
     w = np.array([config.w_init], dtype=TRAIN_DTYPE) if m3 else None
-
-    params = f1.parameters() + (f2.parameters() + [w] if m3 else [])
+    params = [p for f in nets for p in f.parameters()] + ([w] if m3 else [])
     state = AdamState(params)
+
+    def objective(batch: PairBatch, bank: NegativeBank | None, want_grads: bool):
+        """The variant's loss on batch and its gradients in params order (None
+        unless want_grads)."""
+        if not m3:
+            return (loss_m1 if config.variant == "m1" else loss_m2)(*nets, batch, want_grads)
+        loss, g1, g2, dw = loss_m3(*nets, float(w[0]), batch, bank, config.alpha,
+                                   config.beta, config.gamma, want_grads)
+        return loss, (g1 + g2 + [np.array([dw], dtype=w.dtype)] if want_grads else None)
 
     # Fixed validation bank: sampled once from the training speakers that
     # are not validation speakers. Its speakers are numbered after the
@@ -420,28 +427,20 @@ def _train(config: NessaConfig, train_pair: PairedData,
         val_ids = set(val_pair.speaker_ids)
         in_val = [i for i, s in enumerate(train_pair.speaker_ids) if s in val_ids]
         val_m = min(config.bank_size, train_pair.n_speakers - len(in_val))
-        bank = sample_negative_bank(train_pair, in_val, val_m,
-                                    Prng(config.seed + 101))
+        bank = sample_negative_bank(train_pair, in_val, val_m, Prng(config.seed + 101))
         val_bank = NegativeBank(val_pair.n_speakers + np.arange(bank.size), bank.e_x)
 
     def val_loss():  # None without a validation split: JSON has no NaN
-        if val_pair is None:
-            return None
-        batch = val_pair.full_batch()
-        if m3:
-            return loss_m3(f1, f2, float(w[0]), batch, val_bank, config.alpha,
-                           config.beta, config.gamma, want_grads=False)[0]
-        return fit(f1, batch, want_grads=False)[0]
+        return val_pair and objective(val_pair.full_batch(), val_bank, False)[0]
 
     def snapshot(epochs: int) -> Checkpoint:
         """float64 copies of the networks, which hold the float32 bits."""
         if not all(np.isfinite(p).all() for p in params):
             raise TrainingDiverged(
                 f"training diverged: a parameter is not finite after {epochs} epochs")
-        return Checkpoint(config.variant, f1.astype(np.float64),
-                          f2.astype(np.float64) if m3 else None,
-                          float(w[0]) if m3 else None, config.alpha, config.beta,
-                          config.gamma, config.seed, epochs)
+        f1, f2 = ([f.astype(np.float64) for f in nets] + [None])[:2]
+        return Checkpoint(config.variant, f1, f2, float(w[0]) if m3 else None,
+                          config.alpha, config.beta, config.gamma, config.seed, epochs)
 
     best = snapshot(0)
     best_val = (_finite_loss(val_loss(), "the validation", "before training")
@@ -454,18 +453,9 @@ def _train(config: NessaConfig, train_pair: PairedData,
         train_losses = []
         for _ in range(config.steps_per_epoch):
             batch = train_pair.sample_batch(config.batch_size, prng)
-            if m3:
-                bank = sample_negative_bank(
-                    train_pair, batch.speakers,
-                    min(config.bank_size,
-                        train_pair.n_speakers - batch.size),
-                    prng)
-                loss, g1, g2, dw = loss_m3(
-                    f1, f2, float(w[0]), batch, bank,
-                    config.alpha, config.beta, config.gamma)
-                grads = g1 + g2 + [np.array([dw], dtype=w.dtype)]
-            else:
-                loss, grads = fit(f1, batch)
+            m = min(config.bank_size, train_pair.n_speakers - batch.size)
+            bank = sample_negative_bank(train_pair, batch.speakers, m, prng) if m3 else None
+            loss, grads = objective(batch, bank, True)
             adam_step(params, grads, state, lr)
             train_losses.append(_finite_loss(loss, "a step's", f"in epoch {epoch}"))
         vloss = _finite_loss(val_loss(), "the validation", f"after epoch {epoch}")
@@ -490,12 +480,8 @@ def _train(config: NessaConfig, train_pair: PairedData,
 # Applying a trained aligner
 
 
-# Which network of a checkpoint maps which side: (enrollment, runtime).
-SIDE_NETWORKS = {"m1": (None, "f1"), "m2": ("f1", None), "m3": ("f1", "f2")}
-
-
 def _side_network(ckpt: Checkpoint, side: int, what: str) -> Mlp:
-    name = SIDE_NETWORKS[ckpt.variant][side]
+    name = VARIANTS[ckpt.variant][side]
     if name is None:
         raise VariantMismatch(f"variant {ckpt.variant!r} does not map {what}")
     return getattr(ckpt, name)
@@ -514,7 +500,7 @@ def map_runtime(ckpt: Checkpoint, vectors: np.ndarray) -> np.ndarray:
 def side_maps(ckpt: Checkpoint):
     """(enrollment map, runtime map) for metrics.score_trials; None for the
     side the variant leaves in its own space."""
-    enroll, runtime = SIDE_NETWORKS[ckpt.variant]
+    enroll, runtime = VARIANTS[ckpt.variant]
     return ((lambda v: map_profiles(ckpt, v)) if enroll else None,
             (lambda v: map_runtime(ckpt, v)) if runtime else None)
 
@@ -540,6 +526,8 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 
 
 def checkpoint_from_dict(obj: dict) -> Checkpoint:
+    if obj["variant"] not in VARIANTS:
+        raise ParseError(f"malformed checkpoint: unknown variant {obj['variant']!r}")
     m3 = obj["variant"] == "m3"
     f1 = obj["f1"] if m3 else obj  # the seed and epochs are read from F1's dict
     old = NessaConfig()  # the settings an old file lacks take their defaults
@@ -557,11 +545,13 @@ def save_checkpoint(ckpt: Checkpoint, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return checkpoint_from_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
-            raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from exc
+    text = _read_text(path)
+    try:
+        return checkpoint_from_dict(json.loads(text))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from exc
 
 
 def save_training_log(log, path) -> None:

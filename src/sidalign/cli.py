@@ -25,6 +25,7 @@ from .align import (
     train,
 )
 from .data import (
+    _read_text,
     load_embeddings,
     load_profiles,
     load_trials,
@@ -69,9 +70,7 @@ SCORERS = {
     "cosine-sym-y": ("y", "y", None),
     "cosine-asym-raw": ("x", "y", None),
     "logit-fused": ("x", "y", "fusion"),
-    "nessa-m1": ("x", "y", "checkpoint"),
-    "nessa-m2": ("x", "y", "checkpoint"),
-    "nessa-m3": ("x", "y", "checkpoint"),
+    **{f"nessa-{variant}": ("x", "y", "checkpoint") for variant in VARIANTS},
 }
 
 
@@ -123,11 +122,10 @@ def _apply_config(cfg: SynthConfig, path) -> None:
     """Override cfg with a JSON config file's settings. A value must have its
     setting's type (_setting_type): an int is also a float, a bool is
     neither, and model_seed (default None) takes an int or null."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            overrides = json.load(fh)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    try:
+        overrides = json.loads(_read_text(path))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ParseError(f"{path}: expected a JSON object of settings")
     for key, value in overrides.items():
@@ -280,10 +278,14 @@ def _per_far(path, key: str, required: bool, unit: bool = False) -> dict:
     value must be a finite number, the value in [0, 1] if unit, and no two
     target_fars may share a far key."""
     report = load_report(path)
+    if not isinstance(report, dict):
+        raise ParseError(f"{path}: malformed report, not a JSON object")
     try:
-        entries = [(e["target_far"], e[key]) for e in report["per_far"]
-                   if required or key in e]
-    except (KeyError, TypeError) as exc:
+        entries = report["per_far"]
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ParseError(f"{path}: malformed report, per_far is not a list of objects")
+        entries = [(e["target_far"], e[key]) for e in entries if required or key in e]
+    except KeyError as exc:
         raise ParseError(f"{path}: malformed report, missing {exc}") from exc
     per_far = {}
     for far, value in entries:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _read_text
 from .errors import (
     DimensionMismatch,
     InsufficientData,
@@ -127,14 +128,14 @@ def save_fusion(f: FusionTransform, path, extra: dict | None = None) -> None:
 
 
 def load_fusion(path) -> FusionTransform:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            # Integers parse as floats: save_fusion writes -0.0 as "-0".
-            obj = json.load(fh, parse_int=float)
-            d = int(obj["d"])
-            m = np.array(obj["m"], dtype=np.float64).reshape(2 * d, 2 * d)
-            if not np.isfinite(m).all():
-                raise ValueError("m has a non-finite entry")
-            return FusionTransform(m, d, int(obj["N"]))
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise ParseError(f"{path}: malformed fusion transform: {exc!r}") from exc
+    text = _read_text(path)
+    try:
+        # Integers parse as floats: save_fusion writes -0.0 as "-0".
+        obj = json.loads(text, parse_int=float)
+        d = int(obj["d"])
+        m = np.array(obj["m"], dtype=np.float64).reshape(2 * d, 2 * d)
+        if not np.isfinite(m).all():
+            raise ValueError("m has a non-finite entry")
+        return FusionTransform(m, d, int(obj["N"]))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed fusion transform: {exc!r}") from exc

@@ -15,7 +15,7 @@ from itertools import count
 
 import numpy as np
 
-from .data import BLOCK_ROWS, FLOAT_FMT, TrialSet
+from .data import BLOCK_ROWS, FLOAT_FMT, TrialSet, _read_text
 from .errors import (
     BaselineZero,
     DegenerateGap,
@@ -258,8 +258,7 @@ def save_report(report: dict, path) -> None:
 
 
 def load_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

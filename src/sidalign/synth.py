@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Corpus, TrialSet
-from .errors import ConfigInvalid, InsufficientData
+from .errors import ConfigInvalid, InsufficientData, ZeroVector
 from .numerics import Prng, finite_number, length_normalize, random_orthogonal
 
 DISTORTIONS = ("identity", "orthogonal", "affine", "mlp_nonlinear")
@@ -118,8 +118,8 @@ def generate(config: SynthConfig) -> tuple[Corpus, Corpus, GroundTruth]:
     prng = Prng(config.seed)
     model_seed = config.model_seed if config.model_seed is not None else config.seed
     model_prng = Prng(model_seed)
-    # A finite setting can still overflow a map or a view; the row it spoils
-    # is refused by length_normalize, so numpy need not warn about it.
+    # A finite setting can still overflow a map or a view, or send its rows to
+    # 0; length_normalize refuses a row it spoils, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         dist_x = Distortion(config.distortion_x, config.latent_dim, config.embed_dim,
                             model_prng, config.nonlinear_gain)
@@ -133,15 +133,21 @@ def generate(config: SynthConfig) -> tuple[Corpus, Corpus, GroundTruth]:
         draw = prng.standard_normal(config.n_speakers, dim * (1 + 2 * n_utts))
         z = length_normalize(draw[:, :dim])[:, None, :]
         noise = draw[:, dim:].reshape(config.n_speakers, n_utts, 2, dim)
-        noisy = [noise[:, :, k, :] * sigma
-                 for k, sigma in enumerate((config.within_noise_x, config.within_noise_y))]
+        sigmas = (config.within_noise_x, config.within_noise_y)
+        noisy = [noise[:, :, k, :] * sigma for k, sigma in enumerate(sigmas)]
         del draw, noise
         views = []
-        for dist in (dist_x, dist_y):
+        for view, dist, sigma in zip("xy", (dist_x, dist_y), sigmas):
             u = noisy.pop(0)
             u += z
-            u = length_normalize(u.reshape(-1, dim))
-            views.append(dist.apply(u))
+            try:
+                u = length_normalize(u.reshape(-1, dim))
+                views.append(dist.apply(u))
+            except ZeroVector as exc:  # a setting that spoils the view's rows
+                gain = (f", nonlinear_gain = {config.nonlinear_gain!r}"
+                        if dist.kind == "mlp_nonlinear" else "")
+                raise ConfigInvalid(f"view {view.upper()} (distortion_{view} = {dist.kind!r}, "
+                                    f"within_noise_{view} = {sigma!r}{gain}): {exc}") from exc
     vx, vy = views
 
     # One id column of each kind, shared by both views.

@@ -14,6 +14,7 @@ from sidalign.align import (
     NessaConfig,
     PairBatch,
     PairedData,
+    checkpoint_from_dict,
     checkpoint_to_dict,
     loss_m1,
     loss_m2,
@@ -338,6 +339,31 @@ class TestTraining:
         assert ckpt.w is not None
         assert all("w" in e for e in ckpt.log)
 
+    def test_m3_validation_speakers_that_also_train(self):
+        # API callers may pass splits that share speakers: the validation bank
+        # is drawn by Prng(seed + 101) from the training speakers outside the
+        # validation set, and the logged loss is loss_m3 on the float32 copies.
+        cx, cy, _ = generate(SynthConfig(n_speakers=40, n_enroll_utts=3, n_runtime_utts=2,
+                                         latent_dim=6, embed_dim=6, seed=8))
+        ids = cx.speaker_ids()
+        train_pair, val_pair = PairedData(cx, cy, ids[:30]), PairedData(cx, cy, ids[20:])
+        cfg = NessaConfig(variant="m3", epochs=1, steps_per_epoch=5, batch_size=8,
+                          bank_size=8, hidden=8, lr0=1e-4, seed=4)
+        ckpt = train(cfg, train_pair, val_pair)
+        again = train(cfg, train_pair, val_pair)
+        assert json.dumps(checkpoint_to_dict(ckpt)) == json.dumps(checkpoint_to_dict(again))
+        assert ckpt.trained_epochs == 1  # the logged loss is the checkpoint's
+
+        outside = [i for i, s in enumerate(ids[:30]) if s not in ids[20:]]
+        picks = np.array(outside)[Prng(cfg.seed + 101).choice(len(outside), 8,
+                                                               replace=False)]
+        train32, val32 = train_pair.astype(np.float32), val_pair.astype(np.float32)
+        bank = NegativeBank(val32.n_speakers + np.arange(8), train32.e_x[picks])
+        want = loss_m3(ckpt.f1.astype(np.float32), ckpt.f2.astype(np.float32), ckpt.w,
+                       val32.full_batch(), bank, cfg.alpha, cfg.beta, cfg.gamma,
+                       want_grads=False)[0]
+        assert ckpt.log[0]["val_loss"] == want
+
     def test_invalid_variant(self):
         with pytest.raises(ConfigInvalid):
             NessaConfig(variant="m9").validate()
@@ -458,6 +484,17 @@ class TestCheckpointIO:
                           0.0, 1.0, 1.0, 0, 1)
         with pytest.raises(VariantMismatch, match=f"variant '{variant}' does not map"):
             unmapped(ckpt, np.ones((3, 2)))
+
+    def test_unknown_variant_refused(self, tmp_path):
+        ckpt = Checkpoint("m2", Mlp([np.eye(2)], [np.zeros(2)]), None, None,
+                          0.0, 1.0, 1.0, 0, 1)
+        obj = dict(checkpoint_to_dict(ckpt), variant="m4")
+        with pytest.raises(ParseError, match="malformed checkpoint: unknown variant 'm4'"):
+            checkpoint_from_dict(obj)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="ckpt.json: malformed checkpoint: unknown"):
+            load_checkpoint(path)
 
     @given(st.data())
     def test_parameters_round_trip_bit_for_bit(self, data):

@@ -442,6 +442,17 @@ class TestErrors:
         ("--baseline-report", lambda paths: repeated_far(paths["report"], "frr"), 1),
         ("--candidate-report", lambda paths: repeated_far(paths["report"],
                                                           "relative_impact"), 1),
+        # bytes that are not UTF-8, on line 2: the error names the file and line
+        ("--baseline-report", b'{"per_far":\n["\xff"]}\n', 1),
+        ("--candidate-report", b'{"per_far":\n["\xff"]}\n', 1),
+        ("--checkpoint", b'{"variant":\n"m\xff"}\n', 1),
+        ("--fusion", b'{"d":\n"\xff"}\n', 1),
+        ("--config", b'{"seed":\n"\xff"}\n', 1),
+        # a report of the wrong shape is named as such, not as a missing key
+        ("--baseline-report", "[]", 1),
+        ("--baseline-report", '{"per_far": 3}', 1),
+        ("--baseline-report", '{"per_far": [3]}', 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], "m4", "variant"), 1),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "scores-not-utf8", "fusion-without-m",
@@ -458,7 +469,11 @@ class TestErrors:
             "baseline-frr-bool", "baseline-frr-int-too-large", "baseline-frr-above-one",
             "candidate-impact-overflow", "baseline-target-far-bool",
             "baseline-target-far-string", "candidate-target-far-bool",
-            "baseline-target-far-repeated", "candidate-target-far-repeated"])
+            "baseline-target-far-repeated", "candidate-target-far-repeated",
+            "baseline-report-not-utf8", "candidate-report-not-utf8",
+            "checkpoint-not-utf8", "fusion-not-utf8", "config-not-utf8",
+            "baseline-report-mistyped", "baseline-per-far-mistyped",
+            "baseline-per-far-entry-mistyped", "checkpoint-unknown-variant"])
     def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
                                             request, option, content, code):
         paths = scored_fixture
@@ -485,8 +500,16 @@ class TestErrors:
         line = one_error_line(capsys, argv, code)
         if code == 1:
             assert "bad_input" in line
-        if "target-far" in request.node.callspec.id:
+        case = request.node.callspec.id
+        if "target-far" in case:
             assert "bad_input: target_far " in line
+        if case in ("baseline-report-not-utf8", "candidate-report-not-utf8",
+                    "checkpoint-not-utf8", "fusion-not-utf8", "config-not-utf8"):
+            assert "bad_input:2: " in line
+        if "mistyped" in case:
+            assert "malformed report" in line and "missing" not in line
+        if case == "checkpoint-unknown-variant":
+            assert "bad_input: malformed checkpoint: unknown variant 'm4'" in line
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_rows_exit_one(self, scored_fixture, tmp_path, capsys):
@@ -565,10 +588,19 @@ class TestErrors:
          {"nonlinear_gain": float("inf"), "distortion_x": "mlp_nonlinear"}, "nonlinear_gain"),
         (["--nonlinear-gain", "1e308", "--distortion-x", "mlp_nonlinear"],
          {"nonlinear_gain": 1e308, "distortion_x": "mlp_nonlinear"}, "nonlinear_gain"),
-        # a finite noise whose product overflows: the overflowed rows are refused
-        (["--noise-x", "1e308"], {"within_noise_x": 1e308}, "norm inf"),
+        # finite settings that spoil a view's rows: a noise whose product
+        # overflows, and a gain of 0 that maps every row to 0
+        (["--noise-x", "1e308"], {"within_noise_x": 1e308},
+         "view X (distortion_x = 'orthogonal', within_noise_x = 1e+308): "
+         "cannot normalize a row of norm inf"),
+        (["--nonlinear-gain", "0", "--distortion-x", "mlp_nonlinear"],
+         {"nonlinear_gain": 0, "distortion_x": "mlp_nonlinear"},
+         "view X (distortion_x = 'mlp_nonlinear', within_noise_x = 0.3, nonlinear_gain = 0"),
+        (["--nonlinear-gain", "0", "--distortion-y", "mlp_nonlinear"],
+         {"nonlinear_gain": 0, "distortion_y": "mlp_nonlinear"},
+         "view Y (distortion_y = 'mlp_nonlinear', within_noise_y = 0.15, nonlinear_gain = 0"),
     ], ids=["noise-x-nan", "noise-y-nan", "gain-nan", "gain-inf", "gain-overflows",
-            "noise-overflows"])
+            "noise-overflows", "gain-zero-x", "gain-zero-y"])
     def test_synth_setting_out_of_range_writes_nothing(self, tmp_path, capsys, flags,
                                                        config, names, source):
         # one error line, no RuntimeWarning before it, and no file
