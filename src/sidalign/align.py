@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Corpus, _read_text
+from .data import Corpus, _load_json, _write_text
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -540,21 +540,12 @@ def checkpoint_from_dict(obj: dict) -> Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, path, extra: dict | None = None) -> None:
     obj = dict(extra or {})
     obj.update(checkpoint_to_dict(ckpt))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj) + "\n")  # json.dump would run the pure-Python encoder
+    _write_text(path, json.dumps(obj) + "\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    text = _read_text(path)
-    try:
-        return checkpoint_from_dict(json.loads(text))
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
-        raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from exc
+    return _load_json(path, "checkpoint", checkpoint_from_dict)
 
 
 def save_training_log(log, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for entry in log:
-            fh.write(json.dumps(entry) + "\n")
+    _write_text(path, "".join(json.dumps(entry) + "\n" for entry in log))

@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 
 from . import __version__
@@ -25,7 +26,7 @@ from .align import (
     train,
 )
 from .data import (
-    _read_text,
+    _load_json,
     load_embeddings,
     load_profiles,
     load_trials,
@@ -36,6 +37,8 @@ from .data import (
 )
 from .errors import (
     ConfigInvalid,
+    DegenerateTrialSet,
+    DimensionMismatch,
     EmptyEnrollment,
     InsufficientData,
     ModelMismatch,
@@ -122,10 +125,7 @@ def _apply_config(cfg: SynthConfig, path) -> None:
     """Override cfg with a JSON config file's settings. A value must have its
     setting's type (_setting_type): an int is also a float, a bool is
     neither, and model_seed (default None) takes an int or null."""
-    try:
-        overrides = json.loads(_read_text(path))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    overrides = _load_json(path, "config")
     if not isinstance(overrides, dict):
         raise ParseError(f"{path}: expected a JSON object of settings")
     for key, value in overrides.items():
@@ -139,13 +139,20 @@ def _apply_config(cfg: SynthConfig, path) -> None:
         setattr(cfg, key, value)
 
 
+@contextmanager
+def _naming(path, kind):
+    """Prefix path to an error of type kind that the block raises."""
+    try:
+        yield
+    except kind as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _profiles(corpus, path):
     """A corpus's voice profiles; a corpus without enrollment records is an
     error that names its file."""
-    try:
+    with _naming(path, EmptyEnrollment):
         return corpus.profiles
-    except EmptyEnrollment as exc:
-        raise EmptyEnrollment(f"{path}: {exc}") from exc
 
 
 def _two_models(model_x, model_y, path_x, path_y) -> None:
@@ -227,8 +234,9 @@ def cmd_score(args) -> int:
     runtime = corpora[runtime_view]
     runtime_vectors = {runtime.utterances[i]: runtime.vectors[i]
                        for i in runtime.rows("runtime")}
-    scored = score_trials(trials, cosine_scorer, profile_vectors, runtime_vectors,
-                          enroll_map, runtime_map)
+    with _naming(getattr(args, source), DimensionMismatch) if source else nullcontext():
+        scored = score_trials(trials, cosine_scorer, profile_vectors, runtime_vectors,
+                              enroll_map, runtime_map)
     save_scores(scored, args.out)
     print(f"scored {len(scored)} trials with {scorer_id}", file=sys.stderr)
     return 0
@@ -262,8 +270,9 @@ def cmd_eval(args) -> int:
     if args.candidate_report:
         candidate_impacts = _per_far(args.candidate_report, "relative_impact",
                                      required=False)
-    report = evaluate(trials, args.scorer_id, far_targets,
-                      baseline_frrs, candidate_impacts)
+    with _naming(args.scores, DegenerateTrialSet):  # unscored or unusable scores
+        report = evaluate(trials, args.scorer_id, far_targets,
+                          baseline_frrs, candidate_impacts)
     report.update(_provenance(args))
     save_report(report, args.out)
     if args.stdout:
@@ -279,14 +288,14 @@ def _per_far(path, key: str, required: bool, unit: bool = False) -> dict:
     target_fars may share a far key."""
     report = load_report(path)
     if not isinstance(report, dict):
-        raise ParseError(f"{path}: malformed report, not a JSON object")
+        raise ParseError(f"{path}: malformed report: not a JSON object")
     try:
         entries = report["per_far"]
         if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-            raise ParseError(f"{path}: malformed report, per_far is not a list of objects")
+            raise ParseError(f"{path}: malformed report: per_far is not a list of objects")
         entries = [(e["target_far"], e[key]) for e in entries if required or key in e]
     except KeyError as exc:
-        raise ParseError(f"{path}: malformed report, missing {exc}") from exc
+        raise ParseError(f"{path}: malformed report: missing {exc}") from exc
     per_far = {}
     for far, value in entries:
         if not finite_number(far):

@@ -193,11 +193,17 @@ class Trial:
             raise UnknownLabel(f"unknown trial label {self.label!r}")
 
 
+def rows_of(ids, keys) -> np.ndarray:
+    """Each id's position among the distinct ``keys`` (a list, or a dict's
+    keys) as ``np.intp``, and -1 for an id that is not among them."""
+    position = dict(zip(keys, count()))
+    return np.fromiter(map(position.get, ids, repeat(-1)), np.intp, len(ids))
+
+
 def _index_column(ids: list[str]) -> tuple[list[str], np.ndarray]:
     """The distinct ids in first-seen order, and each id's position among them."""
     keys = list(dict.fromkeys(ids))
-    position = dict(zip(keys, count()))
-    return keys, np.fromiter(map(position.__getitem__, ids), np.intp, len(ids))
+    return keys, rows_of(ids, keys)
 
 
 def _take(values, rows: np.ndarray) -> list:
@@ -331,6 +337,12 @@ def save_embeddings(corpus: Corpus, path) -> None:
                     corpus.enroll[block].tolist(), corpus.vectors[block].tolist())]))
 
 
+def _write_text(path, text: str) -> None:
+    """Write a formatted text whole, as UTF-8 with "\\n" line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _read_text(path) -> str:
     """The text of a UTF-8 file, newlines translated as in text mode. Bytes
     that are not UTF-8 are a ParseError naming the file and line."""
@@ -344,6 +356,19 @@ def _read_text(path) -> str:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def _load_json(path, what: str, convert=None, **json_options):
+    """The JSON value of a UTF-8 file, passed through convert if given. Text that
+    does not parse, or a value convert refuses, is ``FILE: malformed <what>: ...``."""
+    text = _read_text(path)
+    try:
+        obj = json.loads(text, **json_options)
+        return obj if convert is None else convert(obj)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed {what}: {exc!r}") from exc
 
 
 def _bulk_columns(text: str):
@@ -468,6 +493,10 @@ def load_profiles(path) -> list[VoiceProfile]:
     corpus = load_embeddings(path)
     if not len(corpus):
         return []
+    speakers, rows = _index_column(corpus.speakers)
+    if len(speakers) < len(corpus):  # row i repeats a speaker where rows[i] < i
+        speaker = corpus.speakers[int(np.argmax(rows < np.arange(len(rows))))]
+        raise ParseError(f"{path}: speaker {speaker!r} has more than one profile record")
     # Re-normalize: 9-digit serialization perturbs the unit norm slightly.
     return [VoiceProfile(speaker, corpus.model_id, v)
             for speaker, v in zip(corpus.speakers, length_normalize(corpus.vectors))]
@@ -522,8 +551,7 @@ def _write_trials(path, columns, line: str) -> None:
     fields = [None] * (n * k)
     for i, column in enumerate(columns):
         fields[i::k] = column
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write((line * n) % tuple(fields))
+    _write_text(path, (line * n) % tuple(fields))
 
 
 def save_trials(trialset: TrialSet, path) -> None:

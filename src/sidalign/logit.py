@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _read_text
+from .data import _load_json, _write_text, rows_of
 from .errors import (
     DimensionMismatch,
     InsufficientData,
     MissingSpeaker,
     ModelMismatch,
-    ParseError,
     SpeakerOrderMismatch,
 )
 from .metrics import cosine_scorer
@@ -56,20 +55,15 @@ def build_weight_matrix(profiles, speaker_order) -> WeightMatrix:
         raise InsufficientData("no speakers to build a weight matrix of")
     if len(set(speaker_order)) != len(speaker_order):
         raise SpeakerOrderMismatch("speaker_order contains duplicates")
-    by_id = {}
-    model_id = None
-    for p in profiles:
-        if model_id is None:
-            model_id = p.model_id
-        elif p.model_id != model_id:
-            raise ModelMismatch(f"mixed models {model_id!r} and {p.model_id!r}")
-        by_id[p.speaker_id] = p
-    rows = []
-    for spk in speaker_order:
-        if spk not in by_id:
-            raise MissingSpeaker(f"no profile for speaker {spk!r}")
-        rows.append(by_id[spk].vector)
-    return WeightMatrix(speaker_order, np.stack(rows))
+    profiles = list(profiles)
+    models = list(dict.fromkeys(p.model_id for p in profiles))
+    if len(models) > 1:
+        raise ModelMismatch(f"mixed models {models[0]!r} and {models[1]!r}")
+    rows = rows_of(speaker_order, [p.speaker_id for p in profiles])
+    if (rows < 0).any():
+        spk = speaker_order[int(np.argmax(rows < 0))]
+        raise MissingSpeaker(f"no profile for speaker {spk!r}")
+    return WeightMatrix(speaker_order, np.stack([profiles[i].vector for i in rows.tolist()]))
 
 
 def _check_pair(w_x: WeightMatrix, w_y: WeightMatrix):
@@ -123,19 +117,20 @@ def save_fusion(f: FusionTransform, path, extra: dict | None = None) -> None:
     obj.update({"d": f.d, "N": f.n_speakers})
     head = json.dumps(obj)
     vals = ",".join(FUSION_FLOAT_FMT % x for x in f.m.ravel())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head[:-1] + ', "m": [' + vals + "]}\n")
+    _write_text(path, head[:-1] + ', "m": [' + vals + "]}\n")
 
 
 def load_fusion(path) -> FusionTransform:
-    text = _read_text(path)
-    try:
-        # Integers parse as floats: save_fusion writes -0.0 as "-0".
-        obj = json.loads(text, parse_int=float)
-        d = int(obj["d"])
-        m = np.array(obj["m"], dtype=np.float64).reshape(2 * d, 2 * d)
-        if not np.isfinite(m).all():
-            raise ValueError("m has a non-finite entry")
-        return FusionTransform(m, d, int(obj["N"]))
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ParseError(f"{path}: malformed fusion transform: {exc!r}") from exc
+    # Integers parse as floats: save_fusion writes -0.0 as "-0".
+    return _load_json(path, "fusion transform", _fusion_of, parse_int=float)
+
+
+def _fusion_of(obj: dict) -> FusionTransform:
+    """A fusion file's object as a transform: d and N whole numbers >= 1."""
+    d, n = (obj[key] for key in ("d", "N"))
+    if not all(type(v) is float and v.is_integer() and v >= 1 for v in (d, n)):
+        raise ValueError(f"d = {d!r} and N = {n!r} must be whole numbers >= 1")
+    m = np.array(obj["m"], dtype=np.float64).reshape(2 * int(d), 2 * int(d))
+    if not np.isfinite(m).all():
+        raise ValueError("m has a non-finite entry")
+    return FusionTransform(m, int(d), int(n))

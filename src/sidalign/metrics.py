@@ -11,17 +11,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
-from .data import BLOCK_ROWS, FLOAT_FMT, TrialSet, _read_text
+from .data import BLOCK_ROWS, FLOAT_FMT, TrialSet, _load_json, _write_text, rows_of
 from .errors import (
     BaselineZero,
     DegenerateGap,
     DegenerateTrialSet,
     DimensionMismatch,
-    ParseError,
     UnknownId,
     ZeroVector,
 )
@@ -121,15 +119,21 @@ def score_trials(trialset: TrialSet, scorer, profile_vectors: dict,
     into one float64 array, so the memory beyond the inputs and the scores
     does not grow with the trial count. A row-wise scorer such as the cosine
     gives the bits of one call on all gathered rows; a matrix product over
-    the short last block may round the last bit differently.
+    the short last block may round the last bit differently. An id without a
+    vector is UnknownId, found before any row is gathered.
     """
     blocks = [_stacked(vectors, fn) for vectors, fn in
               ((profile_vectors, enroll_map), (runtime_vectors, runtime_map))]
-    try:
-        p_rows = _positions(trialset.enroll_keys, profile_vectors)[trialset.enroll_rows]
-        r_rows = _positions(trialset.test_keys, runtime_vectors)[trialset.test_rows]
-    except KeyError:
-        raise _first_unknown(trialset, profile_vectors, runtime_vectors) from None
+    p_rows = rows_of(trialset.enroll_keys, profile_vectors)[trialset.enroll_rows]
+    r_rows = rows_of(trialset.test_keys, runtime_vectors)[trialset.test_rows]
+    unknown = (p_rows < 0) | (r_rows < 0)
+    if unknown.any():  # the first such trial; its enroll speaker is looked at first
+        i = int(np.argmax(unknown))
+        if p_rows[i] < 0:
+            speaker = trialset.enroll_keys[trialset.enroll_rows[i]]
+            raise UnknownId(f"unknown enroll speaker {speaker!r}")
+        utterance = trialset.test_keys[trialset.test_rows[i]]
+        raise UnknownId(f"unknown test utterance {utterance!r}")
     scores = np.empty(len(trialset))
     for start in range(0, len(scores), BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
@@ -151,28 +155,6 @@ def _stacked(vectors: dict, fn) -> np.ndarray | None:
         with np.errstate(over="ignore", invalid="ignore"):
             block = fn(block)
     return np.ascontiguousarray(block, dtype=np.float64)
-
-
-def _positions(keys: list, vectors: dict) -> np.ndarray:
-    """The row of each key in the stack of ``vectors``; KeyError if one is missing."""
-    position = dict(zip(vectors, count()))
-    return np.fromiter(map(position.__getitem__, keys), np.intp, len(keys))
-
-
-def _first_unknown(trialset: TrialSet, profile_vectors: dict,
-                   runtime_vectors: dict) -> UnknownId:
-    """The error naming the first trial, in list order, whose enroll speaker
-    (looked at first) or test utterance has no vector."""
-    enroll = np.array([k not in profile_vectors for k in trialset.enroll_keys],
-                      dtype=bool)[trialset.enroll_rows]
-    test = np.array([k not in runtime_vectors for k in trialset.test_keys],
-                    dtype=bool)[trialset.test_rows]
-    i = int(np.argmax(enroll | test))
-    if enroll[i]:
-        speaker = trialset.enroll_keys[trialset.enroll_rows[i]]
-        return UnknownId(f"unknown enroll speaker {speaker!r}")
-    utterance = trialset.test_keys[trialset.test_rows[i]]
-    return UnknownId(f"unknown test utterance {utterance!r}")
 
 
 def cosine_scorer(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -252,13 +234,8 @@ def report_json(report: dict) -> str:
 
 
 def save_report(report: dict, path) -> None:
-    text = report_json(report)  # before the file is opened: no partial file
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, report_json(report))
 
 
 def load_report(path) -> dict:
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _load_json(path, "report")

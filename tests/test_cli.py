@@ -276,6 +276,21 @@ def replaced(path, value, *keys):
     return json.dumps(obj)
 
 
+def second_record(path):
+    """The profiles file with its first line repeated under another utterance id."""
+    text = path.read_text()
+    return text + text.splitlines(keepends=True)[0].replace('"profile:', '"again:')
+
+
+def four_dim(path):
+    """A fusion transform or checkpoint file made an identity map of dimension 4."""
+    obj = json.loads(path.read_text())
+    if "m" in obj:
+        return json.dumps(dict(obj, d=4, m=np.eye(8).ravel().tolist()))
+    return json.dumps(dict(obj, layer_dims=[4, 4], weights=[np.eye(4).ravel().tolist()],
+                           biases=[[0.0] * 4]))
+
+
 def raw_value(path, text, *keys):
     """The file's JSON with obj[keys[0]][keys[1]]... set to the raw JSON text."""
     return replaced(path, "@raw@", *keys).replace('"@raw@"', text)
@@ -453,6 +468,16 @@ class TestErrors:
         ("--baseline-report", '{"per_far": 3}', 1),
         ("--baseline-report", '{"per_far": [3]}', 1),
         ("--checkpoint", lambda paths: replaced(paths["m2"], "m4", "variant"), 1),
+        # a fusion dimension that is not a whole number, and a scores file
+        # with no score column
+        ("--fusion", lambda paths: replaced(paths["fusion"], 8.5, "d"), 1),
+        ("--scores", "a\tu1\ttarget\nb\tu2\timposter\n", 1),
+        # a speaker with a second profile record, and a corpus for a profiles file
+        ("--profiles-x", lambda paths: second_record(paths["prof_x"]), 1),
+        ("--profiles-x", lambda paths: paths["x"].read_text(), 1),
+        # artifacts of dimension 4 on corpora of dimension 8
+        ("--fusion", lambda paths: four_dim(paths["fusion"]), 1),
+        ("--checkpoint", lambda paths: four_dim(paths["m2"]), 1),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "scores-not-utf8", "fusion-without-m",
@@ -473,7 +498,10 @@ class TestErrors:
             "baseline-report-not-utf8", "candidate-report-not-utf8",
             "checkpoint-not-utf8", "fusion-not-utf8", "config-not-utf8",
             "baseline-report-mistyped", "baseline-per-far-mistyped",
-            "baseline-per-far-entry-mistyped", "checkpoint-unknown-variant"])
+            "baseline-per-far-entry-mistyped", "checkpoint-unknown-variant",
+            "fusion-fractional-d", "scores-unscored", "profiles-repeated-speaker",
+            "profiles-whole-corpus", "fusion-other-dimension",
+            "checkpoint-other-dimension"])
     def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
                                             request, option, content, code):
         paths = scored_fixture
@@ -490,6 +518,8 @@ class TestErrors:
             "--checkpoint": ["score", "--scorer", "nessa-m2", "--checkpoint", str(bad)]
                             + corpora,
             "--config": ["synth", "--config", str(bad), "--out-x", out, "--out-y", out],
+            "--profiles-x": ["logit-align", "--profiles-x", str(bad),
+                             "--profiles-y", str(paths["prof_y"]), "--out", out],
             "--far": ["eval", "--scores", str(paths["scores"]), "--far", content, "--out", out],
             "--baseline-report": ["eval", "--scores", str(paths["scores"]),
                                   "--baseline-report", str(bad), "--out", out],
@@ -510,6 +540,12 @@ class TestErrors:
             assert "malformed report" in line and "missing" not in line
         if case == "checkpoint-unknown-variant":
             assert "bad_input: malformed checkpoint: unknown variant 'm4'" in line
+        if case.startswith("profiles-"):
+            assert "bad_input: speaker 's0_00000' has more than one" in line
+        if case == "fusion-other-dimension":
+            assert "bad_input: expected dimension 4 inputs" in line
+        if case == "checkpoint-other-dimension":
+            assert "bad_input: input of shape (" in line and "expects (n, 4)" in line
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_rows_exit_one(self, scored_fixture, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -921,3 +922,17 @@ def test_writers_bytes_pinned(tmp_path):
     got = {name: hashlib.sha256(raw).hexdigest()
            for name, raw in writer_outputs(tmp_path).items()}
     assert got == WRITER_SHA256
+
+
+def test_only_data_opens_files_or_parses_json():
+    """data.py is the one module that opens a file or calls json.loads; the
+    others read and write artifacts through its helpers."""
+    package = Path(data.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "open"
+                    or ast.unparse(node.func) == "json.loads"):
+                callers.add(path.name)
+    assert callers == {"data.py"}

@@ -12,6 +12,8 @@ from sidalign.errors import (
     DimensionMismatch,
     InsufficientData,
     MissingSpeaker,
+    ModelMismatch,
+    ParseError,
     SpeakerOrderMismatch,
 )
 from sidalign.logit import (
@@ -49,6 +51,17 @@ class TestBuildWeightMatrix:
         p0 = VoiceProfile("a", "X", [1.0, 0.0])
         with pytest.raises(MissingSpeaker):
             build_weight_matrix([p0], ["a", "zzz"])
+
+    def test_first_missing_speaker_in_order_named(self):
+        p0 = VoiceProfile("a", "X", [1.0, 0.0])
+        with pytest.raises(MissingSpeaker, match="'zzz'"):
+            build_weight_matrix([p0], ["a", "zzz", "yyy"])
+
+    def test_mixed_models(self):
+        p0 = VoiceProfile("a", "X", [1.0, 0.0])
+        p1 = VoiceProfile("b", "Y", [0.0, 1.0])
+        with pytest.raises(ModelMismatch, match="mixed models 'X' and 'Y'"):
+            build_weight_matrix([p0, p1], ["a"])
 
     def test_duplicate_order(self):
         p0 = VoiceProfile("a", "X", [1.0, 0.0])
@@ -165,6 +178,20 @@ class TestFusion:
         back = load_fusion(path)
         np.testing.assert_array_equal(back.m, f.m)
         assert back.d == f.d and back.n_speakers == f.n_speakers
+
+    @pytest.mark.parametrize("d, n", [("2.5", "10"), ("2", "-7"), ("2", "0"),
+                                      ("2", "10.5"), ("true", "10"), ("2", "NaN")])
+    def test_d_and_n_not_whole_numbers_of_one_or_more_refused(self, tmp_path, d, n):
+        path = tmp_path / "fusion.json"
+        path.write_text(f'{{"d": {d}, "N": {n}, "m": {np.eye(4).ravel().tolist()}}}')
+        with pytest.raises(ParseError, match="fusion.json: malformed fusion transform"):
+            load_fusion(path)
+
+    def test_d_and_n_written_as_floats_load(self, tmp_path):
+        path = tmp_path / "fusion.json"
+        path.write_text(f'{{"d": 2.0, "N": 1e1, "m": {np.eye(4).ravel().tolist()}}}')
+        back = load_fusion(path)
+        assert (back.d, back.n_speakers) == (2, 10) and back.m.tolist() == np.eye(4).tolist()
 
 
 @given(st.integers(1, 32), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
