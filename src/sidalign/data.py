@@ -3,17 +3,13 @@
 File formats:
   * embeddings / profiles: UTF-8 JSONL, one object per line with keys
     speaker_id, utterance_id, model_id, split ("enroll"|"runtime"),
-    vector (list of floats, 9 significant digits on disk). Files in the
-    layout save_embeddings writes are read in bulk, others line by line;
-    json.loads judges the numbers on both paths. Both save_embeddings and
-    the bulk reader hold the text of BLOCK_ROWS lines at a time, so the
-    memory they need beyond the corpus itself does not grow with its size.
+    vector (list of floats, 9 significant digits on disk). load_embeddings reads
+    a file or pipe once, BLOCK_ROWS lines at a time (save_embeddings' layout in
+    bulk, others line by line); both hold one block's text at a time, so the
+    memory they need beyond the corpus does not grow with its size.
   * trials: TSV ``enroll_speaker_id \\t test_utterance_id \\t target|imposter``.
-  * scores: trial columns plus a score column (9 significant digits).
-
-Trial and score files are read and written as columns: a TrialSet holds index
-columns, a target mask and a score array, and builds Trial objects only when
-its ``trials`` are asked for.
+  * scores: trial columns plus a score column (9 significant digits); a
+    TrialSet reads and writes both as columns.
 """
 
 from __future__ import annotations
@@ -22,8 +18,8 @@ import json
 import re
 from copy import copy
 from dataclasses import dataclass
-from functools import partial
-from itertools import compress, count, islice, repeat
+from functools import partial, reduce
+from itertools import count, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -53,9 +49,9 @@ FIELDS = ("speaker_id", "utterance_id", "model_id", "split", "vector")
 RECORD_LAYOUT = "{" + ", ".join(f'"{key}": %s' for key in FIELDS) + "}"
 # A JSON string that decodes to its own text (no escape, no control
 # character), each of the splits, and the vector text that json.loads
-# checks, between the whitespace that str.strip() takes off a line. No part
-# matches a newline, so each match is one whole line of a text.
-_RECORD_LINE = re.compile(r"^[^\S\n]*" + re.escape(RECORD_LAYOUT) % (
+# checks, then the whitespace that str.strip() takes off a line's end. No
+# part matches a newline, and the literal start lets a search skip ahead.
+_RECORD_LINE = re.compile(re.escape(RECORD_LAYOUT) % (
     *[r'"([^"\\\x00-\x1f]*)"'] * 3, '"(%s)"' % "|".join(SPLITS), r"\[(.*)\]")
     + r"[^\S\n]*$", re.M)
 
@@ -313,10 +309,10 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
 # File IO
 
 
-# Lines that save_embeddings formats and writes, and that load_embeddings
-# reads and parses, at a time, and trials whose rows metrics.score_trials
-# gathers for one scorer call: only one block's text, Python floats or
-# gathered rows are alive at once, whatever the corpus or trial-list size.
+# Lines that save_embeddings writes and load_embeddings reads at a time, and
+# trials whose rows metrics.score_trials gathers for one scorer call: only one
+# block's text, Python floats or gathered rows are alive at once, whatever the
+# size. A file whose lines end in a lone "\r" has no "\n" to end a block: it is one.
 BLOCK_ROWS = 512
 
 
@@ -344,18 +340,8 @@ def _write_text(path, text: str) -> None:
 
 
 def _read_text(path) -> str:
-    """The text of a UTF-8 file, newlines translated as in text mode. Bytes
-    that are not UTF-8 are a ParseError naming the file and line."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+        return "".join(text for _, text, _ in _blocks(fh, path))
 
 
 def _load_json(path, what: str, convert=None, **json_options):
@@ -374,10 +360,9 @@ def _load_json(path, what: str, convert=None, **json_options):
 def _bulk_columns(text: str):
     """The columns of a text whose nonblank lines all have RECORD_LAYOUT, ids
     without escapes and vectors of one length that json.loads reads (with
-    _json_columns' integers as floats) in one call; None for any other text."""
-    # The text split at each match: the text before it, then its fields. A
-    # match is one whole line, so every nonblank line matched if only
-    # whitespace lies between the matches.
+    _line_columns' integers as floats) in one call; None for any other text."""
+    # The text split at each match: the text before it, then its fields. A match
+    # ends a line, so every nonblank line matched if only whitespace lies between.
     parts = _RECORD_LINE.split(text)
     stride = len(FIELDS) + 1
     between = "".join(parts[::stride])
@@ -396,57 +381,35 @@ def _bulk_columns(text: str):
     return (*ids, matrix)
 
 
-def _streamed_columns(path):
-    """_bulk_columns over the file's text, read BLOCK_ROWS lines at a time
-    with newlines translated as in _read_text, the vectors written into one
-    matrix sized by _brace_count; None, before reading, for a stream that
-    cannot seek back (a pipe), and None for a file that holds no record, a
-    block that _bulk_columns refuses, blocks of unequal width or bytes that
-    are not UTF-8, all of which the line reader reads or names."""
-    ids = ([], [], [], [])
-    matrix = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            if not fh.seekable():
-                return None
-            braces, size = _brace_count(fh.buffer)
-            fh.seek(0)
-            while block := "".join(islice(fh, BLOCK_ROWS)):
-                if block.isspace():
-                    continue
-                columns = _bulk_columns(block)
-                if columns is None:
-                    return None
-                rows, start = columns[-1], len(ids[0])
-                if matrix is None:
-                    # Each record holds a "{" and at least two bytes per
-                    # number, so neither count is below the record count,
-                    # and a flood of braces cannot inflate the matrix.
-                    width = rows.shape[1]
-                    matrix = np.empty((min(braces, size // (2 * max(width, 1)) + 1), width))
-                if rows.shape[1] != matrix.shape[1]:
-                    return None
-                matrix[start:start + len(rows)] = rows
-                for column, values in zip(ids, columns):
-                    column.extend(values)
-    except ValueError:  # a UnicodeDecodeError
-        return None
-    return None if matrix is None else (*ids, matrix[:len(ids[0])])
+def _blocks(fh, path):
+    """(first line, text, line count) of each BLOCK_ROWS-line block of a binary stream as
+    UTF-8, newlines translated and counted as in text mode; a bad byte is named FILE:LINE."""
+    line, newlines, offset = 1, 0, 0
+    while raw := list(islice(fh, BLOCK_ROWS)):
+        block = b"".join(raw)
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = newlines + 1 + block.count(b"\n", 0, exc.start)  # "\n" bytes only
+            at, last = offset + exc.start, offset + exc.end - 1
+            raise ParseError(f"{path}:{lineno}: '{exc.encoding}' codec can't decode " + (
+                f"byte 0x{block[exc.start]:02x} in position {at}" if at == last
+                else f"bytes in position {at}-{last}") + f": {exc.reason}") from exc
+        lines = len(raw)
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.count("\n") + (text[-1:] != "\n")
+        newlines, offset = newlines + len(raw), offset + len(block)
+        del raw, block  # only the text is alive while the block is parsed
+        yield line, text, lines
+        line += lines
 
 
-def _brace_count(raw) -> tuple[int, int]:
-    """The number of "{" bytes in a binary file, and its size."""
-    braces = sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("{"))
-                 for chunk in iter(partial(raw.read, 1 << 16), b""))
-    return braces, raw.tell()
-
-
-def _json_columns(path, text: str):
-    """The columns of the nonblank lines, one json.loads each; an error names
-    the line. Integers parse as floats, as in _bulk_columns, so that 1e400
-    written out in digits is inf."""
-    columns = tuple([] for _ in FIELDS)
-    for lineno, line in enumerate(map(str.strip, text.split("\n")), start=1):
+def _line_columns(path, first: int, lines):
+    """The columns of the nonblank ``lines``, numbered from ``first``, one json.loads
+    each; an error names the line. Integers parse as floats, as in _bulk_columns."""
+    rows = []
+    for lineno, line in enumerate(map(str.strip, lines), start=first):
         if not line:
             continue
         try:
@@ -455,27 +418,63 @@ def _json_columns(path, text: str):
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if not (isinstance(row[4], list) and all(type(x) is float for x in row[4])):
-            raise ParseError(f"{path}:{lineno}: the vector must be a list of JSON "
-                             f"numbers")
-        for column, value in zip(columns, row):
-            column.append(value)
-    return columns
+            raise ParseError(f"{path}:{lineno}: the vector must be a list of JSON numbers")
+        rows.append(row)
+    return list(zip(*rows)) or [()] * len(FIELDS)
 
 
 def load_embeddings(path) -> Corpus:
-    """A corpus of a JSONL file; an error names the file and the line. Files
-    that save_embeddings writes are read in bulk, any other JSON layout of the
-    same keys line by line, to the same values and errors."""
-    columns = _streamed_columns(path)
-    text = None if columns else _read_text(path)  # read once: it may be a pipe
-    columns = columns or _json_columns(path, text)
+    """A corpus of a JSONL file or pipe, read once by _blocks: _bulk_columns
+    parses a block in save_embeddings' layout, _line_columns any other, to the
+    same values and errors, which name the file and line. The vectors go into
+    one matrix, sized for a file by its "{" bytes and size (a record holds a "{"
+    and two bytes or more per number). A pipe's starts at one block and doubles
+    when full, copying the rows read so far: each row about once more in all."""
+    ids, blank = ([], [], [], []), []  # blank: the numbers of blank lines
+    matrix = None  # from the first block that does not fit it on, a list of rows
+    with open(path, "rb", buffering=1 << 16) as fh:
+        braces, size = BLOCK_ROWS, float("inf")  # a pipe cannot be counted
+        if fh.seekable():
+            chunks = iter(partial(fh.read, 1 << 16), b"")
+            braces = sum(np.count_nonzero(np.frombuffer(c, "u1") == ord("{")) for c in chunks)
+            size = fh.tell()
+            fh.seek(0)
+        blocks = _blocks(fh, path)
+        for first, text, lines in blocks:
+            columns = _bulk_columns(text)
+            if columns is None or len(columns[0]) < lines:  # refused, or blank lines
+                split = text.split("\n")[:lines]
+                blank += [first + i for i, line in enumerate(split) if not line.strip()]
+                try:
+                    columns = columns or _line_columns(path, first, split)
+                except ParseError:
+                    for _ in blocks:  # a later byte that is not UTF-8 is named
+                        pass          # first, as when the file is decoded whole
+                    raise
+            *block_ids, vectors = columns
+            n, k = len(ids[0]), len(vectors)
+            if not k:
+                continue
+            for column, values in zip(ids, block_ids):
+                column.extend(values)
+            if type(matrix) is not list:
+                try:
+                    vectors = np.asarray(vectors, dtype=np.float64)
+                    if matrix is None:
+                        d = vectors.shape[1]
+                        matrix = np.empty((min(braces, size // (2 * max(d, 1)) + 1), d))
+                    elif n + k > len(matrix):  # a pipe's matrix is full: double it
+                        matrix = np.concatenate((matrix, np.empty_like(matrix)))
+                    matrix[n:n + k] = vectors.reshape(k, matrix.shape[1])
+                    continue
+                except ValueError:  # rows of unequal length, or another width
+                    matrix = [] if matrix is None else list(matrix[:n])
+            matrix.extend(vectors)
     try:
-        return Corpus(*columns)
+        return Corpus(*ids, [] if matrix is None else matrix[:len(ids[0])])
     except SidAlignError as exc:
-        if text is None:  # a streamed file: read again, for the line numbers
-            text = _read_text(path)
-        nonblank = compress(count(1), map(str.strip, text.split("\n")))
-        lineno = next(islice(nonblank, exc.row, None))
+        # the row's line: row + 1, plus one for each blank line up to that line
+        lineno = reduce(lambda at, line: at + (line <= at), blank, exc.row + 1)
         raise type(exc)(f"{path}:{lineno}: {exc}") from exc
 
 

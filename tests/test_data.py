@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -420,6 +421,19 @@ def load_line_by_line(path):
         return load_embeddings(path)
 
 
+def load_in_bulk(path):
+    """load_embeddings with a spy on the line reader that fails if a nonblank
+    line reaches it (a block of blank lines alone may)."""
+    line_columns = data._line_columns
+
+    def spy(path, first, lines):
+        assert not any(map(str.strip, lines)), "a nonblank line was read line by line"
+        return line_columns(path, first, lines)
+
+    with mock.patch.object(data, "_line_columns", spy):
+        return load_embeddings(path)
+
+
 def same_corpus(a, b):
     assert (a.speakers, a.utterances, a.model_id, a.dim) == (b.speakers, b.utterances,
                                                              b.model_id, b.dim)
@@ -567,7 +581,7 @@ class TestBulkReader:
         corpus = Corpus(["s", "s"], ["u0", "u1"], ["M", "M"],
                         ["enroll", "runtime"], Prng(3).standard_normal(2, 5))
         save_embeddings(corpus, tmp_path / "c.jsonl")
-        assert data._streamed_columns(tmp_path / "c.jsonl") is not None
+        load_in_bulk(tmp_path / "c.jsonl")
 
     @given(spoiled_files())
     def test_spoiled_line_same_error_as_json(self, drawn):
@@ -605,7 +619,7 @@ class TestBulkReader:
                         ["M"] * n, [SPLITS[i % 3 == 0] for i in range(n)],
                         Prng(n).standard_normal(n, 3))
         save_embeddings(corpus, tmp_path / "c.jsonl")
-        assert data._streamed_columns(tmp_path / "c.jsonl") is not None
+        load_in_bulk(tmp_path / "c.jsonl")
         same_corpus(load_embeddings(tmp_path / "c.jsonl"),
                     load_line_by_line(tmp_path / "c.jsonl"))
 
@@ -644,7 +658,34 @@ class TestBulkReader:
         same_corpus(bulk, by_line)
         assert len(bulk) == (0 if edge == "empty" else n)
         if edge != "empty":
-            assert data._streamed_columns(path) is not None
+            same_corpus(load_in_bulk(path), bulk)
+
+    def test_ragged_row_before_a_bad_split_names_the_split(self, tmp_path):
+        # Corpus checks splits before vectors, so the block loop keeps the
+        # rows for it and does not name the ragged vector of line 2 first.
+        n = data.BLOCK_ROWS + 5
+        lines = [layout_line('"s"', f'"u{i}"', '"M"', "enroll", ["0.5"] * (2 + (i == 1)))
+                 for i in range(n)]
+        lines[data.BLOCK_ROWS + 2] = lines[data.BLOCK_ROWS + 2].replace('"enroll"', '"train"')
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == (f"{path}:{data.BLOCK_ROWS + 3}: utterance "
+                                  f"'u{data.BLOCK_ROWS + 2}' has unknown split 'train'")
+
+    def test_bad_byte_after_a_bad_line_is_named_first(self, tmp_path):
+        # UTF-8 is checked before JSON, as when the file is decoded whole, so
+        # the blocks after a line the line reader refuses are still decoded
+        lines = [layout_line('"s"', f'"u{i}"', '"M"', "enroll", ["0.5"])
+                 for i in range(data.BLOCK_ROWS + 5)]
+        lines[2] = "{not json"
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(("\n".join(lines) + "\n").encode().replace(
+            f'"u{data.BLOCK_ROWS + 2}"'.encode(), b'"u\xff"'))
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path)
+        assert str(exc.value).startswith(f"{path}:{data.BLOCK_ROWS + 3}: 'utf-8' codec ")
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("spoiled", [False, True])
@@ -657,20 +698,64 @@ class TestBulkReader:
         save_embeddings(corpus, path)
         if spoiled:  # line 3 repeats line 1's record
             path.write_bytes(path.read_bytes().replace(b'"u2"', b'"u0"'))
-        read, write = os.pipe()
-        os.write(write, path.read_bytes())
-        os.close(write)
-        try:
-            piped = load_or_error(load_embeddings, f"/dev/fd/{read}")
-        finally:
-            os.close(read)
-        want = load_or_error(load_embeddings, path)
+        piped, want = load_piped_and_filed(path)
         if spoiled:
             assert str(want).startswith(f"{path}:3: ")
-            assert (type(piped), str(piped)) == (type(want),
-                                                 str(want).replace(str(path), f"/dev/fd/{read}"))
         else:
             same_corpus(piped, want)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("layout", ["json-dumps", "not-utf8"])
+    def test_pipe_of_many_blocks_is_read_once(self, tmp_path, layout):
+        # more than BLOCK_ROWS lines: a json.dumps layout, whose matrix grows
+        # across blocks, or a byte that is not UTF-8 in the second block
+        n = 2 * data.BLOCK_ROWS + 3
+        corpus = Corpus([f"s{i % 7}" for i in range(n)], [f"u{i}" for i in range(n)],
+                        ["M"] * n, [SPLITS[i % 3 == 0] for i in range(n)],
+                        Prng(n).standard_normal(n, 3))
+        saved, path = tmp_path / "saved.jsonl", tmp_path / "c.jsonl"
+        save_embeddings(corpus, saved)
+        if layout == "json-dumps":
+            path.write_text("".join(
+                json.dumps({"vector": r.vector.tolist(), "split": r.split,
+                            "model_id": r.model_id, "utterance_id": r.utterance_id,
+                            "speaker_id": r.speaker_id}) + "\n"
+                for r in load_embeddings(saved).records))
+        else:
+            bad = f'"u{data.BLOCK_ROWS + 1}"'.encode()
+            path.write_bytes(saved.read_bytes().replace(bad, b'"u\xff"'))
+        piped, want = load_piped_and_filed(path)
+        if layout == "json-dumps":
+            same_corpus(piped, want)
+            same_corpus(want, load_embeddings(saved))
+        else:
+            at = path.read_bytes().index(b"\xff")
+            assert str(want) == (f"{path}:{data.BLOCK_ROWS + 2}: 'utf-8' codec can't decode "
+                                 f"byte 0xff in position {at}: invalid start byte")
+
+
+def load_piped_and_filed(path):
+    """load_embeddings, or its error, of the file's bytes through a pipe that a
+    thread fills, and of the file; a piped error is the file's but for the path."""
+    read, write = os.pipe()
+
+    def fill():
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=fill)
+    writer.start()
+    try:
+        piped = load_or_error(load_embeddings, f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    want = load_or_error(load_embeddings, path)
+    if not isinstance(want, Corpus):
+        assert (type(piped), str(piped)) == (type(want),
+                                             str(want).replace(str(path), f"/dev/fd/{read}"))
+    return piped, want
 
 
 # ---------------------------------------------------------------------------

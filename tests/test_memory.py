@@ -1,6 +1,7 @@
 """The memory that corpus IO and trial scoring need beyond their inputs and
 results stays bounded by their block size as the corpus or trial list grows."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,17 @@ def load_call(n: int, tmp_path):
     return lambda: load_embeddings(path)
 
 
+def dumps_load_call(n: int, tmp_path):
+    """load_call on the same records as json.dumps writes them, keys in another
+    order: a layout the bulk reader refuses, so every line is read alone."""
+    path = tmp_path / f"dumps{n}.jsonl"
+    path.write_text("".join(
+        json.dumps({"vector": r.vector.tolist(), "split": r.split, "model_id": r.model_id,
+                    "utterance_id": r.utterance_id, "speaker_id": r.speaker_id}) + "\n"
+        for r in corpus_of(n).records))
+    return lambda: load_embeddings(path)
+
+
 def score_call(n: int, tmp_path, scorer=cosine_scorer):
     prng = Prng(n)
     prof = {f"s{i}": prng.standard_normal(DIM) for i in range(64)}
@@ -71,9 +83,10 @@ def fused_score_call(n: int, tmp_path):
     return score_call(n, tmp_path, lambda p, r: logit_score_fused_batch(p, r, fusion))
 
 
-@pytest.mark.parametrize("make_call", [save_call, load_call, score_call, fused_score_call],
-                         ids=["save_embeddings", "load_embeddings", "score_trials",
-                              "score_trials_fused"])
+@pytest.mark.parametrize("make_call", [save_call, load_call, dumps_load_call, score_call,
+                                       fused_score_call],
+                         ids=["save_embeddings", "load_embeddings", "load_embeddings_json_dumps",
+                              "score_trials", "score_trials_fused"])
 def test_transient_memory_grows_less_than_twice_at_eight_times_the_size(tmp_path,
                                                                         make_call):
     small, large = (transient_bytes(make_call(n, tmp_path)) for n in (N, 8 * N))
