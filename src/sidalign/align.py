@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Corpus, _load_json, _write_text
+from .data import BLOCK_ROWS, Corpus, _load_json, _write_text
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -480,21 +480,35 @@ def _train(config: NessaConfig, train_pair: PairedData,
 # Applying a trained aligner
 
 
-def _side_network(ckpt: Checkpoint, side: int, what: str) -> Mlp:
+def _map_side(ckpt: Checkpoint, side: int, what: str, vectors) -> np.ndarray:
+    """forward(net, vectors)[0] for the variant's network of one side, run on
+    ceil(n / BLOCK_ROWS) row blocks of equal size (edges at n * i // k), so only
+    the output and one block's activations are alive. Blocks of BLOCK_ROWS rows
+    and a short tail would round the tail differently from one call on the same
+    BLAS; equal blocks keep its bits (tests/test_align.py checks)."""
     name = VARIANTS[ckpt.variant][side]
     if name is None:
         raise VariantMismatch(f"variant {ckpt.variant!r} does not map {what}")
-    return getattr(ckpt, name)
+    net = getattr(ckpt, name)
+    x = np.asarray(vectors)
+    if x.ndim != 2 or x.shape[1] != net.layer_dims[0] or len(x) <= BLOCK_ROWS:
+        return forward(net, x)[0]  # one block, or input forward refuses
+    n, k = len(x), -(-len(x) // BLOCK_ROWS)
+    edges = [n * i // k for i in range(k + 1)]
+    out = np.empty((n, net.layer_dims[-1]), np.result_type(*net.weights))
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi] = forward(net, x[lo:hi])[0]
+    return out
 
 
 def map_profiles(ckpt: Checkpoint, vectors: np.ndarray) -> np.ndarray:
     """Map enrollment-side vectors (m2: F, m3: F1). Not defined for m1."""
-    return forward(_side_network(ckpt, 0, "profiles"), vectors)[0]
+    return _map_side(ckpt, 0, "profiles", vectors)
 
 
 def map_runtime(ckpt: Checkpoint, vectors: np.ndarray) -> np.ndarray:
     """Map runtime-side vectors (m1: F, m3: F2). Not defined for m2."""
-    return forward(_side_network(ckpt, 1, "runtime embeddings"), vectors)[0]
+    return _map_side(ckpt, 1, "runtime embeddings", vectors)
 
 
 def side_maps(ckpt: Checkpoint):

@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     SidAlignError,
     UnknownLabel,
+    ZeroVector,
 )
 from .numerics import length_normalize
 
@@ -39,6 +40,17 @@ LABELS = ("target", "imposter")
 
 # 9 significant digits round-trips any float32 payload exactly.
 FLOAT_FMT = "%.9g"
+
+# The rows that each stage holds at a time, so that the memory a stage needs
+# beyond its input and result does not grow with the corpus or trial list:
+# the lines save_embeddings writes and _blocks reads (for load_embeddings and
+# every other artifact), the rows Corpus checks for finiteness, the enrollment
+# rows of one build_all_profiles step (whole speakers, so about as many), the
+# rows of one synth.generate step (whole speakers), the trials whose rows
+# metrics.score_trials gathers for one scorer call, and at most the rows of one
+# mlp.forward call in align.map_profiles and align.map_runtime. A file whose
+# lines end in a lone "\r" has no "\n" to end a block: it is one.
+BLOCK_ROWS = 512
 
 # A record's fields in file order, the three ids first: the JSONL keys.
 FIELDS = ("speaker_id", "utterance_id", "model_id", "split", "vector")
@@ -134,11 +146,12 @@ class Corpus:
                                             f"split {splits[i]!r}")
         self.enroll = np.fromiter(map("enroll".__eq__, splits), bool, n)
         self.vectors = _vector_matrix(vectors, utterances) if n else np.zeros((0, 0))
-        finite = np.isfinite(self.vectors).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise _row_error(ParseError, i,
-                             f"non-finite vector in utterance {utterances[i]!r}")
+        for start in range(0, n, BLOCK_ROWS):
+            finite = np.isfinite(self.vectors[start:start + BLOCK_ROWS]).all(axis=1)
+            if not finite.all():
+                i = start + int(np.argmin(finite))
+                raise _row_error(ParseError, i,
+                                 f"non-finite vector in utterance {utterances[i]!r}")
         self.model_id: str | None = model_ids[0] if n else None
         self.dim: int | None = self.vectors.shape[1] if n else None
         if model_ids.count(self.model_id) != n:
@@ -278,7 +291,10 @@ class TrialSet:
 def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
     """One profile per enrolled speaker, in first-row order: normalize
     each enrollment embedding, average per speaker, normalize again. Built
-    once per corpus; later calls return the same list."""
+    once per corpus; later calls return the same list. The speakers go in
+    blocks of about BLOCK_ROWS enrollment rows, none split across two, and only
+    the profiles are kept; a zero row is refused before any zero mean, as when
+    all rows are normalized first."""
     if model_id != corpus.model_id:
         raise ModelMismatch(f"profiles of model {model_id!r} asked of a corpus "
                             f"of model {corpus.model_id!r}")
@@ -289,31 +305,39 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
         raise EmptyEnrollment("no enrollment records to build profiles from")
     speakers, owner = _index_column([corpus.speakers[i] for i in rows.tolist()])
     # Each speaker's rows in row order, one speaker after another.
-    units = length_normalize(corpus.vectors[rows[np.argsort(owner, kind="stable")]])
+    rows = rows[np.argsort(owner, kind="stable")]
     counts = np.bincount(owner)
-    starts = np.cumsum(counts) - counts
-    means = np.empty((len(speakers), units.shape[1]))
-    # The speakers with k rows at once: mean(axis=1) over their (n_k, k, d)
-    # block makes the same additions in the same order as mean(axis=0) over
-    # each speaker's rows alone, so the bits do not depend on the other
-    # speakers or on how the rows interleave.
-    for k in np.unique(counts).tolist():
-        group = np.flatnonzero(counts == k)
-        means[group] = units[starts[group, None] + np.arange(k)].mean(axis=1)
+    ends = np.cumsum(counts)
+    # A block ends with the speaker whose rows reach the next multiple of BLOCK_ROWS.
+    cuts = np.searchsorted(ends, np.arange(BLOCK_ROWS, ends[-1], BLOCK_ROWS)) + 1
+    edges = np.unique(np.concatenate(([0], cuts, [len(counts)]))).tolist()
+    profiles = np.empty((len(speakers), corpus.dim))
+    zero_mean = None  # the first block's ZeroVector of a mean, raised after every row
+    for lo, hi in zip(edges, edges[1:]):
+        first = ends[lo] - counts[lo]
+        units = length_normalize(corpus.vectors[rows[first:ends[hi - 1]]])
+        starts, block_counts = ends[lo:hi] - counts[lo:hi] - first, counts[lo:hi]
+        means = np.empty((hi - lo, corpus.dim))
+        # The speakers with k rows at once: mean(axis=1) over their (n_k, k, d)
+        # block makes the same additions in the same order as mean(axis=0) over
+        # each speaker's rows alone, so the bits do not depend on the other
+        # speakers, on how the rows interleave or on the blocks.
+        for k in np.unique(block_counts).tolist():
+            group = np.flatnonzero(block_counts == k)
+            means[group] = units[starts[group, None] + np.arange(k)].mean(axis=1)
+        try:
+            profiles[lo:hi] = length_normalize(means)
+        except ZeroVector as exc:
+            zero_mean = zero_mean or exc
+    if zero_mean is not None:
+        raise zero_mean
     corpus._profiles = [VoiceProfile(speaker, model_id, v)
-                        for speaker, v in zip(speakers, length_normalize(means))]
+                        for speaker, v in zip(speakers, profiles)]
     return corpus._profiles
 
 
 # ---------------------------------------------------------------------------
 # File IO
-
-
-# Lines that save_embeddings writes and load_embeddings reads at a time, and
-# trials whose rows metrics.score_trials gathers for one scorer call: only one
-# block's text, Python floats or gathered rows are alive at once, whatever the
-# size. A file whose lines end in a lone "\r" has no "\n" to end a block: it is one.
-BLOCK_ROWS = 512
 
 
 def save_embeddings(corpus: Corpus, path) -> None:
@@ -383,14 +407,16 @@ def _bulk_columns(text: str):
 
 def _blocks(fh, path):
     """(first line, text, line count) of each BLOCK_ROWS-line block of a binary stream as
-    UTF-8, newlines translated and counted as in text mode; a bad byte is named FILE:LINE."""
-    line, newlines, offset = 1, 0, 0
+    UTF-8, newlines translated and counted as in text mode; a bad byte is named FILE:LINE,
+    its line counted as in text mode too: after each "\r\n", lone "\r" and "\n"."""
+    line, offset = 1, 0
     while raw := list(islice(fh, BLOCK_ROWS)):
         block = b"".join(raw)
         try:
             text = block.decode("utf-8")
         except UnicodeDecodeError as exc:
-            lineno = newlines + 1 + block.count(b"\n", 0, exc.start)  # "\n" bytes only
+            head = block[:exc.start]  # a block starts after a "\n", so no "\r\n" is cut
+            lineno = line + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
             at, last = offset + exc.start, offset + exc.end - 1
             raise ParseError(f"{path}:{lineno}: '{exc.encoding}' codec can't decode " + (
                 f"byte 0x{block[exc.start]:02x} in position {at}" if at == last
@@ -399,7 +425,7 @@ def _blocks(fh, path):
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
             lines = text.count("\n") + (text[-1:] != "\n")
-        newlines, offset = newlines + len(raw), offset + len(block)
+        offset += len(block)
         del raw, block  # only the text is alive while the block is parsed
         yield line, text, lines
         line += lines

@@ -10,7 +10,8 @@ A corpus takes one draw of standard normals, an (n_speakers, latent_dim *
 (1 + 2 * n_utts)) block in speaker order. A speaker's row holds its identity
 draw z, then its noise as (utterance, view, latent_dim), view 0 for X and 1
 for Y. PCG64 fills the block in the order that one draw of z and one of the
-noise per speaker would take, so the values do not depend on the split.
+noise per speaker would take, so the values do not depend on the split:
+generate draws it in blocks of whole speakers, each filled from the same stream.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, TrialSet
+from .data import BLOCK_ROWS, Corpus, TrialSet
 from .errors import ConfigInvalid, InsufficientData, ZeroVector
 from .numerics import Prng, finite_number, length_normalize, random_orthogonal
 
@@ -126,29 +127,40 @@ def generate(config: SynthConfig) -> tuple[Corpus, Corpus, GroundTruth]:
         dist_y = Distortion(config.distortion_y, config.latent_dim, config.embed_dim,
                             model_prng, config.nonlinear_gain)
 
-        # The one draw of the corpus (see the module docstring). Each view's
-        # noise is scaled, then shifted by z: the same sums as z + sigma * noise.
+        # The one draw of the corpus (see the module docstring), taken, scaled,
+        # normalized and distorted in blocks of whole speakers, about BLOCK_ROWS
+        # rows each, into the two view matrices. Each view's noise is scaled,
+        # then shifted by z: the same sums as z + sigma * noise.
         n_utts = config.n_enroll_utts + config.n_runtime_utts
-        dim = config.latent_dim
-        draw = prng.standard_normal(config.n_speakers, dim * (1 + 2 * n_utts))
-        z = length_normalize(draw[:, :dim])[:, None, :]
-        noise = draw[:, dim:].reshape(config.n_speakers, n_utts, 2, dim)
+        dim, n_speakers = config.latent_dim, config.n_speakers
         sigmas = (config.within_noise_x, config.within_noise_y)
-        noisy = [noise[:, :, k, :] * sigma for k, sigma in enumerate(sigmas)]
-        del draw, noise
-        views = []
-        for view, dist, sigma in zip("xy", (dist_x, dist_y), sigmas):
-            u = noisy.pop(0)
-            u += z
-            try:
-                u = length_normalize(u.reshape(-1, dim))
-                views.append(dist.apply(u))
-            except ZeroVector as exc:  # a setting that spoils the view's rows
-                gain = (f", nonlinear_gain = {config.nonlinear_gain!r}"
-                        if dist.kind == "mlp_nonlinear" else "")
-                raise ConfigInvalid(f"view {view.upper()} (distortion_{view} = {dist.kind!r}, "
-                                    f"within_noise_{view} = {sigma!r}{gain}): {exc}") from exc
-    vx, vy = views
+        vx, vy = (np.empty((n_speakers * n_utts, config.embed_dim)) for _ in "xy")
+        n_blocks = -(-n_speakers // max(1, BLOCK_ROWS // n_utts))
+        edges = [n_speakers * i // n_blocks for i in range(n_blocks + 1)]
+        spoiled = None  # Y's first refusal, raised once every block of X has passed
+        for lo, hi in zip(edges, edges[1:]):
+            draw = prng.standard_normal(hi - lo, dim * (1 + 2 * n_utts))
+            z = length_normalize(draw[:, :dim])[:, None, :]
+            noise = draw[:, dim:].reshape(hi - lo, n_utts, 2, dim)
+            for k, (view, dist, sigma, out) in enumerate(
+                    zip("xy", (dist_x, dist_y), sigmas, (vx, vy))):
+                u = noise[:, :, k, :] * sigma
+                u += z
+                try:
+                    out[lo * n_utts:hi * n_utts] = dist.apply(length_normalize(
+                        u.reshape(-1, dim)))
+                except ZeroVector as exc:  # a setting that spoils the view's rows
+                    gain = (f", nonlinear_gain = {config.nonlinear_gain!r}"
+                            if dist.kind == "mlp_nonlinear" else "")
+                    error = ConfigInvalid(f"view {view.upper()} (distortion_{view} = "
+                                          f"{dist.kind!r}, within_noise_{view} = "
+                                          f"{sigma!r}{gain}): {exc}")
+                    error.__cause__ = exc
+                    if view == "x":
+                        raise error
+                    spoiled = spoiled or error
+        if spoiled is not None:
+            raise spoiled
 
     # One id column of each kind, shared by both views.
     speakers = [f"s{config.seed}_{i:05d}" for i in range(config.n_speakers)]

@@ -485,6 +485,19 @@ class TestCheckpointIO:
         with pytest.raises(VariantMismatch, match=f"variant '{variant}' does not map"):
             unmapped(ckpt, np.ones((3, 2)))
 
+    @pytest.mark.parametrize("hidden", [64, 256])
+    def test_maps_in_row_blocks_give_the_bits_of_one_forward(self, hidden):
+        # The maps run forward on ceil(n / BLOCK_ROWS) equal row blocks; this
+        # relies on BLAS giving a row the same bits in blocks of these sizes.
+        f1, f2 = (mlp_init([32, hidden, hidden, 32], seed=s) for s in (1, 2))
+        ckpt = Checkpoint("m3", f1, f2, 1.0, 1.0, 0.5, 0.1, 0, 1)
+        for n in (1, 511, 512, 513, 1025, 2000, 4100):
+            x = Prng(n).standard_normal(n, 32)
+            for mapped, net in ((map_profiles, f1), (map_runtime, f2)):
+                got = mapped(ckpt, x)
+                assert got.shape == (n, 32), n
+                assert got.tobytes() == forward(net, x)[0].tobytes(), (n, mapped.__name__)
+
     def test_unknown_variant_refused(self, tmp_path):
         ckpt = Checkpoint("m2", Mlp([np.eye(2)], [np.zeros(2)]), None, None,
                           0.0, 1.0, 1.0, 0, 1)

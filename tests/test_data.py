@@ -260,10 +260,39 @@ class TestBuildAllProfiles:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.vector, b.vector)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uneven_counts_across_blocks_bitwise_equal_to_per_speaker_loop(self, seed):
+        # Blocks of about BLOCK_ROWS enrollment rows end at speaker ends: one
+        # speaker has more rows than a block, the others 1 to 40, interleaved.
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 41, 150)
+        counts[rng.integers(150)] = data.BLOCK_ROWS + 1 + seed
+        speakers = np.repeat([f"s{k}" for k in range(150)], counts)[
+            rng.permutation(counts.sum())].tolist()
+        n = len(speakers)
+        vectors = rng.standard_normal((n, 9)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+        corpus = Corpus(speakers, [f"u{i}" for i in range(n)], ["X"] * n,
+                        [SPLITS[i % 7 == 0] for i in range(n)], vectors)
+        got = build_all_profiles(corpus, "X")
+        want = reference_profiles(corpus, "X")
+        assert [p.speaker_id for p in got] == [s for s, _ in want]
+        for p, (_, v) in zip(got, want):
+            assert p.vector.tobytes() == v.tobytes()
+
     def test_zero_norm_enrollment_vector_rejected(self):
         with pytest.raises(ZeroVector):
             build_all_profiles(corpus_of([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 0])]),
                                "X")
+
+    def test_zero_row_is_refused_before_a_zero_mean_of_an_earlier_block(self):
+        # Speaker a's mean, of norm 5e-14, is in the first block and the zero row
+        # of speaker c in the second: the row is refused, as when every row is
+        # normalized before any mean.
+        b = data.BLOCK_ROWS
+        records = ([rec("a", "a1", [1, 0]), rec("a", "a2", [-1, 1e-13])]
+                   + [rec("b", f"b{i}", [0, 1]) for i in range(b)] + [rec("c", "c1", [0, 0])])
+        with pytest.raises(ZeroVector, match="a row of norm 0$"):
+            build_all_profiles(corpus_of(records), "X")
 
     def test_other_model_rejected(self):
         with pytest.raises(ModelMismatch):
@@ -687,6 +716,22 @@ class TestBulkReader:
             load_embeddings(path)
         assert str(exc.value).startswith(f"{path}:{data.BLOCK_ROWS + 3}: 'utf-8' codec ")
 
+    @pytest.mark.parametrize("ends, bad", [(["\r"], 701), (["\n", "\r\n", "\r"], 1101),
+                                           (["\r", "\r\n"], 1499)])
+    def test_bad_byte_is_named_at_its_text_line(self, tmp_path, ends, bad):
+        # Lone "\r", "\r\n" and "\n" each end a line, as in text mode: a file
+        # of lone "\r" ends is one stream block, the others span several.
+        lines = [layout_line('"s"', f'"u{i}"', '"M"', "enroll", ["0.5"]) for i in range(1500)]
+        text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(text.encode().replace(f'"u{bad - 1}"'.encode(), b'"u\xff"'))
+        at = path.read_bytes().index(b"\xff")
+        for load in (load_embeddings, load_trials):
+            with pytest.raises(ParseError) as exc:
+                load(path)
+            assert str(exc.value) == (f"{path}:{bad}: 'utf-8' codec can't decode byte 0xff "
+                                      f"in position {at}: invalid start byte")
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("spoiled", [False, True])
     def test_pipe_is_read_once(self, tmp_path, spoiled):
@@ -929,6 +974,16 @@ class TestCorpus:
         assert (c.model_id, c.dim) == (None, None)
         with pytest.raises(EmptyEnrollment):
             c.profiles
+
+    @pytest.mark.parametrize("bad", [0, data.BLOCK_ROWS - 1, data.BLOCK_ROWS,
+                                     2 * data.BLOCK_ROWS + 3])
+    def test_first_non_finite_row_named_across_check_blocks(self, bad):
+        # Finiteness is checked BLOCK_ROWS rows at a time; a later bad row too.
+        n = 3 * data.BLOCK_ROWS
+        vectors = Prng(bad).standard_normal(n, 3)
+        vectors[bad, 1], vectors[n - 1, 0] = np.nan, np.inf
+        with pytest.raises(ParseError, match=f"^non-finite vector in utterance 'u{bad}'$"):
+            Corpus(["s"] * n, [f"u{i}" for i in range(n)], ["M"] * n, ["enroll"] * n, vectors)
 
     def test_second_model_rejected_naming_utterance(self):
         with pytest.raises(ModelMismatch, match="u2"):

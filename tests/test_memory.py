@@ -1,5 +1,6 @@
-"""The memory that corpus IO and trial scoring need beyond their inputs and
-results stays bounded by their block size as the corpus or trial list grows."""
+"""The memory that synthesis, corpus IO, profile building, aligner maps and
+trial scoring need beyond their inputs and results stays bounded by their
+block size as the corpus or trial list grows."""
 
 import json
 import tracemalloc
@@ -7,14 +8,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sidalign.data import Corpus, TrialSet, load_embeddings, save_embeddings
+from sidalign.align import Checkpoint, map_runtime
+from sidalign.data import (
+    Corpus,
+    TrialSet,
+    build_all_profiles,
+    load_embeddings,
+    save_embeddings,
+)
 from sidalign.logit import (
     WeightMatrix,
     compute_fusion_transform,
     logit_score_fused_batch,
 )
 from sidalign.metrics import cosine_scorer, score_trials
+from sidalign.mlp import mlp_init
 from sidalign.numerics import Prng
+from sidalign.synth import SynthConfig, generate
 
 N = 1024
 DIM = 32
@@ -83,10 +93,35 @@ def fused_score_call(n: int, tmp_path):
     return score_call(n, tmp_path, lambda p, r: logit_score_fused_batch(p, r, fusion))
 
 
+def generate_call(n: int, tmp_path):
+    """Both views of n rows each: n / 8 speakers of 8 utterances, through the
+    nonlinear map, whose hidden layer is the widest temporary."""
+    config = SynthConfig(n_speakers=n // 8, n_enroll_utts=4, n_runtime_utts=4,
+                         latent_dim=DIM, embed_dim=DIM, distortion_x="mlp_nonlinear",
+                         distortion_y="mlp_nonlinear", seed=n)
+    return lambda: generate(config)
+
+
+def profiles_call(n: int, tmp_path):
+    corpus = corpus_of(n)
+    return lambda: build_all_profiles(corpus, "model-x")
+
+
+def map_runtime_call(n: int, tmp_path):
+    """An m1 network of hidden width 256 on n rows: each hidden activation of
+    one call on all rows would be 8 times the mapped rows."""
+    ckpt = Checkpoint("m1", mlp_init([DIM, 256, 256, DIM], seed=0), None, None,
+                      1.0, 0.5, 0.1, 0, 1)
+    vectors = Prng(n).standard_normal(n, DIM)
+    return lambda: map_runtime(ckpt, vectors)
+
+
 @pytest.mark.parametrize("make_call", [save_call, load_call, dumps_load_call, score_call,
-                                       fused_score_call],
+                                       fused_score_call, generate_call, profiles_call,
+                                       map_runtime_call],
                          ids=["save_embeddings", "load_embeddings", "load_embeddings_json_dumps",
-                              "score_trials", "score_trials_fused"])
+                              "score_trials", "score_trials_fused", "generate",
+                              "build_all_profiles", "map_runtime"])
 def test_transient_memory_grows_less_than_twice_at_eight_times_the_size(tmp_path,
                                                                         make_call):
     small, large = (transient_bytes(make_call(n, tmp_path)) for n in (N, 8 * N))

@@ -2,10 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sidalign.data import FIELDS, Corpus
+from sidalign.data import BLOCK_ROWS, FIELDS, Corpus
 from sidalign.errors import ConfigInvalid, InsufficientData
 from sidalign.metrics import cosine_scorer, eer, roc, score_trials
 from sidalign.numerics import Prng, length_normalize
@@ -120,6 +120,16 @@ def synth_configs(draw):
         model_seed=draw(st.none() | st.integers(0, 2**32)))
 
 
+def multi_block_config(n_speakers, n_enroll_utts, n_runtime_utts, distortions):
+    """A config whose corpus generate makes in more than one block."""
+    assert n_speakers * (n_enroll_utts + n_runtime_utts) > BLOCK_ROWS
+    return SynthConfig(n_speakers=n_speakers, n_enroll_utts=n_enroll_utts,
+                       n_runtime_utts=n_runtime_utts, latent_dim=6, embed_dim=6,
+                       within_noise_x=0.4, within_noise_y=0.2, distortion_x=distortions[0],
+                       distortion_y=distortions[1], nonlinear_gain=2.0,
+                       seed=n_speakers, model_seed=7)
+
+
 def reference_trials(corpus_y, n_target, n_imposter, seed):
     """Reference: materialise every (speaker, foreign utterance) pair."""
     prng = Prng(seed)
@@ -153,6 +163,15 @@ class TestReference:
             assert worst <= 1e-12
 
     @given(synth_configs())
+    # three blocks of 43-44 speakers; blocks of one speaker each, the last one
+    # too; speakers of more than BLOCK_ROWS utterances. Each distortion maps
+    # each view once.
+    @example(multi_block_config(131, 5, 3, ("identity", "orthogonal")))
+    @example(multi_block_config(131, 5, 3, ("mlp_nonlinear", "affine")))
+    @example(multi_block_config(3, 150, 130, ("orthogonal", "identity")))
+    @example(multi_block_config(3, 150, 130, ("affine", "mlp_nonlinear")))
+    @example(multi_block_config(2, 400, 200, ("identity", "affine")))
+    @example(multi_block_config(2, 400, 200, ("mlp_nonlinear", "orthogonal")))
     def test_generate_matches_block_reference_bit_for_bit(self, cfg):
         for corpus, vectors in zip(generate(cfg)[:2], block_generate(cfg)):
             assert corpus.vectors.tobytes() == vectors.tobytes()
@@ -252,6 +271,24 @@ class TestGenerate:
     def test_config_refused(self, overrides, message):
         with pytest.raises(ConfigInvalid, match=message):
             generate(small_config(**overrides))
+
+    def test_spoiled_x_is_named_when_y_is_spoiled_in_an_earlier_block(self):
+        # At d = 1 a row's norm overflows where its noise times sigma squares
+        # beyond float64, for about 1 row in 500 here. generate makes three
+        # blocks of 100 speakers, and seed 11 spoils Y first in block 1 and X
+        # first in block 2: X is named, as when all of X is made before Y.
+        sigma = 4.3e153
+        cfg = small_config(n_speakers=300, n_enroll_utts=2, n_runtime_utts=2, latent_dim=1,
+                           embed_dim=1, within_noise_x=sigma, within_noise_y=sigma, seed=11)
+        draw = Prng(11).standard_normal(300, 9)
+        with np.errstate(over="ignore"):
+            first_x, first_y = (int(np.argmax(np.isinf((draw[:, view::2] * sigma) ** 2)
+                                              .any(axis=1))) for view in (1, 2))
+        assert first_y // 100 < first_x // 100
+        with pytest.raises(ConfigInvalid, match=r"^view X \(distortion_x = 'orthogonal', "
+                                                r"within_noise_x = 4\.3e\+153\): cannot "
+                                                r"normalize a row of norm inf$"):
+            generate(cfg)
 
     def test_model_seed_shares_distortions(self):
         a = small_config(seed=1, model_seed=99)
