@@ -22,10 +22,10 @@ from .data import (
     EmbeddingRecord,
     Trial,
     TrialSet,
-    VoiceProfile,
     build_all_profiles,
     load_embeddings,
     load_trials,
+    profile_corpus,
     save_embeddings,
     save_scores,
     save_trials,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BLOCK_ROWS, Corpus, _load_json, _write_text
+from .data import BLOCK_ROWS, Corpus, _load_json, _take, _write_text, rows_of
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -243,38 +243,36 @@ class PairedData:
 
     def __init__(self, corpus_x: Corpus, corpus_y: Corpus,
                  speaker_subset: list[str] | None = None):
-        prof_x = {p.speaker_id: p.vector for p in corpus_x.profiles}
-        prof_y = {p.speaker_id: p.vector for p in corpus_y.profiles}
+        prof_x, prof_y = corpus_x.profiles, corpus_y.profiles
         self.d = corpus_x.dim
         if corpus_y.dim != self.d:
             raise DimensionMismatch("the two corpora must share the embedding dim")
 
         # Keep only speakers with both profiles and >= 1 paired runtime utt,
         # in X's order: join the runtime rows of X to those of Y by utterance id.
-        speakers = [s for s in corpus_x.speaker_ids() if s in prof_x and s in prof_y]
+        have = set(prof_x.speakers).intersection(prof_y.speakers)
         if speaker_subset is not None:
-            allowed = set(speaker_subset)
-            speakers = [s for s in speakers if s in allowed]
-        speaker_pos = {s: i for i, s in enumerate(speakers)}
-        y_row = {corpus_y.utterances[j]: j for j in corpus_y.rows("runtime")}
-        joined = [(speaker_pos[corpus_x.speakers[i]], i, y_row[corpus_x.utterances[i]])
-                  for i in corpus_x.rows("runtime")
-                  if corpus_x.speakers[i] in speaker_pos
-                  and corpus_x.utterances[i] in y_row]
-        if not joined:
+            have &= set(speaker_subset)
+        speakers = [s for s in corpus_x.speaker_ids() if s in have]
+        rows_x, rows_y = (np.flatnonzero(~corpus.enroll) for corpus in (corpus_x, corpus_y))
+        owner = rows_of(_take(corpus_x.speakers, rows_x), speakers)
+        partner = rows_of(_take(corpus_x.utterances, rows_x),
+                          _take(corpus_y.utterances, rows_y))
+        paired = (owner >= 0) & (partner >= 0)
+        if not paired.any():
             raise InsufficientData(
                 "no shared speaker has a profile in both views and a paired "
                 "runtime utterance")
         # Runtime pairs grouped by speaker, in row order: speaker s owns
         # rows utt_start[s]:utt_start[s] + utt_count[s] of r_x and r_y.
-        owner, rows_x, rows_y = np.array(sorted(joined, key=lambda t: t[0])).T
-        keep, self.utt_count = np.unique(owner, return_counts=True)
+        pairs = np.flatnonzero(paired)[np.argsort(owner[paired], kind="stable")]
+        keep, self.utt_count = np.unique(owner[pairs], return_counts=True)
         self.utt_start = np.cumsum(self.utt_count) - self.utt_count
-        self.speaker_ids = [speakers[i] for i in keep]
-        self.e_x = np.stack([prof_x[s] for s in self.speaker_ids])
-        self.e_y = np.stack([prof_y[s] for s in self.speaker_ids])
-        self.r_x = corpus_x.vectors[rows_x]
-        self.r_y = corpus_y.vectors[rows_y]
+        self.speaker_ids = [speakers[i] for i in keep.tolist()]
+        self.e_x = prof_x.vectors[rows_of(self.speaker_ids, prof_x.speakers)]
+        self.e_y = prof_y.vectors[rows_of(self.speaker_ids, prof_y.speakers)]
+        self.r_x = corpus_x.vectors[rows_x[pairs]]
+        self.r_y = corpus_y.vectors[rows_y[partner[pairs]]]
 
     @property
     def n_speakers(self) -> int:

@@ -31,7 +31,6 @@ from .data import (
     load_profiles,
     load_trials,
     save_embeddings,
-    save_profiles,
     save_scores,
     save_trials,
 )
@@ -44,6 +43,7 @@ from .errors import (
     ModelMismatch,
     ParseError,
     SidAlignError,
+    ZeroVector,
 )
 from .logit import (
     build_weight_matrix,
@@ -149,24 +149,27 @@ def _naming(path, kind):
 
 
 def _profiles(corpus, path):
-    """A corpus's voice profiles; a corpus without enrollment records is an
-    error that names its file."""
-    with _naming(path, EmptyEnrollment):
+    """A corpus's profile set; a corpus without enrollment records, or with a
+    vector that cannot be normalized, is an error that names its file."""
+    with _naming(path, (EmptyEnrollment, ZeroVector)):
         return corpus.profiles
 
 
-def _two_models(model_x, model_y, path_x, path_y) -> None:
-    """The X and Y inputs must hold two different models. (Which of the two
-    is X cannot be told from the files.)"""
-    if model_x is not None and model_x == model_y:
+def _two_models(x, y, path_x, path_y) -> None:
+    """The X and Y corpora (or profile sets) must hold two different models,
+    of one dimension. (Which of the two is X cannot be told from the files.)"""
+    if x.model_id is not None and x.model_id == y.model_id:
         raise ModelMismatch(
-            f"{path_x} and {path_y} both hold model {model_x!r}; "
+            f"{path_x} and {path_y} both hold model {x.model_id!r}; "
             f"the X and Y inputs need two models")
+    if x.dim and y.dim and x.dim != y.dim:
+        raise DimensionMismatch(f"{path_x} holds vectors of shape {x.vectors.shape} "
+                                f"and {path_y} of shape {y.vectors.shape}")
 
 
 def cmd_profile(args) -> int:
     profiles = _profiles(load_embeddings(args.embeddings), args.embeddings)
-    save_profiles(profiles, args.out)
+    save_embeddings(profiles, args.out)
     print(f"wrote {len(profiles)} profiles", file=sys.stderr)
     return 0
 
@@ -176,13 +179,12 @@ def cmd_logit_align(args) -> int:
         raise ConfigInvalid(f"--n-speakers {args.n_speakers} is negative (0 = all)")
     profiles_x = load_profiles(args.profiles_x)
     profiles_y = load_profiles(args.profiles_y)
-    have_y = {p.speaker_id for p in profiles_y}
-    shared = [p.speaker_id for p in profiles_x if p.speaker_id in have_y]
+    have_y = set(profiles_y.speakers)
+    shared = [s for s in profiles_x.speakers if s in have_y]
     if not shared:
         raise InsufficientData(
             f"{args.profiles_x} and {args.profiles_y} share no speaker")
-    _two_models(profiles_x[0].model_id, profiles_y[0].model_id,
-                args.profiles_x, args.profiles_y)
+    _two_models(profiles_x, profiles_y, args.profiles_x, args.profiles_y)
     if args.n_speakers and args.n_speakers < len(shared):
         prng = Prng(args.seed)
         picks = sorted(prng.choice(len(shared), args.n_speakers, replace=False))
@@ -202,9 +204,9 @@ def cmd_train(args) -> int:
     cfg.validate()  # before any corpus is loaded
     corpus_x = load_embeddings(args.corpus_x)
     corpus_y = load_embeddings(args.corpus_y)
-    _two_models(corpus_x.model_id, corpus_y.model_id, args.corpus_x, args.corpus_y)
-    # PairedData reads both views' profiles; build them here, where an empty
-    # view can be named.
+    _two_models(corpus_x, corpus_y, args.corpus_x, args.corpus_y)
+    # PairedData reads both views' profiles; build them here, where a view
+    # without them, or with a row they refuse, can be named.
     _profiles(corpus_x, args.corpus_x)
     _profiles(corpus_y, args.corpus_y)
     ckpt = train(cfg, *split_train_val(corpus_x, corpus_y, args.val_fraction, args.seed))
@@ -226,11 +228,10 @@ def cmd_score(args) -> int:
     corpora = {v: load_embeddings(paths[v])
                for v in dict.fromkeys((profile_view, runtime_view))}
     if profile_view != runtime_view:
-        _two_models(corpora["x"].model_id, corpora["y"].model_id,
-                    args.corpus_x, args.corpus_y)
+        _two_models(corpora["x"], corpora["y"], args.corpus_x, args.corpus_y)
     trials = load_trials(args.trials)
     profiles = _profiles(corpora[profile_view], paths[profile_view])
-    profile_vectors = {p.speaker_id: p.vector for p in profiles}
+    profile_vectors = dict(zip(profiles.speakers, profiles.vectors))
     runtime = corpora[runtime_view]
     runtime_vectors = {runtime.utterances[i]: runtime.vectors[i]
                        for i in runtime.rows("runtime")}

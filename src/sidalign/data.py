@@ -1,4 +1,8 @@
-"""Domain data model: embedding records, voice profiles, trials, and file IO.
+"""Domain data model: corpora, profile sets, trials, and file IO.
+
+A profile set is a Corpus of one model with one row per speaker, made by
+profile_corpus: the speaker's unit-norm profile, as an enrollment row of
+utterance id ``profile:<speaker>``. So it is written and read as a corpus.
 
 File formats:
   * embeddings / profiles: UTF-8 JSONL, one object per line with keys
@@ -79,20 +83,6 @@ class EmbeddingRecord:
     vector: np.ndarray
 
 
-@dataclass
-class VoiceProfile:
-    speaker_id: str
-    model_id: str
-    vector: np.ndarray  # unit norm
-
-
-def _row_error(kind, row: int, message: str) -> SidAlignError:
-    """A failed corpus check; ``row`` lets load_embeddings name the line."""
-    exc = kind(message)
-    exc.row = row
-    return exc
-
-
 def _vector_matrix(vectors, utterances) -> np.ndarray:
     """The (n, d >= 1) float64 matrix of n >= 1 vectors, or an error naming the
     first utterance whose vector is not 1-D, numeric and nonempty or not of row
@@ -110,12 +100,11 @@ def _vector_matrix(vectors, utterances) -> np.ndarray:
         except (ValueError, TypeError, OverflowError):
             shape = ()
         if len(shape) != 1 or not shape[0]:
-            raise _row_error(ParseError, i, f"utterance {utterances[i]!r} has no 1-D "
-                                            f"numeric vector of one or more entries")
+            raise ParseError(f"utterance {utterances[i]!r} has no 1-D numeric vector of "
+                             f"one or more entries", row=i)
         if shape != np.shape(vectors[0]):
-            raise _row_error(DimensionMismatch, i, f"utterance {utterances[i]!r} has "
-                                                   f"dimension {shape[0]}, the corpus "
-                                                   f"uses {len(vectors[0])}")
+            raise DimensionMismatch(f"utterance {utterances[i]!r} has dimension {shape[0]}, "
+                                    f"the corpus uses {len(vectors[0])}", row=i)
 
 
 class Corpus:
@@ -135,50 +124,53 @@ class Corpus:
                 "".join(column)  # fails on the first id that is not a str
             except TypeError:
                 i = next(i for i, v in enumerate(column) if not isinstance(v, str))
-                raise _row_error(ParseError, i, f"ids must be strings: row {i} has "
-                                                f"{name} id {column[i]!r}") from None
+                raise ParseError(f"ids must be strings: row {i} has {name} id "
+                                 f"{column[i]!r}", row=i) from None
         self.speakers: list[str] = speakers
         self.utterances: list[str] = utterances
-        self._profiles: list[VoiceProfile] | None = None  # set by build_all_profiles
+        self._profiles: Corpus | None = None  # set by build_all_profiles
         if splits.count("enroll") + splits.count("runtime") != n:
             i = next(i for i, split in enumerate(splits) if split not in SPLITS)
-            raise _row_error(ParseError, i, f"utterance {utterances[i]!r} has unknown "
-                                            f"split {splits[i]!r}")
+            raise ParseError(f"utterance {utterances[i]!r} has unknown split "
+                             f"{splits[i]!r}", row=i)
         self.enroll = np.fromiter(map("enroll".__eq__, splits), bool, n)
         self.vectors = _vector_matrix(vectors, utterances) if n else np.zeros((0, 0))
         for start in range(0, n, BLOCK_ROWS):
             finite = np.isfinite(self.vectors[start:start + BLOCK_ROWS]).all(axis=1)
             if not finite.all():
                 i = start + int(np.argmin(finite))
-                raise _row_error(ParseError, i,
-                                 f"non-finite vector in utterance {utterances[i]!r}")
+                raise ParseError(f"non-finite vector in utterance {utterances[i]!r}", row=i)
         self.model_id: str | None = model_ids[0] if n else None
         self.dim: int | None = self.vectors.shape[1] if n else None
         if model_ids.count(self.model_id) != n:
             i = next(i for i, m in enumerate(model_ids) if m != self.model_id)
-            raise _row_error(ModelMismatch, i,
-                             f"utterance {utterances[i]!r} is of model {model_ids[i]!r}, "
-                             f"the corpus holds model {self.model_id!r}")
+            raise ModelMismatch(f"utterance {utterances[i]!r} is of model {model_ids[i]!r}, "
+                                f"the corpus holds model {self.model_id!r}", row=i)
         if len(set(utterances)) != n:  # then look for a repeated (utterance, split)
             seen = {}
             for i, key in enumerate(zip(utterances, splits)):
                 if seen.setdefault(key, i) != i:
-                    raise _row_error(ParseError, i, f"duplicate record {key}")
+                    raise ParseError(f"duplicate record {key}", row=i)
 
     def __len__(self) -> int:
         return len(self.utterances)
 
+    def __iter__(self):
+        """The rows as records, built on each call. It and ``records`` stay only
+        for perfbench/, which reads profiles and rows as records; both go when it
+        reads the columns (ROADMAP item 1)."""
+        splits = ("enroll" if enroll else "runtime" for enroll in self.enroll.tolist())
+        return map(EmbeddingRecord, self.speakers, self.utterances,
+                   repeat(self.model_id), splits, self.vectors)
+
     @property
     def records(self) -> list[EmbeddingRecord]:
         """The rows as records, built on each access."""
-        return [EmbeddingRecord(speaker, utt, self.model_id,
-                                "enroll" if enroll else "runtime", vector)
-                for speaker, utt, enroll, vector in zip(
-                    self.speakers, self.utterances, self.enroll.tolist(), self.vectors)]
+        return list(self)
 
     @property
-    def profiles(self) -> list[VoiceProfile]:
-        """The voice profile of every enrolled speaker, built on first use."""
+    def profiles(self) -> Corpus:
+        """The profile set of the enrolled speakers, built on first use."""
         return build_all_profiles(self, self.model_id)
 
     def rows(self, split: str) -> list[int]:
@@ -288,13 +280,20 @@ class TrialSet:
         return self.target.astype(int)
 
 
-def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
-    """One profile per enrolled speaker, in first-row order: normalize
-    each enrollment embedding, average per speaker, normalize again. Built
-    once per corpus; later calls return the same list. The speakers go in
-    blocks of about BLOCK_ROWS enrollment rows, none split across two, and only
-    the profiles are kept; a zero row is refused before any zero mean, as when
-    all rows are normalized first."""
+def profile_corpus(speakers: list[str], model_id: str | None, vectors) -> Corpus:
+    """The profile set of model_id whose row i is the profile ``vectors[i]`` of
+    speaker ``speakers[i]``: an enrollment row of utterance ``profile:<speaker>``."""
+    return Corpus(speakers, [f"profile:{speaker}" for speaker in speakers],
+                  [model_id] * len(speakers), ["enroll"] * len(speakers), vectors)
+
+
+def build_all_profiles(corpus: Corpus, model_id: str) -> Corpus:
+    """The profile set of the enrolled speakers, in first-row order: normalize
+    each enrollment embedding, average per speaker, normalize again. Built once
+    per corpus; later calls return the same set. The speakers go in blocks of
+    about BLOCK_ROWS enrollment rows, none split across two, and only the
+    profiles are kept. A zero or overflowing row is refused (naming it) before
+    a zero mean (naming its speaker), as when all rows are normalized first."""
     if model_id != corpus.model_id:
         raise ModelMismatch(f"profiles of model {model_id!r} asked of a corpus "
                             f"of model {corpus.model_id!r}")
@@ -315,7 +314,12 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
     zero_mean = None  # the first block's ZeroVector of a mean, raised after every row
     for lo, hi in zip(edges, edges[1:]):
         first = ends[lo] - counts[lo]
-        units = length_normalize(corpus.vectors[rows[first:ends[hi - 1]]])
+        block = rows[first:ends[hi - 1]]
+        try:
+            units = length_normalize(corpus.vectors[block])
+        except ZeroVector as exc:
+            utterance = corpus.utterances[block[exc.row]]
+            raise ZeroVector(f"utterance {utterance!r}: {exc}") from exc
         starts, block_counts = ends[lo:hi] - counts[lo:hi] - first, counts[lo:hi]
         means = np.empty((hi - lo, corpus.dim))
         # The speakers with k rows at once: mean(axis=1) over their (n_k, k, d)
@@ -328,11 +332,11 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> list[VoiceProfile]:
         try:
             profiles[lo:hi] = length_normalize(means)
         except ZeroVector as exc:
-            zero_mean = zero_mean or exc
+            zero_mean = zero_mean or ZeroVector(
+                f"the mean enrollment vector of speaker {speakers[lo + exc.row]!r}: {exc}")
     if zero_mean is not None:
         raise zero_mean
-    corpus._profiles = [VoiceProfile(speaker, model_id, v)
-                        for speaker, v in zip(speakers, profiles)]
+    corpus._profiles = profile_corpus(speakers, model_id, profiles)
     return corpus._profiles
 
 
@@ -504,27 +508,19 @@ def load_embeddings(path) -> Corpus:
         raise type(exc)(f"{path}:{lineno}: {exc}") from exc
 
 
-def save_profiles(profiles, path) -> None:
-    """Profiles reuse the embedding JSONL schema; the utterance id slot holds
-    'profile:<speaker_id>' so records stay unique within the file."""
-    speakers = [p.speaker_id for p in profiles]
-    save_embeddings(Corpus(
-        speakers, [f"profile:{speaker}" for speaker in speakers],
-        [p.model_id for p in profiles], ["enroll"] * len(speakers),
-        [p.vector for p in profiles]), path)
-
-
-def load_profiles(path) -> list[VoiceProfile]:
+def load_profiles(path) -> Corpus:
+    """A file's profile set, re-normalized (9-digit serialization perturbs the unit
+    norm); a repeated speaker or a zero vector names the file and the speaker."""
     corpus = load_embeddings(path)
-    if not len(corpus):
-        return []
     speakers, rows = _index_column(corpus.speakers)
     if len(speakers) < len(corpus):  # row i repeats a speaker where rows[i] < i
         speaker = corpus.speakers[int(np.argmax(rows < np.arange(len(rows))))]
         raise ParseError(f"{path}: speaker {speaker!r} has more than one profile record")
-    # Re-normalize: 9-digit serialization perturbs the unit norm slightly.
-    return [VoiceProfile(speaker, corpus.model_id, v)
-            for speaker, v in zip(corpus.speakers, length_normalize(corpus.vectors))]
+    try:
+        vectors = length_normalize(corpus.vectors)
+    except ZeroVector as exc:
+        raise ZeroVector(f"{path}: speaker {speakers[exc.row]!r}: {exc}") from exc
+    return profile_corpus(speakers, corpus.model_id, vectors)
 
 
 def load_trials(path) -> TrialSet:

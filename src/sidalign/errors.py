@@ -2,7 +2,12 @@
 
 
 class SidAlignError(Exception):
-    """Base class for all data/numerics errors raised by this package."""
+    """Base class for all data/numerics errors raised by this package; ``row``
+    is the first bad row of the input, for a caller to name, if one is known."""
+
+    def __init__(self, message: str = "", row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ZeroVector(SidAlignError):

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _load_json, _write_text, rows_of
+from .data import Corpus, _load_json, _write_text, rows_of
 from .errors import (
     DimensionMismatch,
     InsufficientData,
     MissingSpeaker,
-    ModelMismatch,
     SpeakerOrderMismatch,
 )
 from .metrics import cosine_scorer
@@ -49,21 +48,20 @@ class FusionTransform:
     n_speakers: int
 
 
-def build_weight_matrix(profiles, speaker_order) -> WeightMatrix:
+def build_weight_matrix(profiles: Corpus, speaker_order) -> WeightMatrix:
+    """The rows of a profile set (data.profile_corpus, of one model) for the
+    distinct speakers of speaker_order, in that order; a speaker without a
+    profile is MissingSpeaker, the first one in the order named."""
     speaker_order = list(speaker_order)
     if not speaker_order:
         raise InsufficientData("no speakers to build a weight matrix of")
     if len(set(speaker_order)) != len(speaker_order):
         raise SpeakerOrderMismatch("speaker_order contains duplicates")
-    profiles = list(profiles)
-    models = list(dict.fromkeys(p.model_id for p in profiles))
-    if len(models) > 1:
-        raise ModelMismatch(f"mixed models {models[0]!r} and {models[1]!r}")
-    rows = rows_of(speaker_order, [p.speaker_id for p in profiles])
+    rows = rows_of(speaker_order, profiles.speakers)
     if (rows < 0).any():
         spk = speaker_order[int(np.argmax(rows < 0))]
         raise MissingSpeaker(f"no profile for speaker {spk!r}")
-    return WeightMatrix(speaker_order, np.stack([profiles[i].vector for i in rows.tolist()]))
+    return WeightMatrix(speaker_order, profiles.vectors[rows])
 
 
 def _check_pair(w_x: WeightMatrix, w_y: WeightMatrix):

@@ -28,9 +28,9 @@ def finite_number(value) -> bool:
 
 
 def length_normalize(v) -> np.ndarray:
-    """Scale every row of a (d,) or (n, d) array to unit L2 norm; ZeroVector
-    if a row's norm is <= EPS_NORM or not finite. Each norm is reduced over
-    one contiguous row, so a row gives the same bits alone as in a block."""
+    """Scale every row of a (d,) or (n, d) array to unit L2 norm; ZeroVector of
+    the first row whose norm is <= EPS_NORM or not finite. Each norm is reduced
+    over one contiguous row, so a row gives the same bits alone as in a block."""
     arr = np.asarray(v, dtype=np.float64, order="C")
     if arr.ndim not in (1, 2):
         raise DimensionMismatch(f"expected a vector or rows, got shape {arr.shape}")
@@ -38,7 +38,8 @@ def length_normalize(v) -> np.ndarray:
         norms = np.linalg.norm(arr, axis=-1, keepdims=True)
     ok = (norms > EPS_NORM) & np.isfinite(norms)
     if not ok.all():
-        raise ZeroVector(f"cannot normalize a row of norm {norms[~ok][0]:g}")
+        row = int(np.argmin(ok))
+        raise ZeroVector(f"cannot normalize a row of norm {norms.flat[row]:g}", row=row)
     return arr / norms
 
 

@@ -56,7 +56,7 @@ def setup():
     cx, cy, _ = synth.generate(cfg)
     profs_x = data.build_all_profiles(cx, cx.model_id)
     profs_y = data.build_all_profiles(cy, cy.model_id)
-    order = [p.speaker_id for p in profs_x]
+    order = profs_x.speakers
     fusion = logit.compute_fusion_transform(logit.build_weight_matrix(profs_x, order),
                                             logit.build_weight_matrix(profs_y, order))
     speakers = cx.speaker_ids()
@@ -66,7 +66,7 @@ def setup():
     ckpts = {variant: align.train(align.NessaConfig(variant=variant, bank_size=256,
                                                     **common), train_pair, val_pair)
              for variant in ("m1", "m2", "m3")}
-    prof = {p.speaker_id: p.vector for p in profs_x}
+    prof = dict(zip(profs_x.speakers, profs_x.vectors))
     rows = cy.rows("runtime")
     run = {cy.utterances[i]: cy.vectors[i] for i in rows}
     owners = [cy.speakers[i] for i in rows]

@@ -27,7 +27,7 @@ from sidalign.align import (
     train,
 )
 from sidalign.cli import main
-from sidalign.data import VoiceProfile, build_all_profiles
+from sidalign.data import build_all_profiles, profile_corpus
 from sidalign.logit import (
     build_weight_matrix,
     compute_fusion_transform,
@@ -69,7 +69,7 @@ def unit_rows(prng, n, d):
 
 def random_weight_matrix(prng, n, d, model):
     rows = unit_rows(prng, n, d)
-    profiles = [VoiceProfile(f"s{i}", model, rows[i]) for i in range(n)]
+    profiles = profile_corpus([f"s{i}" for i in range(n)], model, rows)
     return build_weight_matrix(profiles, [f"s{i}" for i in range(n)])
 
 
@@ -188,7 +188,7 @@ def test_criterion_3_metric_oracles():
 
 
 def vec_maps(corpus):
-    prof = {p.speaker_id: p.vector for p in corpus.profiles}
+    prof = dict(zip(corpus.profiles.speakers, corpus.profiles.vectors))
     run = {r.utterance_id: r.vector for r in corpus.records
            if r.split == "runtime"}
     return prof, run
@@ -294,7 +294,7 @@ def nonlinear_seed(seed, pool):
 
     profs_x = build_all_profiles(cx_t, "X")
     profs_y = build_all_profiles(cy_t, "Y")
-    order = [p.speaker_id for p in profs_x][:1000]
+    order = profs_x.speakers[:1000]
     wx = build_weight_matrix(profs_x, order)
     wy = build_weight_matrix(profs_y, order)
     fusion = compute_fusion_transform(wx, wy)

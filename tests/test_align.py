@@ -34,9 +34,11 @@ from sidalign.errors import (
     DisjointnessViolation,
     InsufficientData,
     ParseError,
+    SidAlignError,
     TrainingDiverged,
     VariantMismatch,
 )
+from sidalign.logit import build_weight_matrix
 from sidalign.mlp import (
     AdamState,
     Mlp,
@@ -275,7 +277,7 @@ class TestPairedData:
         cy_cut = corpus_of([r for r in cy.records
                             if not (r.split == "runtime" and r.speaker_id == no_pair)
                             and not (r.split == "enroll" and r.speaker_id == no_profile)])
-        assert no_profile not in {p.speaker_id for p in cy_cut.profiles}
+        assert no_profile not in cy_cut.profiles.speakers
         assert no_profile not in PairedData(cx, cy_cut).speaker_ids
         assert no_pair not in PairedData(cx, cy_cut).speaker_ids
 
@@ -648,6 +650,56 @@ def uneven_corpora(counts, seed, d=3):
     return tuple(corpus_of([recs[int(j)] for j in order]) for recs in views.values())
 
 
+def reference_paired(corpus_x, corpus_y, speaker_subset):
+    """PairedData's (speaker_ids, utt_start, utt_count, e_x, e_y, r_x, r_y) by
+    the dicts of profiles and of Y runtime rows, and the sorted list of
+    (speaker, X row, Y row) tuples, that joined the views before rows_of."""
+    prof_x = dict(zip(corpus_x.profiles.speakers, corpus_x.profiles.vectors))
+    prof_y = dict(zip(corpus_y.profiles.speakers, corpus_y.profiles.vectors))
+    speakers = [s for s in corpus_x.speaker_ids() if s in prof_x and s in prof_y]
+    if speaker_subset is not None:
+        allowed = set(speaker_subset)
+        speakers = [s for s in speakers if s in allowed]
+    speaker_pos = {s: i for i, s in enumerate(speakers)}
+    y_row = {corpus_y.utterances[j]: j for j in corpus_y.rows("runtime")}
+    joined = [(speaker_pos[corpus_x.speakers[i]], i, y_row[corpus_x.utterances[i]])
+              for i in corpus_x.rows("runtime")
+              if corpus_x.speakers[i] in speaker_pos and corpus_x.utterances[i] in y_row]
+    if not joined:
+        raise InsufficientData("no paired runtime utterance")
+    owner, rows_x, rows_y = np.array(sorted(joined, key=lambda t: t[0])).T
+    keep, utt_count = np.unique(owner, return_counts=True)
+    speaker_ids = [speakers[i] for i in keep]
+    return (speaker_ids, np.cumsum(utt_count) - utt_count, utt_count,
+            np.stack([prof_x[s] for s in speaker_ids]),
+            np.stack([prof_y[s] for s in speaker_ids]),
+            corpus_x.vectors[rows_x], corpus_y.vectors[rows_y])
+
+
+@st.composite
+def loosely_paired_views(draw):
+    """Two views and a speaker subset (None, or ids that may be unknown). A
+    speaker may lack enrollment records in either view, and a runtime
+    utterance its record in either; each view's records are shuffled."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    views = {"X": [], "Y": []}
+    for i in range(n):
+        for model, recs in views.items():
+            recs.extend(EmbeddingRecord(f"s{i}", f"e{i}.{k}", model, "enroll",
+                                        rng.standard_normal(3))
+                        for k in range(rng.integers(0, 3)))
+        for u in range(rng.integers(0, 4)):
+            for model, recs in views.items():
+                if rng.random() < 0.8:
+                    recs.append(EmbeddingRecord(f"s{i}", f"u{i}.{u}", model, "runtime",
+                                                rng.standard_normal(3)))
+    cx, cy = (corpus_of([recs[j] for j in rng.permutation(len(recs))])
+              for recs in views.values())
+    subset = draw(st.none() | st.lists(st.sampled_from([f"s{i}" for i in range(n + 2)])))
+    return cx, cy, subset
+
+
 def generator_state(prng):
     return prng._gen.bit_generator.state
 
@@ -656,6 +708,27 @@ uneven_counts = st.lists(st.integers(0, 6), min_size=1, max_size=40).filter(any)
 
 
 class TestAgainstReferences:
+    @given(loosely_paired_views())
+    def test_paired_data_and_weights_equal_dict_gathers(self, drawn):
+        cx, cy, subset = drawn
+        try:
+            want = reference_paired(cx, cy, subset)
+        except SidAlignError as exc:  # no profiles in a view, or no pair
+            with pytest.raises(type(exc)):
+                PairedData(cx, cy, subset)
+            return
+        paired = PairedData(cx, cy, subset)
+        assert paired.speaker_ids == want[0]
+        for name, value in zip(("utt_start", "utt_count", "e_x", "e_y", "r_x", "r_y"),
+                               want[1:]):
+            got = getattr(paired, name)
+            assert (got.dtype, got.shape) == (value.dtype, value.shape)
+            assert got.tobytes() == value.tobytes()
+        for corpus in (cx, cy):
+            rows = dict(zip(corpus.profiles.speakers, corpus.profiles.vectors))
+            order = paired.speaker_ids[::-1]
+            assert (build_weight_matrix(corpus.profiles, order).w.tobytes()
+                    == np.stack([rows[s] for s in order]).tobytes())
     @given(uneven_counts, st.integers(1, 45), st.integers(0, 50),
            st.integers(0, 2**32 - 1))
     def test_batch_and_bank_equal_loops(self, counts, size, m, seed):

@@ -148,7 +148,7 @@ def library_scores(scorer, paths, trials):
     """Per-trial scalar scoring with the library's own pieces: the oracle
     for what `sidalign score` writes."""
     corpora = {v: load_embeddings(paths[v]) for v in ("x", "y")}
-    prof = {v: {p.speaker_id: p.vector for p in build_all_profiles(c, c.model_id)}
+    prof = {v: dict(zip(c.profiles.speakers, c.profiles.vectors))
             for v, c in corpora.items()}
     run = {v: {r.utterance_id: r.vector for r in c.records if r.split == "runtime"}
            for v, c in corpora.items()}
@@ -237,11 +237,12 @@ class TestScorerParity:
         # the file holds 9 significant digits
         np.testing.assert_allclose(got, want, rtol=5e-9, atol=1e-12)
         if scorer == "logit-fused":
-            shared = [p.speaker_id for p in load_profiles(paths["prof_x"])]
+            shared = load_profiles(paths["prof_x"]).speakers
             w_x = build_weight_matrix(load_profiles(paths["prof_x"]), shared)
             w_y = build_weight_matrix(load_profiles(paths["prof_y"]), shared)
             cx, cy = load_embeddings(paths["x"]), load_embeddings(paths["y"])
-            prof_x = {p.speaker_id: p.vector for p in build_all_profiles(cx, "X")}
+            profiles_x = build_all_profiles(cx, "X")
+            prof_x = dict(zip(profiles_x.speakers, profiles_x.vectors))
             run_y = {r.utterance_id: r.vector for r in cy.records
                      if r.split == "runtime"}
             direct = [logit_score_direct(prof_x[t.enroll_speaker_id],
@@ -280,6 +281,17 @@ def second_record(path):
     """The profiles file with its first line repeated under another utterance id."""
     text = path.read_text()
     return text + text.splitlines(keepends=True)[0].replace('"profile:', '"again:')
+
+
+def zero_first_enrollment(path):
+    """The corpus or profiles file with the vector of its first enrollment
+    record made zero."""
+    lines = path.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if '"split": "enroll"' in line)
+    obj = json.loads(lines[i])
+    obj["vector"] = [0.0] * len(obj["vector"])
+    lines[i] = json.dumps(obj) + "\n"
+    return "".join(lines)
 
 
 def four_dim(path):
@@ -404,6 +416,13 @@ class TestErrors:
         ("--embeddings", RECORD % "[[1, 2], [3]]", 1),
         ("--embeddings", RECORD.encode() % b"[0.5, 1]" + b"\xff\n", 1),
         ("--embeddings", RECORD % ("[1" + "0" * 400 + ", 0.5]"), 1),
+        # vectors that cannot be normalized: a zero row, a row whose norm
+        # overflows, a speaker whose rows cancel, and a zero profile vector
+        ("--embeddings", RECORD % "[0.0, 0.0]", 1),
+        ("--embeddings", RECORD % "[1e300, 1e300]", 1),
+        ("--embeddings", RECORD % "[1.0, 0.0]" + RECORD.replace('"u1"', '"u2"') % "[-1, 0]",
+         1),
+        ("--profiles-x", lambda paths: zero_first_enrollment(paths["prof_x"]), 1),
         ("--scores", b"a\tu1\ttarget\t0.5\n\xe9\tu2\timposter\t0.1\n", 1),
         ("--fusion", lambda paths: without(paths["fusion"], "m"), 1),
         ("--fusion", lambda paths: shortened(paths["fusion"], "m"), 1),
@@ -480,7 +499,8 @@ class TestErrors:
         ("--checkpoint", lambda paths: four_dim(paths["m2"]), 1),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
-            "vector-int-too-large", "scores-not-utf8", "fusion-without-m",
+            "vector-int-too-large", "vector-zero", "vector-norm-overflows",
+            "speaker-mean-zero", "profile-vector-zero", "scores-not-utf8", "fusion-without-m",
             "fusion-wrong-size", "fusion-non-finite", "checkpoint-without-layer-dims",
             "checkpoint-not-json", "checkpoint-bias-one-entry",
             "checkpoint-bias-three-entries", "checkpoint-activation-tanh",
@@ -542,6 +562,16 @@ class TestErrors:
             assert "bad_input: malformed checkpoint: unknown variant 'm4'" in line
         if case.startswith("profiles-"):
             assert "bad_input: speaker 's0_00000' has more than one" in line
+        if case in ("vector-zero", "vector-norm-overflows"):
+            norm = "0" if case == "vector-zero" else "inf"
+            assert line.endswith(f"bad_input: utterance 'u1': cannot normalize a row "
+                                 f"of norm {norm}")
+        if case == "speaker-mean-zero":
+            assert line.endswith("bad_input: the mean enrollment vector of speaker 'a': "
+                                 "cannot normalize a row of norm 0")
+        if case == "profile-vector-zero":
+            assert line.endswith("bad_input: speaker 's0_00000': cannot normalize a row "
+                                 "of norm 0")
         if case == "fusion-other-dimension":
             assert "bad_input: expected dimension 4 inputs" in line
         if case == "checkpoint-other-dimension":
@@ -588,13 +618,25 @@ class TestErrors:
                          "--embed-dim", dim, "--n-target", "4", "--n-imposter", "4",
                          "--out-x", str(paths[dim]["x"]), "--out-y", str(paths[dim]["y"]),
                          "--trials-out", str(paths[dim]["trials"])]) == 0
-        out = tmp_path / "scores.tsv"
-        line = one_error_line(capsys, [
-            "score", "--scorer", "cosine-asym-raw", "--trials", str(paths["16"]["trials"]),
-            "--corpus-x", str(paths["8"]["x"]), "--corpus-y", str(paths["16"]["y"]),
-            "--out", str(out)])
-        assert ", 8)" in line and ", 16)" in line
-        assert not out.exists()
+        x, y = paths["8"]["x"], paths["16"]["y"]
+        profiles = {}
+        for name, corpus in (("x", x), ("y", y)):
+            profiles[name] = tmp_path / f"profiles_{name}.jsonl"
+            assert main(["profile", "--embeddings", str(corpus),
+                         "--out", str(profiles[name])]) == 0
+        out = tmp_path / "out"
+        for argv, (path_x, path_y) in [
+            (["score", "--scorer", "cosine-asym-raw", "--trials", str(paths["16"]["trials"]),
+              "--corpus-x", str(x), "--corpus-y", str(y)], (x, y)),
+            (["train", "--variant", "m2", "--epochs", "1", "--steps", "2", "--batch", "4",
+              "--hidden", "4", "--corpus-x", str(x), "--corpus-y", str(y)], (x, y)),
+            (["logit-align", "--profiles-x", str(profiles["x"]),
+              "--profiles-y", str(profiles["y"])], (profiles["x"], profiles["y"])),
+        ]:
+            line = one_error_line(capsys, argv + ["--out", str(out)])
+            assert (f"{path_x} holds vectors of shape (" in line
+                    and f", 8) and {path_y} of shape (" in line and line.endswith(", 16)"))
+            assert not out.exists()
 
     def test_logit_align_negative_speaker_count_exit_one(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.jsonl")
@@ -762,6 +804,27 @@ class TestOneModelPerCorpus:
             argv[argv.index(str(paths["y"]))] = str(empty)
         line = one_error_line(capsys, argv)
         assert str(empty) in line and "no enrollment records" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_zero_enrollment_vector_named(self, scored_fixture, tmp_path, capsys, command):
+        # the zero row is in --corpus-y for train (whose X profiles build) and
+        # in --corpus-x for score (the profile view of cosine-sym-x); the error
+        # names that file and the utterance, as for profile (vector-zero above)
+        paths = scored_fixture
+        view = "y" if command == "train" else "x"
+        zero = tmp_path / "zero.jsonl"
+        zero.write_text(zero_first_enrollment(paths[view]))
+        utterance = next(json.loads(line)["utterance_id"]
+                         for line in zero.read_text().splitlines() if '"enroll"' in line)
+        out = tmp_path / "out"
+        argv = self.commands(paths, zero, str(out))[command]
+        if command == "train":
+            argv[argv.index(str(zero))] = str(paths["x"])
+            argv[argv.index(str(paths["y"]))] = str(zero)
+        line = one_error_line(capsys, argv)
+        assert line.endswith(f"{zero}: utterance {utterance!r}: cannot normalize a row "
+                             f"of norm 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, scorer", [

@@ -26,13 +26,12 @@ from sidalign.data import (
     EmbeddingRecord,
     Trial,
     TrialSet,
-    VoiceProfile,
     build_all_profiles,
     load_embeddings,
     load_profiles,
     load_trials,
+    profile_corpus,
     save_embeddings,
-    save_profiles,
     save_scores,
     save_trials,
 )
@@ -59,18 +58,19 @@ def corpus_of(records):
 
 
 def profile_of(records):
-    """The profile of one speaker's records, the first one build_all_profiles builds."""
-    return build_all_profiles(corpus_of(records), "X")[0]
+    """The profile vector of one speaker's records, the first row of the
+    profile set build_all_profiles builds."""
+    return build_all_profiles(corpus_of(records), "X").vectors[0]
 
 
 class TestBuildVoiceProfile:
     def test_single_record(self):
         p = profile_of([rec("a", "u1", [3, 4])])
-        np.testing.assert_allclose(p.vector, [0.6, 0.8])
+        np.testing.assert_allclose(p, [0.6, 0.8])
 
     def test_two_orthogonal_records(self):
         p = profile_of([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 1])])
-        np.testing.assert_allclose(p.vector, [0.70710678, 0.70710678], atol=1e-8)
+        np.testing.assert_allclose(p, [0.70710678, 0.70710678], atol=1e-8)
 
     def test_exact_cancellation(self):
         with pytest.raises(ZeroVector):
@@ -84,21 +84,22 @@ class TestBuildVoiceProfile:
         profiles = build_all_profiles(
             corpus_of([rec("b", "u1", [1, 0]), rec("a", "u2", [0, 1]), rec("b", "u3", [1, 0])]),
             "X")
-        assert [p.speaker_id for p in profiles] == ["b", "a"]
-        np.testing.assert_array_equal(profiles[0].vector, [1, 0])
-        np.testing.assert_array_equal(profiles[1].vector, [0, 1])
+        assert profiles.speakers == ["b", "a"]
+        assert profiles.utterances == ["profile:b", "profile:a"]
+        np.testing.assert_array_equal(profiles.vectors[0], [1, 0])
+        np.testing.assert_array_equal(profiles.vectors[1], [0, 1])
 
     def test_unit_norm(self):
         rng = np.random.default_rng(0)
         records = [rec("a", f"u{i}", rng.standard_normal(12)) for i in range(8)]
         p = profile_of(records)
-        assert abs(np.linalg.norm(p.vector) - 1) < 1e-9
+        assert abs(np.linalg.norm(p) - 1) < 1e-9
 
     def test_identical_records_any_k(self):
         for k in (1, 2, 5):
             records = [rec("a", f"u{i}", [2, 0, 1]) for i in range(k)]
             p = profile_of(records)
-            np.testing.assert_allclose(p.vector, np.array([2, 0, 1]) / np.sqrt(5))
+            np.testing.assert_allclose(p, np.array([2, 0, 1]) / np.sqrt(5))
 
 
 class TestEmbeddingIO:
@@ -149,12 +150,12 @@ class TestEmbeddingIO:
             load_embeddings(path)
 
     def test_profile_round_trip(self, tmp_path):
-        p = profile_of([rec("a", "u1", [3, 4])])
+        profiles = build_all_profiles(corpus_of([rec("a", "u1", [3, 4])]), "X")
         path = tmp_path / "prof.jsonl"
-        save_profiles([p], path)
+        save_embeddings(profiles, path)
         back = load_profiles(path)
-        assert back[0].speaker_id == "a"
-        np.testing.assert_allclose(back[0].vector, [0.6, 0.8], atol=1e-8)
+        assert (back.speakers, back.model_id) == (["a"], "X")
+        np.testing.assert_allclose(back.vectors[0], [0.6, 0.8], atol=1e-8)
 
 
 class TestTrialIO:
@@ -219,14 +220,14 @@ class TestBuildAllProfiles:
         corpus = corpus_of(self.records(order))
         got = build_all_profiles(corpus, "X")
         want = reference_profiles(corpus, "X")
-        assert [p.speaker_id for p in got] == [s for s, _ in want]
-        for p, (_, v) in zip(got, want):
-            assert p.model_id == "X"
-            np.testing.assert_array_equal(p.vector, v)
-        for p in got:
+        assert got.speakers == [s for s, _ in want]
+        assert got.model_id == "X"
+        for p, (_, v) in zip(got.vectors, want, strict=True):
+            np.testing.assert_array_equal(p, v)
+        for speaker, p in zip(got.speakers, got.vectors):
             one = profile_of(r for r in corpus.records
-                             if r.speaker_id == p.speaker_id and r.split == "enroll")
-            np.testing.assert_array_equal(one.vector, p.vector)
+                             if r.speaker_id == speaker and r.split == "enroll")
+            np.testing.assert_array_equal(one, p)
 
     @given(st.integers(1, 69), st.lists(st.integers(1, 13), min_size=1, max_size=12),
            st.integers(0, 2**32 - 1))
@@ -247,9 +248,9 @@ class TestBuildAllProfiles:
                 build_all_profiles(corpus, "X")
             return
         got = build_all_profiles(corpus, "X")
-        assert [p.speaker_id for p in got] == [s for s, _ in want]
-        for p, (_, v) in zip(got, want):
-            assert p.vector.tobytes() == v.tobytes()
+        assert got.speakers == [s for s, _ in want]
+        for p, (_, v) in zip(got.vectors, want, strict=True):
+            assert p.tobytes() == v.tobytes()
 
     def test_zero_norm_runtime_vector_ignored(self):
         records = self.records("interleaved")
@@ -257,8 +258,7 @@ class TestBuildAllProfiles:
         got = corpus_of(records).profiles
         want = build_all_profiles(corpus_of(self.records("interleaved")), "X")
         assert len(got) == len(want) == 40
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a.vector, b.vector)
+        np.testing.assert_array_equal(got.vectors, want.vectors)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_uneven_counts_across_blocks_bitwise_equal_to_per_speaker_loop(self, seed):
@@ -275,14 +275,35 @@ class TestBuildAllProfiles:
                         [SPLITS[i % 7 == 0] for i in range(n)], vectors)
         got = build_all_profiles(corpus, "X")
         want = reference_profiles(corpus, "X")
-        assert [p.speaker_id for p in got] == [s for s, _ in want]
-        for p, (_, v) in zip(got, want):
-            assert p.vector.tobytes() == v.tobytes()
+        assert got.speakers == [s for s, _ in want]
+        for p, (_, v) in zip(got.vectors, want, strict=True):
+            assert p.tobytes() == v.tobytes()
 
     def test_zero_norm_enrollment_vector_rejected(self):
         with pytest.raises(ZeroVector):
             build_all_profiles(corpus_of([rec("a", "u1", [1, 0]), rec("a", "u2", [0, 0])]),
                                "X")
+
+    @pytest.mark.parametrize("bad, message", [
+        ([0.0, 0.0], "utterance 'b2': cannot normalize a row of norm 0"),
+        ([1e300, 1e300], "utterance 'b2': cannot normalize a row of norm inf"),
+        ([-1.0, 0.0], "the mean enrollment vector of speaker 'b': cannot normalize "
+                      "a row of norm 0")])
+    def test_refused_vector_names_its_utterance_or_speaker(self, bad, message):
+        # b's rows come after a's, interleaved with a runtime row; [-1, 0]
+        # cancels b's first row [1, 0], so b's mean is zero
+        records = [rec("a", "a1", [0, 1]), rec("b", "b1", [1, 0]),
+                   rec("a", "r1", [0, 0], "runtime"), rec("b", "b2", bad),
+                   rec("b", "b3", [1, 0]), rec("b", "b4", [-1, 0])]
+        with pytest.raises(ZeroVector, match=f"^{re.escape(message)}$"):
+            build_all_profiles(corpus_of(records), "X")
+
+    def test_load_profiles_names_file_and_speaker_of_a_zero_vector(self, tmp_path):
+        path = tmp_path / "prof.jsonl"
+        save_embeddings(profile_corpus(["a", "b"], "X", [[1.0, 0.0], [0.0, 0.0]]), path)
+        with pytest.raises(ZeroVector, match=f"^{re.escape(str(path))}: speaker 'b': "
+                                             f"cannot normalize a row of norm 0$"):
+            load_profiles(path)
 
     def test_zero_row_is_refused_before_a_zero_mean_of_an_earlier_block(self):
         # Speaker a's mean, of norm 5e-14, is in the first block and the zero row
@@ -399,19 +420,20 @@ class TestLoaderProperties:
     def test_profiles_round_trip(self, drawn):
         speakers, matrix = drawn
         units = length_normalize(matrix)
-        profiles = [VoiceProfile(s, "M", v) for s, v in zip(speakers, units)]
+        profiles = profile_corpus(speakers, "M", units)
         with tempfile.TemporaryDirectory() as tmp:
             path, want = Path(tmp) / "p.jsonl", Path(tmp) / "want.jsonl"
-            save_profiles(profiles, path)
+            save_embeddings(profiles, path)
             reference_save_embeddings(corpus_of([
                 EmbeddingRecord(s, f"profile:{s}", "M", "enroll", v)
                 for s, v in zip(speakers, units)]), want)
             assert path.read_bytes() == want.read_bytes()
             back = load_profiles(path)
-        assert [(p.speaker_id, p.model_id) for p in back] == [(s, "M") for s in speakers]
+        assert back.speakers == speakers
+        assert back.utterances == [f"profile:{s}" for s in speakers]
         if speakers:
-            np.testing.assert_array_equal(np.stack([p.vector for p in back]),
-                                          length_normalize(nine_digits(units)))
+            assert back.model_id == "M"
+            np.testing.assert_array_equal(back.vectors, length_normalize(nine_digits(units)))
 
     @given(malformed_files())
     def test_malformed_line_is_a_parse_error_naming_it(self, drawn):
@@ -969,6 +991,18 @@ class TestCorpus:
         assert (c.speakers, c.utterances, c.rows("runtime")) == (["a"], ["u1"], [0])
         assert (c.model_id, c.dim) == ("X", 2)
 
+    def test_iteration_yields_the_rows_as_records(self):
+        records = [rec("a", "u1", [1.0, 0.0], "runtime"), rec("b", "u2", [0.5, 2.0]),
+                   rec("a", "u3", [0.0, -1.0])]
+        c = corpus_of(records)
+        assert len(list(c)) == len(c.records) == len(records)
+        for got, by_property, want in zip(list(c), c.records, records):
+            for key in FIELDS[:4]:
+                assert getattr(got, key) == getattr(by_property, key) == getattr(want, key)
+            assert got.vector.tobytes() == by_property.vector.tobytes()
+            np.testing.assert_array_equal(got.vector, want.vector)
+        assert list(corpus_of([])) == corpus_of([]).records == []
+
     def test_empty(self):
         c = corpus_of([])
         assert (c.model_id, c.dim) == (None, None)
@@ -1027,15 +1061,14 @@ def writer_outputs(tmp_path):
     utterances = [f"{speaker}_u{i}" for i in range(2) for speaker in speakers]
     corpus = Corpus(speakers * 2, utterances, ["Mü"] * 6,
                     ["enroll", "runtime"] * 3, prng.standard_normal(6, 4))
-    profiles = [VoiceProfile(s, "Mü", v)
-                for s, v in zip(speakers, prng.standard_normal(3, 4))]
+    profiles = profile_corpus(speakers, "Mü", prng.standard_normal(3, 4))
     trials = TrialSet([Trial(s, u, label) for s, u, label in
                        zip(speakers * 2, utterances, ["target", "imposter"] * 3)],
                       prng.standard_normal(6).tolist())
     fusion = FusionTransform(prng.standard_normal(8, 8), 4, 3)
     writers = {
         "save_embeddings": lambda path: save_embeddings(corpus, path),
-        "save_profiles": lambda path: save_profiles(profiles, path),
+        "save_embeddings_profiles": lambda path: save_embeddings(profiles, path),
         "save_trials": lambda path: save_trials(trials, path),
         "save_scores": lambda path: save_scores(trials, path),
         "save_fusion": lambda path: save_fusion(fusion, path, extra={"seed": 1}),
@@ -1049,9 +1082,12 @@ def writer_outputs(tmp_path):
 
 # Measured at the per-line writers these replaced; save_fusion measured again
 # when fusion files lost their "jitter_applied" key (the old bytes without it).
+# save_embeddings_profiles is a profile set, pinned to the bytes that the
+# profiles writer wrote before profile sets were corpora.
 WRITER_SHA256 = {
     "save_embeddings": "c9bc18d3a98c561e78f063a3adf864e9fc3bcfeaea306c0eff7c8ae8176df0c1",
-    "save_profiles": "4ac945bdaab5e64d1e740cf78d847607c3b35d9c754cb82a24c1fb34f9c6e916",
+    "save_embeddings_profiles":
+        "4ac945bdaab5e64d1e740cf78d847607c3b35d9c754cb82a24c1fb34f9c6e916",
     "save_trials": "4aafce44850ebe32ad765ff02724d718e151ad69a764210f9e14a6204404bf03",
     "save_scores": "038f5185805f8b581faba21cf78dba233edc74cbcfa3733f546c63ff3a7a5166",
     "save_fusion": "e0aed6caf39efa942531d2719c2c8ad4057b97cf13f26c8610fce9894e0e870d",
@@ -1076,3 +1112,24 @@ def test_only_data_opens_files_or_parses_json():
                     or ast.unparse(node.func) == "json.loads"):
                 callers.add(path.name)
     assert callers == {"data.py"}
+
+
+def test_every_imported_name_is_used():
+    """Each name that a module of the package (but __init__.py, which
+    re-exports) or of the tests imports is read in that module, so that no
+    import outlives the code that used it."""
+    package = Path(data.__file__).parent
+    paths = ([path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+             + sorted(Path(__file__).parent.glob("*.py")))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sidalign.data import VoiceProfile
+from sidalign.data import profile_corpus
 from sidalign.errors import (
     DimensionMismatch,
     InsufficientData,
     MissingSpeaker,
-    ModelMismatch,
     ParseError,
     SpeakerOrderMismatch,
 )
@@ -35,40 +34,32 @@ def unit_rows(prng, n, d):
 
 def random_weights(prng, n, d, model="X"):
     rows = unit_rows(prng, n, d)
-    profiles = [VoiceProfile(f"s{i}", model, rows[i]) for i in range(n)]
+    profiles = profile_corpus([f"s{i}" for i in range(n)], model, rows)
     return build_weight_matrix(profiles, [f"s{i}" for i in range(n)])
+
+
+ONE_PROFILE = profile_corpus(["a"], "X", [[1.0, 0.0]])
 
 
 class TestBuildWeightMatrix:
     def test_rows_are_profiles(self):
-        p0 = VoiceProfile("a", "X", [1.0, 0.0])
-        p1 = VoiceProfile("b", "X", [0.0, 1.0])
-        w = build_weight_matrix([p0, p1], ["b", "a"])
+        w = build_weight_matrix(profile_corpus(["a", "b"], "X", np.eye(2)), ["b", "a"])
         np.testing.assert_array_equal(w.w, [[0, 1], [1, 0]])
         assert w.speaker_order == ["b", "a"]
 
     def test_missing_speaker(self):
-        p0 = VoiceProfile("a", "X", [1.0, 0.0])
         with pytest.raises(MissingSpeaker):
-            build_weight_matrix([p0], ["a", "zzz"])
+            build_weight_matrix(ONE_PROFILE, ["a", "zzz"])
 
     def test_first_missing_speaker_in_order_named(self):
-        p0 = VoiceProfile("a", "X", [1.0, 0.0])
         with pytest.raises(MissingSpeaker, match="'zzz'"):
-            build_weight_matrix([p0], ["a", "zzz", "yyy"])
-
-    def test_mixed_models(self):
-        p0 = VoiceProfile("a", "X", [1.0, 0.0])
-        p1 = VoiceProfile("b", "Y", [0.0, 1.0])
-        with pytest.raises(ModelMismatch, match="mixed models 'X' and 'Y'"):
-            build_weight_matrix([p0, p1], ["a"])
+            build_weight_matrix(ONE_PROFILE, ["a", "zzz", "yyy"])
 
     def test_duplicate_order(self):
-        p0 = VoiceProfile("a", "X", [1.0, 0.0])
         with pytest.raises(SpeakerOrderMismatch):
-            build_weight_matrix([p0], ["a", "a"])
+            build_weight_matrix(ONE_PROFILE, ["a", "a"])
 
-    @pytest.mark.parametrize("profiles", [[], [VoiceProfile("a", "X", [1.0, 0.0])]],
+    @pytest.mark.parametrize("profiles", [profile_corpus([], None, []), ONE_PROFILE],
                              ids=["no-profiles", "one-profile"])
     def test_empty_speaker_order(self, profiles):
         with pytest.raises(InsufficientData):

@@ -5,7 +5,6 @@ block size as the corpus or trial list grows."""
 import json
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from sidalign.align import Checkpoint, map_runtime

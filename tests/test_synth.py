@@ -30,7 +30,7 @@ def small_config(**overrides):
 
 
 def vec_maps(corpus):
-    prof = {p.speaker_id: p.vector for p in corpus.profiles}
+    prof = dict(zip(corpus.profiles.speakers, corpus.profiles.vectors))
     run = {r.utterance_id: r.vector for r in corpus.records if r.split == "runtime"}
     return prof, run
 
@@ -243,8 +243,7 @@ class TestGenerate:
         cx, cy, _ = generate(small_config())
         assert len(cx.profiles) == 20
         assert len(cy.profiles) == 20
-        for p in cx.profiles:
-            assert abs(np.linalg.norm(p.vector) - 1) < 1e-9
+        assert (abs(np.linalg.norm(cx.profiles.vectors, axis=1) - 1) < 1e-9).all()
 
     def test_invalid_config(self):
         with pytest.raises(ConfigInvalid):
