@@ -18,7 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BLOCK_ROWS, Corpus, _load_json, _take, _write_text, rows_of
+from .data import (
+    BLOCK_ROWS,
+    FLOAT_FMT,
+    Corpus,
+    _json_with,
+    _load_json,
+    _take,
+    _write_text,
+    rows_of,
+)
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -38,7 +47,7 @@ from .mlp import (
     mlp_init,
     mlp_to_dict,
 )
-from .numerics import Prng
+from .numerics import Prng, whole_number
 
 # Each variant, with the names of the networks of its checkpoint that map
 # its (enrollment, runtime) sides; None leaves a side in its own space.
@@ -346,6 +355,10 @@ def sample_negative_bank(paired: PairedData, excluded, m: int,
 
 @dataclass
 class Checkpoint:
+    """A trained aligner. ``dtype`` is "float32" when every parameter of its
+    networks is a float32 value, as training and float32 files give them:
+    save_checkpoint then writes them at 9 significant digits."""
+
     variant: str
     f1: Mlp
     f2: Mlp | None
@@ -356,6 +369,7 @@ class Checkpoint:
     seed: int
     trained_epochs: int
     log: list[dict] = field(default_factory=list)
+    dtype: str = "float64"
 
 
 def train(config: NessaConfig, train_pair: PairedData,
@@ -363,12 +377,12 @@ def train(config: NessaConfig, train_pair: PairedData,
     """Minibatch Adam training; returns the best-validation checkpoint.
 
     The networks, w, Adam's state and both splits' matrices are float32
-    (TRAIN_DTYPE); the checkpoint holds float64 copies, which are exact. A
-    paired value beyond float32's range raises ParseError before the first
-    step. A non-finite training or validation loss, or a non-finite
-    parameter in a checkpoint, raises TrainingDiverged: numpy's overflow
-    warnings are off while training, since the loss or the parameters carry
-    any overflow.
+    (TRAIN_DTYPE); the checkpoint holds float64 copies, which are exact, and
+    its dtype says "float32". A paired value beyond float32's range raises
+    ParseError before the first step. A non-finite training or validation
+    loss, or a non-finite parameter in a checkpoint, raises TrainingDiverged:
+    numpy's overflow warnings are off while training, since the loss or the
+    parameters carry any overflow.
     """
     config.validate()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -438,7 +452,8 @@ def _train(config: NessaConfig, train_pair: PairedData,
                 f"training diverged: a parameter is not finite after {epochs} epochs")
         f1, f2 = ([f.astype(np.float64) for f in nets] + [None])[:2]
         return Checkpoint(config.variant, f1, f2, float(w[0]) if m3 else None,
-                          config.alpha, config.beta, config.gamma, config.seed, epochs)
+                          config.alpha, config.beta, config.gamma, config.seed, epochs,
+                          dtype=np.dtype(TRAIN_DTYPE).name)
 
     best = snapshot(0)
     best_val = (_finite_loss(val_loss(), "the validation", "before training")
@@ -529,11 +544,13 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
         "gamma": ckpt.gamma,
         "w": ckpt.w,
     }
+    net = {"seed": ckpt.seed, "trained_epochs": ckpt.trained_epochs,
+           "float32": ckpt.dtype == "float32"}
     if ckpt.variant == "m3":
-        obj["f1"] = mlp_to_dict(ckpt.f1, ckpt.seed, ckpt.trained_epochs)
-        obj["f2"] = mlp_to_dict(ckpt.f2, ckpt.seed, ckpt.trained_epochs)
+        obj["f1"] = mlp_to_dict(ckpt.f1, **net)
+        obj["f2"] = mlp_to_dict(ckpt.f2, **net)
     else:
-        obj.update(mlp_to_dict(ckpt.f1, ckpt.seed, ckpt.trained_epochs))
+        obj.update(mlp_to_dict(ckpt.f1, **net))
     return obj
 
 
@@ -543,20 +560,52 @@ def checkpoint_from_dict(obj: dict) -> Checkpoint:
     m3 = obj["variant"] == "m3"
     f1 = obj["f1"] if m3 else obj  # the seed and epochs are read from F1's dict
     old = NessaConfig()  # the settings an old file lacks take their defaults
+    counts = [f1.get("seed", old.seed), f1.get("trained_epochs", 0)]
+    if not all(map(whole_number, counts)):
+        raise ValueError(f"seed {counts[0]!r} and trained_epochs {counts[1]!r} must be "
+                         f"whole numbers")
+    nets = [f1, obj["f2"]] if m3 else [f1]
+    float32 = all(net.get("dtype") == "float32" for net in nets)
     return Checkpoint(obj["variant"], mlp_from_dict(f1),
                       mlp_from_dict(obj["f2"]) if m3 else None, obj.get("w"),
                       *(obj.get(k, getattr(old, k)) for k in ("alpha", "beta", "gamma")),
-                      int(f1.get("seed", old.seed)), int(f1.get("trained_epochs", 0)))
+                      *map(int, counts), dtype="float32" if float32 else "float64")
 
 
 def save_checkpoint(ckpt: Checkpoint, path, extra: dict | None = None) -> None:
+    """ckpt as one line of JSON, after the keys of extra. The networks of a
+    float32 checkpoint have their layers written last, each value as
+    FLOAT_FMT text: 9 significant digits, which read back through float32 to
+    the same bits. Any other checkpoint is json.dumps of checkpoint_to_dict."""
     obj = dict(extra or {})
     obj.update(checkpoint_to_dict(ckpt))
-    _write_text(path, json.dumps(obj) + "\n")
+    if ckpt.dtype != "float32":
+        text = json.dumps(obj)
+    elif ckpt.variant == "m3":
+        nets = {net: _float32_json(obj.pop(net)) for net in ("f1", "f2")}
+        text = _json_with(obj, nets)
+    else:
+        text = _float32_json(obj)
+    _write_text(path, text + "\n")
+
+
+def _float32_json(net: dict) -> str:
+    """A network's dict (mlp_to_dict's, or a checkpoint's holding its keys) as
+    JSON text, with its layers last and their values as FLOAT_FMT text."""
+    layers = {key: "[" + ", ".join("[" + ",".join([FLOAT_FMT] * len(values)) % tuple(values)
+                                   + "]" for values in net.pop(key)) + "]"
+              for key in ("weights", "biases")}
+    return _json_with(net, layers)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    return _load_json(path, "checkpoint", checkpoint_from_dict)
+    return _load_json(path, "checkpoint", checkpoint_from_dict, parse_int=_json_int)
+
+
+def _json_int(text: str):
+    """A JSON integer, exact as an int (a seed may exceed 2**53), but "-0",
+    which FLOAT_FMT writes for -0.0, reads as -0.0, not as the int 0."""
+    return -0.0 if text == "-0" else int(text)
 
 
 def save_training_log(log, path) -> None:

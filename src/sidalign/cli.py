@@ -13,6 +13,7 @@ import json
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields
+from functools import cache
 
 from . import __version__
 from .align import (
@@ -78,7 +79,7 @@ SCORERS = {
 
 
 _PATH_ARGS = frozenset({
-    "func", "config", "out", "out_x", "out_y", "trials_out", "embeddings",
+    "config", "out", "out_x", "out_y", "trials_out", "embeddings",
     "profiles_x", "profiles_y", "corpus_x", "corpus_y", "trials", "fusion",
     "checkpoint", "log", "scores", "baseline_report", "candidate_report",
 })
@@ -359,7 +360,11 @@ def _config(config_cls, args):
                          for f in fields(config_cls)})
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by the
+    later ones: parse_args keeps no state in it, and building it is most of
+    the fixed cost of a short command run in-process."""
     parser = argparse.ArgumentParser(prog="sidalign")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -374,12 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-target", type=int, default=500)
     p.add_argument("--n-imposter", type=int, default=500)
     p.add_argument("--trial-seed", type=int)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("profile", help="build voice profiles from a corpus")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("logit-align", help="build the fused logit transform")
     p.add_argument("--profiles-x", required=True)
@@ -388,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subsample this many shared speakers (0 = all)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_logit_align)
 
     p = sub.add_parser("train", help="train an embedding space aligner")
     p.add_argument("--corpus-x", required=True)
@@ -398,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score a trial list")
     p.add_argument("--scorer", choices=tuple(SCORERS), required=True)
@@ -408,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fusion")
     p.add_argument("--checkpoint")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval", help="compute EER and FRR@FAR report")
     p.add_argument("--scores", required=True)
@@ -419,16 +419,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidate-report")
     p.add_argument("--stdout", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The command is looked up at each call, not bound into the cached parser,
+    # so a cmd_* replaced on this module (a tracer's wrapper, a test's mock) runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (SidAlignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

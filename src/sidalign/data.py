@@ -367,6 +367,13 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _json_with(obj: dict, texts: dict) -> str:
+    """json.dumps(obj), a non-empty dict, followed by the keys of texts, whose
+    values are JSON text already."""
+    return json.dumps(obj)[:-1] + "".join(f", {json.dumps(k)}: {v}"
+                                          for k, v in texts.items()) + "}"
+
+
 def _read_text(path) -> str:
     with open(path, "rb") as fh:
         return "".join(text for _, text, _ in _blocks(fh, path))
@@ -453,10 +460,12 @@ def _line_columns(path, first: int, lines):
     return list(zip(*rows)) or [()] * len(FIELDS)
 
 
-def load_embeddings(path) -> Corpus:
+def load_embeddings(path, check=None) -> Corpus:
     """A corpus of a JSONL file or pipe, read once by _blocks: _bulk_columns
     parses a block in save_embeddings' layout, _line_columns any other, to the
-    same values and errors, which name the file and line. The vectors go into
+    same values and errors, which name the file and line. check(corpus), if
+    given, may refuse the corpus with a SidAlignError, named like the corpus's
+    own: by the line of its row, or by the file alone. The vectors go into
     one matrix, sized for a file by its "{" bytes and size (a record holds a "{"
     and two bytes or more per number). A pipe's starts at one block and doubles
     when full, copying the rows read so far: each row about once more in all."""
@@ -501,8 +510,13 @@ def load_embeddings(path) -> Corpus:
                     matrix = [] if matrix is None else list(matrix[:n])
             matrix.extend(vectors)
     try:
-        return Corpus(*ids, [] if matrix is None else matrix[:len(ids[0])])
+        corpus = Corpus(*ids, [] if matrix is None else matrix[:len(ids[0])])
+        if check is not None:
+            check(corpus)
+        return corpus
     except SidAlignError as exc:
+        if exc.row is None:
+            raise type(exc)(f"{path}: {exc}") from exc
         # the row's line: row + 1, plus one for each blank line up to that line
         lineno = reduce(lambda at, line: at + (line <= at), blank, exc.row + 1)
         raise type(exc)(f"{path}:{lineno}: {exc}") from exc
@@ -510,17 +524,32 @@ def load_embeddings(path) -> Corpus:
 
 def load_profiles(path) -> Corpus:
     """A file's profile set, re-normalized (9-digit serialization perturbs the unit
-    norm); a repeated speaker or a zero vector names the file and the speaker."""
-    corpus = load_embeddings(path)
-    speakers, rows = _index_column(corpus.speakers)
-    if len(speakers) < len(corpus):  # row i repeats a speaker where rows[i] < i
-        speaker = corpus.speakers[int(np.argmax(rows < np.arange(len(rows))))]
-        raise ParseError(f"{path}: speaker {speaker!r} has more than one profile record")
+    norm). A repeated speaker names the file and the speaker, a row that is not
+    a profile row its line, and a zero vector the file and the speaker."""
+    corpus = load_embeddings(path, check=_profile_rows)
     try:
         vectors = length_normalize(corpus.vectors)
     except ZeroVector as exc:
-        raise ZeroVector(f"{path}: speaker {speakers[exc.row]!r}: {exc}") from exc
-    return profile_corpus(speakers, corpus.model_id, vectors)
+        raise ZeroVector(f"{path}: speaker {corpus.speakers[exc.row]!r}: {exc}") from exc
+    return profile_corpus(corpus.speakers, corpus.model_id, vectors)
+
+
+def _profile_rows(corpus: Corpus) -> None:
+    """Refuse a corpus that is not a profile set, as profile_corpus makes one:
+    first a repeated speaker, then a row that is not the enrollment row of
+    utterance ``profile:<speaker>``."""
+    speakers, rows = _index_column(corpus.speakers)
+    if len(speakers) < len(corpus):  # row i repeats a speaker where rows[i] < i
+        speaker = corpus.speakers[int(np.argmax(rows < np.arange(len(rows))))]
+        raise ParseError(f"speaker {speaker!r} has more than one profile record")
+    named = map(str.__eq__, corpus.utterances, ("profile:" + s for s in speakers))
+    ok = np.fromiter(named, bool, len(corpus)) & corpus.enroll
+    if not ok.all():
+        i = int(np.argmin(ok))
+        speaker, split = speakers[i], SPLITS[not corpus.enroll[i]]
+        raise ParseError(f"utterance {corpus.utterances[i]!r} ({split}) of speaker "
+                         f"{speaker!r} is not a profile row: an enroll row of utterance "
+                         f"'profile:{speaker}'", row=i)
 
 
 def load_trials(path) -> TrialSet:

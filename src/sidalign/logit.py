@@ -9,12 +9,11 @@ independent of the number of alignment speakers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, _load_json, _write_text, rows_of
+from .data import Corpus, _json_with, _load_json, _write_text, rows_of
 from .errors import (
     DimensionMismatch,
     InsufficientData,
@@ -22,7 +21,7 @@ from .errors import (
     SpeakerOrderMismatch,
 )
 from .metrics import cosine_scorer
-from .numerics import cholesky_upper, cosine_similarity
+from .numerics import cholesky_upper, cosine_similarity, number_list, whole_number
 
 FUSION_FLOAT_FMT = "%.17g"
 
@@ -113,9 +112,8 @@ def logit_score_fused_batch(e_batch: np.ndarray, r_batch: np.ndarray,
 def save_fusion(f: FusionTransform, path, extra: dict | None = None) -> None:
     obj = dict(extra or {})
     obj.update({"d": f.d, "N": f.n_speakers})
-    head = json.dumps(obj)
     vals = ",".join(FUSION_FLOAT_FMT % x for x in f.m.ravel())
-    _write_text(path, head[:-1] + ', "m": [' + vals + "]}\n")
+    _write_text(path, _json_with(obj, {"m": "[" + vals + "]"}) + "\n")
 
 
 def load_fusion(path) -> FusionTransform:
@@ -124,10 +122,13 @@ def load_fusion(path) -> FusionTransform:
 
 
 def _fusion_of(obj: dict) -> FusionTransform:
-    """A fusion file's object as a transform: d and N whole numbers >= 1."""
+    """A fusion file's object as a transform: d and N whole numbers >= 1, and
+    m a list of numbers."""
     d, n = (obj[key] for key in ("d", "N"))
-    if not all(type(v) is float and v.is_integer() and v >= 1 for v in (d, n)):
+    if not all(whole_number(v) and v >= 1 for v in (d, n)):
         raise ValueError(f"d = {d!r} and N = {n!r} must be whole numbers >= 1")
+    if not number_list(obj["m"]):
+        raise ValueError("m is not a list of numbers")
     m = np.array(obj["m"], dtype=np.float64).reshape(2 * int(d), 2 * int(d))
     if not np.isfinite(m).all():
         raise ValueError("m has a non-finite entry")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import Prng
+from .numerics import Prng, number_list, whole_number
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -123,8 +123,11 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         p -= lr * (m / (1 - b1**state.t)) / (np.sqrt(v / (1 - b2**state.t)) + ADAM_EPS)
 
 
-def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0) -> dict:
-    return {
+def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0,
+                float32: bool = False) -> dict:
+    """The network as a JSON-ready dict. float32 says that every parameter is
+    a finite float32 value (ValueError otherwise), under a "dtype" key."""
+    obj = {
         "layer_dims": m.layer_dims,
         "weights": [w.ravel().tolist() for w in m.weights],
         "biases": [b.ravel().tolist() for b in m.biases],
@@ -133,32 +136,53 @@ def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0) -> dict:
         "seed": seed,
         "trained_epochs": trained_epochs,
     }
+    if float32:
+        with np.errstate(over="ignore"):  # a value beyond float32 casts to inf
+            exact = all(np.isfinite(p).all() and (p.astype(np.float32) == p).all()
+                        for p in m.parameters())
+        if not exact:
+            raise ValueError("a float32 network holds a value that float32 cannot")
+        obj["dtype"] = "float32"
+    return obj
 
 
 def mlp_from_dict(obj: dict) -> Mlp:
-    """The network that mlp_to_dict wrote; ValueError unless the activations
-    are relu then linear and every layer has its shape and finite values."""
+    """The network that mlp_to_dict wrote, in float64; ValueError unless the
+    activations are relu then linear, the layer dims whole numbers, and every
+    layer a list of JSON numbers of its shape. Under "dtype": "float32" each
+    value is read through float32, and one that becomes infinite is refused;
+    every value must be finite."""
     activations = (obj["activation"], obj["output_activation"])
     if activations != ("relu", "linear"):
         raise ValueError(f"activations {activations}, expected ('relu', 'linear')")
-    dims = [int(d) for d in obj["layer_dims"]]
+    dtype = obj.get("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise ValueError(f"dtype {dtype!r}, expected 'float32' or 'float64'")
+    dims = obj["layer_dims"]
+    if not (isinstance(dims, list) and all(map(whole_number, dims))):
+        raise ValueError(f"layer dims {dims!r} are not whole numbers")
+    dims = [int(d) for d in dims]
     if len(dims) < 2 or min(dims) < 1 or not (
             len(obj["weights"]) == len(obj["biases"]) == len(dims) - 1):
         raise ValueError(f"layer dims {dims} with {len(obj['weights'])} weight and "
                          f"{len(obj['biases'])} bias layers")
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weights.append(_layer(obj["weights"][i], fan_out * fan_in, f"weights {i}")
+        weights.append(_layer(obj["weights"][i], fan_out * fan_in, f"weights {i}", dtype)
                        .reshape(fan_out, fan_in))
-        biases.append(_layer(obj["biases"][i], fan_out, f"biases {i}"))
+        biases.append(_layer(obj["biases"][i], fan_out, f"biases {i}", dtype))
     return Mlp(weights, biases)
 
 
-def _layer(values, size: int, name: str) -> np.ndarray:
-    """A flat list of ``size`` finite floats, as an array."""
-    a = np.array(values, dtype=np.float64)
+def _layer(values, size: int, name: str, dtype: str) -> np.ndarray:
+    """A flat list of ``size`` finite numbers (not bools) as float64, read
+    through dtype."""
+    if not number_list(values):
+        raise ValueError(f"{name} is not a list of numbers")
+    with np.errstate(over="ignore"):  # a value beyond float32 reads as inf
+        a = np.array(values, dtype=dtype).astype(np.float64, copy=False)
     if a.shape != (size,):
         raise ValueError(f"{name} has shape {a.shape}, expected ({size},)")
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} has a non-finite value")
+        raise ValueError(f"{name} has a value that is not finite in {dtype}")
     return a

@@ -27,6 +27,18 @@ def finite_number(value) -> bool:
         return False
 
 
+def number_list(values) -> bool:
+    """Whether a value read from a JSON file is a list of numbers, ints or
+    floats; a bool or a quoted number is not one."""
+    return isinstance(values, list) and {*map(type, values)} <= {float, int}
+
+
+def whole_number(value) -> bool:
+    """Whether a value read from a JSON file is a finite number with no
+    fractional part, as an int or a float; a bool is not one."""
+    return finite_number(value) and float(value).is_integer()
+
+
 def length_normalize(v) -> np.ndarray:
     """Scale every row of a (d,) or (n, d) array to unit L2 norm; ZeroVector of
     the first row whose norm is <= EPS_NORM or not finite. Each norm is reduced

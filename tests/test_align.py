@@ -462,8 +462,8 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
     def test_trained_checkpoint_scores_alike_after_reload(self, tmp_path, variant):
-        # The file holds each float32 value as the shortest float64 text,
-        # which parses back to the same bits: the reloaded checkpoint maps
+        # The file holds each float32 value as 9 significant digits, which
+        # parse back through float32 to the same bits: the reloaded checkpoint maps
         # both sides bit for bit as the one in memory.
         paired = paired_from_synth()
         cfg = NessaConfig(variant=variant, epochs=2, steps_per_epoch=3,
@@ -544,6 +544,146 @@ class TestCheckpointIO:
             assert a.layer_dims == b.layer_dims
             for p, q in zip(a.parameters(), b.parameters(), strict=True):
                 assert p.shape == q.shape and p.tobytes() == q.tobytes()
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+# Values a float32 network may hold that text formats get wrong first: signed
+# zeros ("%.9g" writes -0.0 as "-0", which json reads as the int 0), the
+# smallest subnormal and normal, the largest finite value and whole numbers.
+F32_EDGES = [0.0, -0.0, 2.0**-149, -(2.0**-149), 2.0**-126, F32_MAX, -F32_MAX, 1.0, -3.0,
+             16777217.0 - 1, 1e9 + 64]
+
+
+def float32_checkpoint(variant, nets, seed=0):
+    """A float32 checkpoint of the given networks."""
+    return Checkpoint(variant, nets[0], nets[1] if variant == "m3" else None,
+                      0.25 if variant == "m3" else None, 1.0, 0.5, 0.1, seed, 3,
+                      dtype="float32")
+
+
+class TestFloat32Checkpoints:
+    @given(st.data())
+    def test_float32_values_round_trip_bit_for_bit(self, data):
+        values = st.one_of(st.sampled_from(F32_EDGES),
+                           st.floats(width=32, allow_nan=False, allow_infinity=False))
+
+        def layer(shape):
+            return data.draw(arrays(np.float32, shape, elements=values)).astype(np.float64)
+
+        def net():
+            dims = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+            return Mlp([layer((o, i)) for i, o in zip(dims[:-1], dims[1:])],
+                       [layer((o,)) for o in dims[1:]])
+
+        variant = data.draw(st.sampled_from(["m1", "m2", "m3"]))
+        # a seed beyond 2**53, which a float cannot hold, comes back exactly
+        seed = data.draw(st.sampled_from([0, 2**53 + 1]) | st.integers(0, 2**64))
+        ckpt = float32_checkpoint(variant, [net(), net()], seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "ckpt.json", Path(tmp) / "again.json"
+            save_checkpoint(ckpt, path, extra={"seed": 1})
+            back = load_checkpoint(path)
+            save_checkpoint(back, again, extra={"seed": 1})
+            assert again.read_bytes() == path.read_bytes()
+        assert back.dtype == "float32"
+        for name in ("variant", "w", "alpha", "beta", "gamma", "seed", "trained_epochs"):
+            assert repr(getattr(back, name)) == repr(getattr(ckpt, name)), name
+        for side in ("f1", "f2") if variant == "m3" else ("f1",):
+            a, b = getattr(back, side), getattr(ckpt, side)
+            assert a.layer_dims == b.layer_dims
+            for p, q in zip(a.parameters(), b.parameters(), strict=True):
+                assert p.dtype == np.float64 and p.tobytes() == q.tobytes()
+
+    def test_trained_checkpoint_is_float32_text(self, tmp_path):
+        paired = paired_from_synth()
+        cfg = NessaConfig(variant="m3", epochs=1, steps_per_epoch=3, batch_size=8,
+                          bank_size=8, hidden=8, seed=6)
+        ckpt = train(cfg, paired, paired)
+        assert ckpt.dtype == "float32"
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        obj = json.loads(path.read_text())
+        for net in ("f1", "f2"):
+            assert obj[net]["dtype"] == "float32"
+            assert list(obj[net])[-2:] == ["weights", "biases"]
+        first = path.read_text().split('"weights": [[')[1].split(",")[0]
+        assert first == "%.9g" % ckpt.f1.weights[0][0, 0]
+
+    def test_float64_network_keeps_full_precision(self, tmp_path):
+        # values float32 cannot hold: no dtype key, json.dumps's 17-digit text
+        net = Mlp([np.array([[0.1, -1e-310], [1e300, 2.0 / 3]])], [np.array([0.1, -0.0])])
+        ckpt = Checkpoint("m2", net, None, None, 1.0, 0.5, 0.1, 0, 1)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        assert path.read_text() == json.dumps(checkpoint_to_dict(ckpt)) + "\n"
+        assert "dtype" not in json.loads(path.read_text())
+        back = load_checkpoint(path)
+        assert back.dtype == "float64"
+        for p, q in zip(back.f1.parameters(), net.parameters(), strict=True):
+            assert p.tobytes() == q.tobytes()
+        with pytest.raises(ValueError, match="float32 cannot"):
+            save_checkpoint(float32_checkpoint("m2", [net]), tmp_path / "lossy.json")
+
+    @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+    def test_file_of_the_full_precision_format_loads_to_the_same_bits(self, tmp_path,
+                                                                      variant):
+        # the format of a float32 network before the dtype key: every value as
+        # json.dumps writes it, which is what a float64 checkpoint still writes
+        paired = paired_from_synth()
+        cfg = NessaConfig(variant=variant, epochs=1, steps_per_epoch=3, batch_size=8,
+                          bank_size=8, hidden=8, seed=4)
+        ckpt = train(cfg, paired, paired)
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(checkpoint_to_dict(
+            Checkpoint(**dict(vars(ckpt), dtype="float64")))) + "\n")
+        save_checkpoint(ckpt, new)
+        assert "dtype" not in old.read_text()
+        a, b = load_checkpoint(old), load_checkpoint(new)
+        assert (a.dtype, b.dtype) == ("float64", "float32")
+        for side in ("f1", "f2") if variant == "m3" else ("f1",):
+            for p, q, r in zip(getattr(a, side).parameters(), getattr(b, side).parameters(),
+                               getattr(ckpt, side).parameters(), strict=True):
+                assert p.tobytes() == q.tobytes() == r.tobytes()
+
+    def test_value_beyond_float32_under_the_key_is_malformed(self, tmp_path):
+        net = Mlp([np.eye(2)], [np.zeros(2)])
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(float32_checkpoint("m2", [net]), path)
+        obj = json.loads(path.read_text())
+        obj["weights"][0][1] = 3.5e38  # finite in float64, inf in float32
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="malformed checkpoint: .*weights 0 has a value "
+                                             "that is not finite in float32"):
+            load_checkpoint(path)
+        del obj["dtype"]
+        path.write_text(json.dumps(obj))
+        assert load_checkpoint(path).f1.weights[0][0, 1] == 3.5e38
+
+    @pytest.mark.parametrize("key, value", [("layer_dims", [2.5, 2]), ("seed", 1.5),
+                                            ("trained_epochs", 2.5), ("trained_epochs", True),
+                                            ("dtype", "float16")])
+    def test_counts_and_dtype_are_checked(self, tmp_path, key, value):
+        net = Mlp([np.eye(2)], [np.zeros(2)])
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(float32_checkpoint("m2", [net]), path)
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
+    def test_hidden_800_text_is_at_most_65_percent(self, tmp_path):
+        net = mlp_init([32, 800, 800, 32], seed=0).astype(np.float32).astype(np.float64)
+        net.biases = [Prng(i).uniform(-0.1, 0.1, len(b)).astype(np.float32).astype(np.float64)
+                      for i, b in enumerate(net.biases)]
+        ckpt = float32_checkpoint("m2", [net])
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        save_checkpoint(Checkpoint(**dict(vars(ckpt), dtype="float64")), old)
+        save_checkpoint(ckpt, new)
+        assert new.stat().st_size <= 0.65 * old.stat().st_size
+        back = load_checkpoint(new)
+        for p, q in zip(back.f1.parameters(), net.parameters(), strict=True):
+            assert p.tobytes() == q.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from sidalign.cli import SCORERS, _config_hash, build_parser, main
 from sidalign.data import build_all_profiles, load_embeddings, load_profiles, load_trials
 from sidalign.errors import SidAlignError
 from sidalign.logit import build_weight_matrix, load_fusion, logit_score_direct
+from sidalign.metrics import DEFAULT_FAR_TARGETS
 from sidalign.mlp import forward
 from sidalign.numerics import cosine_similarity
 from sidalign.synth import SynthConfig
@@ -283,6 +284,16 @@ def second_record(path):
     return text + text.splitlines(keepends=True)[0].replace('"profile:', '"again:')
 
 
+def runtime_rows(path):
+    """The corpus file's first runtime record of each speaker."""
+    rows = {}
+    for line in path.read_text().splitlines(keepends=True):
+        obj = json.loads(line)
+        if obj["split"] == "runtime":
+            rows.setdefault(obj["speaker_id"], line)
+    return "".join(rows.values())
+
+
 def zero_first_enrollment(path):
     """The corpus or profiles file with the vector of its first enrollment
     record made zero."""
@@ -385,8 +396,9 @@ class TestErrors:
                                                           capsys, which):
         paths = scored_fixture
         other = tmp_path / f"{which}.jsonl"
+        # disjoint: every speaker renamed, with its profile:<speaker> utterance
         other.write_text("" if which == "empty"
-                         else paths["prof_y"].read_text().replace('"s0_', '"t0_'))
+                         else paths["prof_y"].read_text().replace('s0_', 't0_'))
         out = tmp_path / "fusion.json"
         line = one_error_line(capsys, ["logit-align", "--profiles-x", str(paths["prof_x"]),
                                        "--profiles-y", str(other), "--out", str(out)])
@@ -497,6 +509,15 @@ class TestErrors:
         # artifacts of dimension 4 on corpora of dimension 8
         ("--fusion", lambda paths: four_dim(paths["fusion"]), 1),
         ("--checkpoint", lambda paths: four_dim(paths["m2"]), 1),
+        # parameters that are not JSON numbers, and a float32 checkpoint's
+        # value that float32 cannot hold
+        ("--checkpoint", lambda paths: replaced(paths["m2"], True, "weights", 2, 0), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], "0.25", "weights", 2, 0), 1),
+        ("--fusion", lambda paths: replaced(paths["fusion"], True, "m", 3), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], 3.5e38, "weights", 2, 0), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], 2.5, "trained_epochs"), 1),
+        # one runtime row per speaker: a corpus, not a profile set
+        ("--profiles-x", lambda paths: runtime_rows(paths["x"]), 1),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "vector-zero", "vector-norm-overflows",
@@ -521,7 +542,10 @@ class TestErrors:
             "baseline-per-far-entry-mistyped", "checkpoint-unknown-variant",
             "fusion-fractional-d", "scores-unscored", "profiles-repeated-speaker",
             "profiles-whole-corpus", "fusion-other-dimension",
-            "checkpoint-other-dimension"])
+            "checkpoint-other-dimension", "checkpoint-boolean-weight",
+            "checkpoint-quoted-weight", "fusion-boolean-entry",
+            "checkpoint-float32-overflow", "checkpoint-fractional-epochs",
+            "profiles-runtime-rows"])
     def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
                                             request, option, content, code):
         paths = scored_fixture
@@ -560,8 +584,15 @@ class TestErrors:
             assert "malformed report" in line and "missing" not in line
         if case == "checkpoint-unknown-variant":
             assert "bad_input: malformed checkpoint: unknown variant 'm4'" in line
-        if case.startswith("profiles-"):
+        if case in ("profiles-repeated-speaker", "profiles-whole-corpus"):
             assert "bad_input: speaker 's0_00000' has more than one" in line
+        if case == "profiles-runtime-rows":
+            assert ("bad_input:1: utterance " in line
+                    and "(runtime) of speaker 's0_00000' is not a profile row" in line)
+        if case in ("checkpoint-boolean-weight", "checkpoint-quoted-weight"):
+            assert "bad_input: malformed checkpoint: " in line and "weights 2 is not" in line
+        if case == "fusion-boolean-entry":
+            assert "bad_input: malformed fusion transform: " in line and "m is not" in line
         if case in ("vector-zero", "vector-norm-overflows"):
             norm = "0" if case == "vector-zero" else "inf"
             assert line.endswith(f"bad_input: utterance 'u1': cannot normalize a row "
@@ -584,6 +615,7 @@ class TestErrors:
         # one error line
         paths = scored_fixture
         ckpt = json.loads(paths["m2"].read_text())
+        del ckpt["dtype"]  # full precision: float32 cannot hold the large weights
         last_large = dict(ckpt, weights=ckpt["weights"][:-1] + [
             [w * 1e200 for w in ckpt["weights"][-1]]])  # rows of about 1e200
         all_large = dict(ckpt, weights=[[w * 1e300 for w in layer]
@@ -1067,6 +1099,41 @@ PATH_FLAGS = {
     "score": ("--trials", "--corpus-x", "--corpus-y", "--fusion", "--checkpoint", "--out"),
     "eval": ("--scores", "--baseline-report", "--candidate-report", "--out"),
 }
+
+
+class TestCachedParser:
+    """main parses every call with one parser, built once per process."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_flag_does_not_outlive_its_call(self, scored_fixture, tmp_path):
+        paths = scored_fixture
+        one, plain = tmp_path / "one.json", tmp_path / "plain.json"
+        for flags, out in ((["--far", "0.1"], one), ([], plain)):
+            assert main(["eval", "--scores", str(paths["scores"]), *flags,
+                         "--out", str(out)]) == 0
+        fars = [[e["target_far"] for e in json.loads(path.read_text())["per_far"]]
+                for path in (one, plain)]
+        assert fars == [[0.1], list(DEFAULT_FAR_TARGETS)]
+
+    def test_a_usage_error_leaves_the_next_call_whole(self, scored_fixture, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--far", "2", "--scores", "x", "--out", "y"])
+        assert excinfo.value.code == 2
+        assert main(["eval", "--scores", str(scored_fixture["scores"]),
+                     "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_a_command_replaced_after_the_first_call_runs(self, scored_fixture, tmp_path):
+        # a tracer installs its cmd_* wrappers on the module after a first run
+        argv = ["eval", "--scores", str(scored_fixture["scores"]),
+                "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        with mock.patch("sidalign.cli.cmd_eval", return_value=7) as replaced_eval:
+            assert main(argv) == 7
+        (args,), _ = replaced_eval.call_args
+        assert args.scores == str(scored_fixture["scores"])
+        assert main(argv) == 0
 
 
 class TestCliSurface:

@@ -305,6 +305,22 @@ class TestBuildAllProfiles:
                                              f"cannot normalize a row of norm 0$"):
             load_profiles(path)
 
+    @pytest.mark.parametrize("utterance, split", [("u1", "enroll"), ("profile:b", "runtime"),
+                                                  ("profile:c", "enroll")])
+    def test_load_profiles_names_the_line_of_a_row_that_is_no_profile(self, tmp_path,
+                                                                      utterance, split):
+        # a blank line first: the error names the file's line, not the row
+        path = tmp_path / "prof.jsonl"
+        save_embeddings(profile_corpus(["a", "b"], "X", [[1.0, 0.0], [0.0, 1.0]]), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace('"profile:b"', json.dumps(utterance)).replace(
+            '"enroll"', json.dumps(split))
+        path.write_text("\n" + "".join(lines))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: utterance "
+                                             f"'{utterance}' \\({split}\\) of speaker 'b' "
+                                             f"is not a profile row"):
+            load_profiles(path)
+
     def test_zero_row_is_refused_before_a_zero_mean_of_an_earlier_block(self):
         # Speaker a's mean, of norm 5e-14, is in the first block and the zero row
         # of speaker c in the second: the row is refused, as when every row is

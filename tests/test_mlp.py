@@ -371,6 +371,14 @@ class TestCheckpointIO:
         for a, b in zip(back.parameters(), m.parameters()):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("value", [True, "0.25", None, [0.5]])
+    def test_layer_values_must_be_numbers(self, value):
+        # np.array would read true as 1.0 and "0.25" as 0.25
+        obj = mlp_to_dict(mlp_init([2, 3, 2], seed=0))
+        obj["weights"][1][0] = value
+        with pytest.raises(ValueError, match="weights 1 is not a list of numbers"):
+            mlp_from_dict(obj)
+
     def test_bytes_equal_to_17_digit_formatting(self):
         """The writer once printed every parameter with "%.17g" and parsed it
         back; for float64 that round trip is the identity, so the JSON bytes
