@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (
-    BLOCK_ROWS,
     FLOAT_FMT,
     Corpus,
     _json_with,
     _load_json,
     _take,
     _write_text,
+    row_blocks,
     rows_of,
 )
 from .errors import (
@@ -47,7 +47,7 @@ from .mlp import (
     mlp_init,
     mlp_to_dict,
 )
-from .numerics import Prng, whole_number
+from .numerics import Prng, finite_number, whole_number
 
 # Each variant, with the names of the networks of its checkpoint that map
 # its (enrollment, runtime) sides; None leaves a side in its own space.
@@ -108,6 +108,7 @@ class NessaConfig:
     def validate(self):
         if self.variant not in VARIANTS:
             raise ConfigInvalid(f"unknown variant {self.variant!r}")
+        Prng(self.seed)  # refuses a negative seed
         for name in ("alpha", "beta", "gamma", "w_init", "lr0", "lr_decay"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigInvalid(f"{name} = {getattr(self, name)!r} is not finite")
@@ -494,23 +495,17 @@ def _train(config: NessaConfig, train_pair: PairedData,
 
 
 def _map_side(ckpt: Checkpoint, side: int, what: str, vectors) -> np.ndarray:
-    """forward(net, vectors)[0] for the variant's network of one side, run on
-    ceil(n / BLOCK_ROWS) row blocks of equal size (edges at n * i // k), so only
-    the output and one block's activations are alive. Blocks of BLOCK_ROWS rows
-    and a short tail would round the tail differently from one call on the same
-    BLAS; equal blocks keep its bits (tests/test_align.py checks)."""
+    """forward(net, vectors)[0] of one side's network, one data.row_blocks block at a time."""
     name = VARIANTS[ckpt.variant][side]
     if name is None:
         raise VariantMismatch(f"variant {ckpt.variant!r} does not map {what}")
     net = getattr(ckpt, name)
     x = np.asarray(vectors)
-    if x.ndim != 2 or x.shape[1] != net.layer_dims[0] or len(x) <= BLOCK_ROWS:
-        return forward(net, x)[0]  # one block, or input forward refuses
-    n, k = len(x), -(-len(x) // BLOCK_ROWS)
-    edges = [n * i // k for i in range(k + 1)]
-    out = np.empty((n, net.layer_dims[-1]), np.result_type(*net.weights))
-    for lo, hi in zip(edges, edges[1:]):
-        out[lo:hi] = forward(net, x[lo:hi])[0]
+    if x.ndim != 2 or x.shape[1] != net.layer_dims[0]:
+        forward(net, x)  # raises DimensionMismatch, naming the shape
+    out = np.empty((len(x), net.layer_dims[-1]), np.result_type(*net.weights))
+    for block in row_blocks(len(x)):
+        out[block] = forward(net, x[block])[0]
     return out
 
 
@@ -564,11 +559,16 @@ def checkpoint_from_dict(obj: dict) -> Checkpoint:
     if not all(map(whole_number, counts)):
         raise ValueError(f"seed {counts[0]!r} and trained_epochs {counts[1]!r} must be "
                          f"whole numbers")
+    settings = [obj.get(k, getattr(old, k)) for k in ("alpha", "beta", "gamma")]
+    w = obj.get("w")  # m3's w, if written; m1 and m2 have none
+    if not all(map(finite_number, settings)) or not (
+            finite_number(w) if m3 and "w" in obj else w is None):
+        raise ValueError(f"alpha, beta, gamma {settings!r} must be finite numbers and w "
+                         f"{w!r} {'one too' if m3 else 'null'}")
     nets = [f1, obj["f2"]] if m3 else [f1]
     float32 = all(net.get("dtype") == "float32" for net in nets)
     return Checkpoint(obj["variant"], mlp_from_dict(f1),
-                      mlp_from_dict(obj["f2"]) if m3 else None, obj.get("w"),
-                      *(obj.get(k, getattr(old, k)) for k in ("alpha", "beta", "gamma")),
+                      mlp_from_dict(obj["f2"]) if m3 else None, w, *settings,
                       *map(int, counts), dtype="float32" if float32 else "float64")
 
 

@@ -129,13 +129,13 @@ def _apply_config(cfg: SynthConfig, path) -> None:
     overrides = _load_json(path, "config")
     if not isinstance(overrides, dict):
         raise ParseError(f"{path}: expected a JSON object of settings")
+    defaults = {f.name: f.default for f in fields(SynthConfig)}
     for key, value in overrides.items():
-        if not hasattr(cfg, key):
-            raise SidAlignError(f"unknown config key {key!r}")
-        default = getattr(SynthConfig(), key)
-        kind = _setting_type(default)
+        if key not in defaults:
+            raise SidAlignError(f"{path}: unknown config key {key!r}")
+        kind = _setting_type(defaults[key])
         if not (isinstance(value, (int, float) if kind is float else kind)
-                and not isinstance(value, bool) or value is None and default is None):
+                and not isinstance(value, bool) or value is None and defaults[key] is None):
             raise ParseError(f"{path}: {key} = {value!r} has the wrong type")
         setattr(cfg, key, value)
 

@@ -46,15 +46,19 @@ LABELS = ("target", "imposter")
 FLOAT_FMT = "%.9g"
 
 # The rows that each stage holds at a time, so that the memory a stage needs
-# beyond its input and result does not grow with the corpus or trial list:
-# the lines save_embeddings writes and _blocks reads (for load_embeddings and
-# every other artifact), the rows Corpus checks for finiteness, the enrollment
-# rows of one build_all_profiles step (whole speakers, so about as many), the
-# rows of one synth.generate step (whole speakers), the trials whose rows
-# metrics.score_trials gathers for one scorer call, and at most the rows of one
-# mlp.forward call in align.map_profiles and align.map_runtime. A file whose
-# lines end in a lone "\r" has no "\n" to end a block: it is one.
+# beyond its input and result does not grow with the corpus or trial list.
+# Stages over rows in memory cut them with row_blocks; build_all_profiles and
+# _blocks state their own cuts.
 BLOCK_ROWS = 512
+
+
+def row_blocks(n: int, size: int = BLOCK_ROWS) -> list[slice]:
+    """The ceil(n / size) slices of range(n) in order, none empty, their lengths
+    equal to within one row. Unlike size-row blocks and a short tail, they give a
+    matrix product the bits of one call on all rows (tests check it on the BLAS)."""
+    k = -(-n // size)
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
 
 # A record's fields in file order, the three ids first: the JSONL keys.
 FIELDS = ("speaker_id", "utterance_id", "model_id", "split", "vector")
@@ -135,10 +139,9 @@ class Corpus:
                              f"{splits[i]!r}", row=i)
         self.enroll = np.fromiter(map("enroll".__eq__, splits), bool, n)
         self.vectors = _vector_matrix(vectors, utterances) if n else np.zeros((0, 0))
-        for start in range(0, n, BLOCK_ROWS):
-            finite = np.isfinite(self.vectors[start:start + BLOCK_ROWS]).all(axis=1)
-            if not finite.all():
-                i = start + int(np.argmin(finite))
+        for block in row_blocks(n):
+            if not (finite := np.isfinite(self.vectors[block]).all(axis=1)).all():
+                i = block.start + int(np.argmin(finite))
                 raise ParseError(f"non-finite vector in utterance {utterances[i]!r}", row=i)
         self.model_id: str | None = model_ids[0] if n else None
         self.dim: int | None = self.vectors.shape[1] if n else None
@@ -288,11 +291,11 @@ def profile_corpus(speakers: list[str], model_id: str | None, vectors) -> Corpus
 
 
 def build_all_profiles(corpus: Corpus, model_id: str) -> Corpus:
-    """The profile set of the enrolled speakers, in first-row order: normalize
-    each enrollment embedding, average per speaker, normalize again. Built once
-    per corpus; later calls return the same set. The speakers go in blocks of
-    about BLOCK_ROWS enrollment rows, none split across two, and only the
-    profiles are kept. A zero or overflowing row is refused (naming it) before
+    """The profile set of the enrolled speakers, in first-row order: normalize each
+    enrollment embedding, average per speaker, normalize again. Built once per corpus;
+    later calls return the same set. The speakers go in blocks of about BLOCK_ROWS
+    enrollment rows, none split across two (not row_blocks: their row counts vary), and
+    only the profiles are kept. A zero or overflowing row is refused (naming it) before
     a zero mean (naming its speaker), as when all rows are normalized first."""
     if model_id != corpus.model_id:
         raise ModelMismatch(f"profiles of model {model_id!r} asked of a corpus "
@@ -346,13 +349,12 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> Corpus:
 
 def save_embeddings(corpus: Corpus, path) -> None:
     """One RECORD_LAYOUT line per row, vector entries as FLOAT_FMT (json.dumps
-    would re-expand the rounded floats), written BLOCK_ROWS rows at a time."""
+    would re-expand the rounded floats), written one row_blocks block at a time."""
     line = RECORD_LAYOUT % ("%s", "%s", "%s", '"%s"',
                             "[" + ",".join([FLOAT_FMT] * (corpus.dim or 0)) + "]") + "\n"
     model = encode_basestring_ascii(corpus.model_id or "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(corpus), BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
+        for block in row_blocks(len(corpus)):
             fh.write("".join([
                 line % (encode_basestring_ascii(speaker), encode_basestring_ascii(utt),
                         model, "enroll" if enroll else "runtime", *vector)
@@ -417,9 +419,10 @@ def _bulk_columns(text: str):
 
 
 def _blocks(fh, path):
-    """(first line, text, line count) of each BLOCK_ROWS-line block of a binary stream as
-    UTF-8, newlines translated and counted as in text mode; a bad byte is named FILE:LINE,
-    its line counted as in text mode too: after each "\r\n", lone "\r" and "\n"."""
+    """(first line, text, line count) of each BLOCK_ROWS-line block of a binary stream (of
+    unknown length: not row_blocks) as UTF-8, newlines translated and counted as in text
+    mode; a bad byte is named FILE:LINE, its line counted as in text mode too: after each
+    "\r\n", lone "\r" and "\n". A block's lines end at "\n": lone "\r" ends make one block."""
     line, offset = 1, 0
     while raw := list(islice(fh, BLOCK_ROWS)):
         block = b"".join(raw)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BLOCK_ROWS, FLOAT_FMT, TrialSet, _load_json, _write_text, rows_of
+from .data import FLOAT_FMT, TrialSet, _load_json, _write_text, row_blocks, rows_of
 from .errors import (
     BaselineZero,
     DegenerateGap,
@@ -113,14 +113,12 @@ def score_trials(trialset: TrialSet, scorer, profile_vectors: dict,
     test_utterance_id to a vector. Each side is stacked once, in dict order,
     and a side's map, if given, takes that (n, d) block and runs once over
     every vector of its side (the offline-profile property of m2/m3). The
-    block is then read as float64. The scorer is called once per BLOCK_ROWS
-    trials, in list order, on that block's rows gathered by the list's index
-    columns, and must give one score per trial of the block; the scores go
-    into one float64 array, so the memory beyond the inputs and the scores
-    does not grow with the trial count. A row-wise scorer such as the cosine
-    gives the bits of one call on all gathered rows; a matrix product over
-    the short last block may round the last bit differently. An id without a
-    vector is UnknownId, found before any row is gathered.
+    block is then read as float64. The scorer is called once per
+    data.row_blocks block of trials, in list order, on that block's rows
+    gathered by the list's index columns, and must give one score per trial
+    of the block; the scores go into one float64 array, so the memory beyond
+    the inputs and the scores does not grow with the trial count. An id
+    without a vector is UnknownId, found before any row is gathered.
     """
     blocks = [_stacked(vectors, fn) for vectors, fn in
               ((profile_vectors, enroll_map), (runtime_vectors, runtime_map))]
@@ -135,8 +133,7 @@ def score_trials(trialset: TrialSet, scorer, profile_vectors: dict,
         utterance = trialset.test_keys[trialset.test_rows[i]]
         raise UnknownId(f"unknown test utterance {utterance!r}")
     scores = np.empty(len(trialset))
-    for start in range(0, len(scores), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
+    for block in row_blocks(len(scores)):
         part = scorer(blocks[0][p_rows[block]], blocks[1][r_rows[block]])
         if np.shape(part) != scores[block].shape:  # no scalar broadcast
             raise DimensionMismatch("scores and trials must have equal length")

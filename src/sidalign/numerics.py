@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import ConfigInvalid, DimensionMismatch, ZeroVector
 
 # Norms below this are treated as the zero vector; far below any realistic
 # embedding norm.
@@ -89,6 +89,8 @@ class Prng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed {seed!r} is negative; a seed must be >= 0")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def standard_normal(self, *shape) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BLOCK_ROWS, Corpus, TrialSet
+from .data import BLOCK_ROWS, Corpus, TrialSet, row_blocks
 from .errors import ConfigInvalid, InsufficientData, ZeroVector
 from .numerics import Prng, finite_number, length_normalize, random_orthogonal
 
@@ -127,18 +127,16 @@ def generate(config: SynthConfig) -> tuple[Corpus, Corpus, GroundTruth]:
         dist_y = Distortion(config.distortion_y, config.latent_dim, config.embed_dim,
                             model_prng, config.nonlinear_gain)
 
-        # The one draw of the corpus (see the module docstring), taken, scaled,
-        # normalized and distorted in blocks of whole speakers, about BLOCK_ROWS
-        # rows each, into the two view matrices. Each view's noise is scaled,
-        # then shifted by z: the same sums as z + sigma * noise.
+        # The one draw of the corpus (see the module docstring), taken, scaled, normalized
+        # and distorted in blocks of whole speakers, about BLOCK_ROWS rows each, into the two
+        # views. Each view's noise is scaled, then shifted by z: the sums of z + sigma * noise.
         n_utts = config.n_enroll_utts + config.n_runtime_utts
         dim, n_speakers = config.latent_dim, config.n_speakers
         sigmas = (config.within_noise_x, config.within_noise_y)
         vx, vy = (np.empty((n_speakers * n_utts, config.embed_dim)) for _ in "xy")
-        n_blocks = -(-n_speakers // max(1, BLOCK_ROWS // n_utts))
-        edges = [n_speakers * i // n_blocks for i in range(n_blocks + 1)]
         spoiled = None  # Y's first refusal, raised once every block of X has passed
-        for lo, hi in zip(edges, edges[1:]):
+        for block in row_blocks(n_speakers, max(1, BLOCK_ROWS // n_utts)):
+            lo, hi = block.start, block.stop
             draw = prng.standard_normal(hi - lo, dim * (1 + 2 * n_utts))
             z = length_normalize(draw[:, :dim])[:, None, :]
             noise = draw[:, dim:].reshape(hi - lo, n_utts, 2, dim)

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from sidalign.align import (
 from sidalign.data import FIELDS, Corpus, EmbeddingRecord
 from sidalign.errors import (
     ConfigInvalid,
+    DimensionMismatch,
     DisjointnessViolation,
     InsufficientData,
     ParseError,
@@ -499,6 +501,42 @@ class TestCheckpointIO:
                 got = mapped(ckpt, x)
                 assert got.shape == (n, 32), n
                 assert got.tobytes() == forward(net, x)[0].tobytes(), (n, mapped.__name__)
+
+    @pytest.mark.parametrize("shape", [(32,), (0, 31), (600, 31), (2, 600, 32), ()])
+    def test_maps_refuse_input_of_the_wrong_shape(self, shape):
+        ckpt = Checkpoint("m3", mlp_init([32, 8, 32], seed=1), mlp_init([32, 8, 32], seed=2),
+                          1.0, 1.0, 0.5, 0.1, 0, 1)
+        for mapped in (map_profiles, map_runtime):
+            with pytest.raises(DimensionMismatch, match=re.escape(
+                    f"input of shape {shape}, model expects (n, 32)")):
+                mapped(ckpt, np.zeros(shape))
+
+    @pytest.mark.parametrize("variant, key, value", [
+        ("m2", "alpha", [1]), ("m2", "beta", None), ("m2", "gamma", True),
+        ("m2", "alpha", float("inf")), ("m2", "w", "q"), ("m1", "w", 0.5),
+        ("m3", "w", None), ("m3", "w", "0.5"), ("m3", "w", False), ("m3", "gamma", "0"),
+    ])
+    def test_settings_must_be_finite_numbers(self, variant, key, value):
+        f1, f2 = Mlp([np.eye(2)], [np.zeros(2)]), Mlp([np.eye(2)], [np.ones(2)])
+        w = 0.5 if variant == "m3" else None
+        obj = checkpoint_to_dict(Checkpoint(variant, f1, f2 if variant == "m3" else None,
+                                            w, 0.0, 1.0, 1.0, 0, 1))
+        assert checkpoint_from_dict(obj).w == w
+        with pytest.raises(ValueError, match=f"{re.escape(repr(value))}"):
+            checkpoint_from_dict(dict(obj, **{key: value}))
+
+    @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+    def test_settings_an_old_file_lacks_take_their_defaults(self, variant):
+        f1, f2 = Mlp([np.eye(2)], [np.zeros(2)]), Mlp([np.eye(2)], [np.ones(2)])
+        obj = checkpoint_to_dict(Checkpoint(variant, f1, f2 if variant == "m3" else None,
+                                            0.5 if variant == "m3" else None,
+                                            0.0, 1.0, 1.0, 0, 1))
+        for key in ("alpha", "beta", "gamma", "w"):
+            del obj[key]
+        back = checkpoint_from_dict(obj)
+        old = NessaConfig()
+        assert (back.alpha, back.beta, back.gamma, back.w) == (old.alpha, old.beta,
+                                                               old.gamma, None)
 
     def test_unknown_variant_refused(self, tmp_path):
         ckpt = Checkpoint("m2", Mlp([np.eye(2)], [np.zeros(2)]), None, None,

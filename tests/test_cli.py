@@ -518,6 +518,16 @@ class TestErrors:
         ("--checkpoint", lambda paths: replaced(paths["m2"], 2.5, "trained_epochs"), 1),
         # one runtime row per speaker: a corpus, not a profile set
         ("--profiles-x", lambda paths: runtime_rows(paths["x"]), 1),
+        # names a SynthConfig has that are not settings
+        ("--config", '{"__doc__": "x"}', 1),
+        ("--config", '{"__dataclass_fields__": {}}', 1),
+        ("--config", '{"validate": 1}', 1),
+        # loss settings that are not finite numbers, and a w on an m2 checkpoint
+        ("--checkpoint", lambda paths: replaced(paths["m2"], [1], "alpha"), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], None, "beta"), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], True, "gamma"), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], "q", "w"), 1),
+        ("--checkpoint", lambda paths: replaced(paths["m2"], 0.5, "w"), 1),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "vector-zero", "vector-norm-overflows",
@@ -545,7 +555,9 @@ class TestErrors:
             "checkpoint-other-dimension", "checkpoint-boolean-weight",
             "checkpoint-quoted-weight", "fusion-boolean-entry",
             "checkpoint-float32-overflow", "checkpoint-fractional-epochs",
-            "profiles-runtime-rows"])
+            "profiles-runtime-rows", "config-doc-key", "config-fields-key",
+            "config-method-key", "checkpoint-alpha-list", "checkpoint-beta-null",
+            "checkpoint-gamma-boolean", "checkpoint-quoted-w", "checkpoint-m2-with-w"])
     def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
                                             request, option, content, code):
         paths = scored_fixture
@@ -591,6 +603,11 @@ class TestErrors:
                     and "(runtime) of speaker 's0_00000' is not a profile row" in line)
         if case in ("checkpoint-boolean-weight", "checkpoint-quoted-weight"):
             assert "bad_input: malformed checkpoint: " in line and "weights 2 is not" in line
+        if case.startswith("config-") and case.endswith("-key"):
+            assert "bad_input: unknown config key " in line
+        if case in ("checkpoint-alpha-list", "checkpoint-beta-null",
+                    "checkpoint-gamma-boolean", "checkpoint-quoted-w", "checkpoint-m2-with-w"):
+            assert "bad_input: malformed checkpoint: " in line and "must be finite" in line
         if case == "fusion-boolean-entry":
             assert "bad_input: malformed fusion transform: " in line and "m is not" in line
         if case in ("vector-zero", "vector-norm-overflows"):
@@ -677,6 +694,37 @@ class TestErrors:
                                        "--profiles-y", missing, "--n-speakers", "-5",
                                        "--out", str(out)])
         assert "--n-speakers" in line and "missing" not in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, settings, seed", [
+        ("synth", ["--seed", "-1"], -1),
+        ("synth", ["--model-seed", "-1"], -1),
+        ("synth", ["--trial-seed", "-3"], -3),
+        ("synth", {"seed": -1}, -1),
+        ("train", ["--seed", "-2"], -2),
+        ("logit-align", ["--seed", "-4", "--n-speakers", "5"], -4),
+    ], ids=["synth-seed", "synth-model-seed", "synth-trial-seed", "synth-config-seed",
+            "train-seed", "logit-align-seed"])
+    def test_negative_seed_exit_one(self, scored_fixture, tmp_path, capsys, command,
+                                    settings, seed):
+        paths = scored_fixture
+        out = tmp_path / "out"
+        missing = str(tmp_path / "missing.jsonl")
+        if isinstance(settings, dict):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(settings))
+            settings = ["--config", str(config)]
+        argv = {
+            "synth": ["--n-speakers", "6", "--out-x", str(out), "--out-y", str(out),
+                      "--trials-out", str(out), "--n-target", "4", "--n-imposter", "4"],
+            # corpora that are not there: the seed is refused before any is read
+            "train": ["--corpus-x", missing, "--corpus-y", missing, "--variant", "m2",
+                      "--out", str(out)],
+            "logit-align": ["--profiles-x", str(paths["prof_x"]),
+                            "--profiles-y", str(paths["prof_y"]), "--out", str(out)],
+        }[command]
+        line = one_error_line(capsys, [command] + argv + settings)
+        assert f"seed {seed} is negative" in line and "missing" not in line
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n-target", "--n-imposter"])
@@ -924,6 +972,7 @@ class TestTrainSettings:
         ("--decay", "1.5"),
         ("--hidden", "0"),
         ("--val-fraction", "0.99"),  # rounds to every speaker of the fixture
+        ("--seed", "-2"),
     ])
     def test_invalid_setting_exit_one(self, scored_fixture, tmp_path, capsys,
                                       flag, value):
@@ -940,6 +989,8 @@ class TestTrainSettings:
             assert "hidden" in line
         if value == "0.99":
             assert "val-fraction" in line
+        if flag == "--seed":
+            assert "seed -2 is negative" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("val_fraction", ["0", "0.1"])

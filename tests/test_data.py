@@ -1063,6 +1063,20 @@ class TestCorpus:
             load_embeddings(path)
 
 
+@pytest.mark.parametrize("size", [1, 7, data.BLOCK_ROWS])
+@pytest.mark.parametrize("times, plus", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                         ids=["0", "1", "size-1", "size", "size+1", "3*size+7"])
+def test_row_blocks_cut_range_into_equal_blocks(size, times, plus):
+    n = times * size + plus
+    blocks = data.row_blocks(n, size) if size != data.BLOCK_ROWS else data.row_blocks(n)
+    assert all(type(b) is slice and b.step is None for b in blocks)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    lengths = [b.stop - b.start for b in blocks]
+    assert len(blocks) == -(-n // size)
+    assert all(0 < length <= size for length in lengths)
+    assert max(lengths, default=0) - min(lengths, default=0) <= 1
+
+
 # ---------------------------------------------------------------------------
 # The writers' bytes, pinned: rewriting a writer must not move one byte.
 

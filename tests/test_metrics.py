@@ -27,8 +27,9 @@ from sidalign.metrics import (
     roc,
     score_trials,
 )
+from sidalign.logit import WeightMatrix, compute_fusion_transform, logit_score_fused_batch
 from sidalign.mlp import forward, mlp_init
-from sidalign.numerics import Prng
+from sidalign.numerics import Prng, length_normalize
 
 
 def brute_force_best_frr(scores, labels, target_far):
@@ -446,6 +447,10 @@ class TestScoreTrials:
     @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                    3 * BLOCK_ROWS + 7])
     def test_scorer_gets_gathered_rows_one_block_at_a_time(self, n):
+        # equal blocks of at most BLOCK_ROWS trials, edges at n * i // k
+        sizes = {1: [1], BLOCK_ROWS - 1: [BLOCK_ROWS - 1], BLOCK_ROWS: [BLOCK_ROWS],
+                 BLOCK_ROWS + 1: [BLOCK_ROWS // 2, BLOCK_ROWS // 2 + 1],
+                 3 * BLOCK_ROWS + 7: [385, 386, 386, 386]}[n]
         prng = Prng(n)
         prof = {f"s{i}": prng.standard_normal(8) for i in range(40)}
         run = {f"u{i}": prng.standard_normal(8) for i in range(90)}
@@ -459,12 +464,32 @@ class TestScoreTrials:
             return cosine_scorer(p, r)
 
         got = score_trials(trials, counting, prof, run).scores
-        assert [len(p) for p, _ in calls] == [min(BLOCK_ROWS, n - start)
-                                              for start in range(0, n, BLOCK_ROWS)]
+        assert [len(p) for p, _ in calls] == sizes
         p, r = np.stack(list(prof.values())), np.stack(list(run.values()))
         assert np.concatenate([p for p, _ in calls]).tobytes() == p[p_rows].tobytes()
         assert np.concatenate([r for _, r in calls]).tobytes() == r[r_rows].tobytes()
         assert got.tolist() == reference_score_trials(trials, cosine_scorer, prof, run)
+
+    @pytest.mark.parametrize("d, n_speakers", [(16, 40), (32, 1000)])
+    @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 6,
+                                   2000])
+    def test_blocked_fused_scores_are_one_call_on_gathered_rows(self, n, d, n_speakers):
+        # a matrix product per block: equal blocks keep the bits of one call,
+        # where blocks of BLOCK_ROWS and a short tail rounded the tail apart
+        prng = Prng(n + d)
+        w = [WeightMatrix([f"s{i}" for i in range(n_speakers)],
+                          length_normalize(prng.standard_normal(n_speakers, d)))
+             for _ in "xy"]
+        fusion = compute_fusion_transform(*w)
+        prof = {f"s{i}": prng.standard_normal(d) for i in range(40)}
+        run = {f"u{i}": prng.standard_normal(d) for i in range(90)}
+        p_rows, r_rows = prng.integers(0, 40, n), prng.integers(0, 90, n)
+        trials = TrialSet.of_columns([f"s{i}" for i in p_rows], [f"u{i}" for i in r_rows],
+                                     ["target"] * n)
+        got = score_trials(trials, lambda p, r: logit_score_fused_batch(p, r, fusion),
+                           prof, run).scores
+        p, r = np.stack(list(prof.values())), np.stack(list(run.values()))
+        assert got.tobytes() == logit_score_fused_batch(p[p_rows], r[r_rows], fusion).tobytes()
 
     @pytest.mark.parametrize("scorer", [lambda p, r: 0.5,
                                         lambda p, r: cosine_scorer(p, r)[1:]],

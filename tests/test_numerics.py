@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sidalign.errors import DimensionMismatch, ZeroVector
+from sidalign.errors import ConfigInvalid, DimensionMismatch, ZeroVector
 from sidalign.numerics import (
     Prng,
     cholesky_upper,
@@ -177,3 +177,8 @@ class TestPrng:
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(Prng(1).standard_normal(10), Prng(2).standard_normal(10))
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_is_config_invalid(self, seed):
+        with pytest.raises(ConfigInvalid, match=f"^seed {seed} is negative"):
+            Prng(seed)
