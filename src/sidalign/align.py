@@ -25,6 +25,7 @@ from .data import (
     _load_json,
     _take,
     _write_text,
+    group_rows,
     row_blocks,
     rows_of,
 )
@@ -275,9 +276,10 @@ class PairedData:
                 "runtime utterance")
         # Runtime pairs grouped by speaker, in row order: speaker s owns
         # rows utt_start[s]:utt_start[s] + utt_count[s] of r_x and r_y.
-        pairs = np.flatnonzero(paired)[np.argsort(owner[paired], kind="stable")]
-        keep, self.utt_count = np.unique(owner[pairs], return_counts=True)
-        self.utt_start = np.cumsum(self.utt_count) - self.utt_count
+        pairs = np.flatnonzero(paired)
+        order, counts, starts = group_rows(owner[pairs])
+        pairs, keep = pairs[order], np.flatnonzero(counts)
+        self.utt_count, self.utt_start = counts[keep], starts[keep]
         self.speaker_ids = [speakers[i] for i in keep.tolist()]
         self.e_x = prof_x.vectors[rows_of(self.speaker_ids, prof_x.speakers)]
         self.e_y = prof_y.vectors[rows_of(self.speaker_ids, prof_y.speakers)]
@@ -298,7 +300,7 @@ class PairedData:
     def sample_batch(self, size: int, prng: Prng) -> PairBatch:
         """Distinct speakers, one runtime utterance each."""
         size = min(size, self.n_speakers)
-        spk_idx = prng.choice(self.n_speakers, size, replace=False)
+        spk_idx = prng.choice(self.n_speakers, size)
         # One draw per speaker from one call: the same draws, in the same
         # order, as one scalar integers() call per speaker.
         utt_idx = self.utt_start[spk_idx] + prng.integers(0, self.utt_count[spk_idx])
@@ -346,7 +348,7 @@ def sample_negative_bank(paired: PairedData, excluded, m: int,
         raise InsufficientData(
             f"bank of {m} requested, only {candidates.size} disjoint speakers"
         )
-    idx = candidates[prng.choice(candidates.size, m, replace=False)]
+    idx = candidates[prng.choice(candidates.size, m)]
     return NegativeBank(idx, paired.e_x[idx])
 
 
@@ -556,9 +558,9 @@ def checkpoint_from_dict(obj: dict) -> Checkpoint:
     f1 = obj["f1"] if m3 else obj  # the seed and epochs are read from F1's dict
     old = NessaConfig()  # the settings an old file lacks take their defaults
     counts = [f1.get("seed", old.seed), f1.get("trained_epochs", 0)]
-    if not all(map(whole_number, counts)):
+    if not all(map(whole_number, counts)) or min(counts) < 0:
         raise ValueError(f"seed {counts[0]!r} and trained_epochs {counts[1]!r} must be "
-                         f"whole numbers")
+                         f"whole numbers >= 0")
     settings = [obj.get(k, getattr(old, k)) for k in ("alpha", "beta", "gamma")]
     w = obj.get("w")  # m3's w, if written; m1 and m2 have none
     if not all(map(finite_number, settings)) or not (

@@ -14,6 +14,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from functools import cache
+from itertools import compress
 
 from . import __version__
 from .align import (
@@ -109,11 +110,12 @@ def cmd_synth(args) -> int:
     cfg = _config(SynthConfig, args)
     if args.config:
         _apply_config(cfg, args.config)
+    trial_seed = args.trial_seed if args.trial_seed is not None else cfg.seed
+    Prng(trial_seed)  # refuses a negative seed, drawn or not
     corpus_x, corpus_y, _ = generate(cfg)
     trials = None
     if args.trials_out:  # drawn first, so that refused counts leave no file behind
-        trials = make_trials(corpus_y, args.n_target, args.n_imposter,
-                             args.trial_seed if args.trial_seed is not None else cfg.seed)
+        trials = make_trials(corpus_y, args.n_target, args.n_imposter, trial_seed)
     save_embeddings(corpus_x, args.out_x)
     save_embeddings(corpus_y, args.out_y)
     if trials is not None:
@@ -178,6 +180,7 @@ def cmd_profile(args) -> int:
 def cmd_logit_align(args) -> int:
     if args.n_speakers < 0:
         raise ConfigInvalid(f"--n-speakers {args.n_speakers} is negative (0 = all)")
+    prng = Prng(args.seed)  # refuses a negative seed, drawn or not
     profiles_x = load_profiles(args.profiles_x)
     profiles_y = load_profiles(args.profiles_y)
     have_y = set(profiles_y.speakers)
@@ -187,8 +190,7 @@ def cmd_logit_align(args) -> int:
             f"{args.profiles_x} and {args.profiles_y} share no speaker")
     _two_models(profiles_x, profiles_y, args.profiles_x, args.profiles_y)
     if args.n_speakers and args.n_speakers < len(shared):
-        prng = Prng(args.seed)
-        picks = sorted(prng.choice(len(shared), args.n_speakers, replace=False))
+        picks = sorted(prng.choice(len(shared), args.n_speakers))
         shared = [shared[int(i)] for i in picks]
     w_x = build_weight_matrix(profiles_x, shared)
     w_y = build_weight_matrix(profiles_y, shared)
@@ -234,8 +236,8 @@ def cmd_score(args) -> int:
     profiles = _profiles(corpora[profile_view], paths[profile_view])
     profile_vectors = dict(zip(profiles.speakers, profiles.vectors))
     runtime = corpora[runtime_view]
-    runtime_vectors = {runtime.utterances[i]: runtime.vectors[i]
-                       for i in runtime.rows("runtime")}
+    # rows of the matrix itself, not of a copy of its runtime rows
+    runtime_vectors = dict(compress(zip(runtime.utterances, runtime.vectors), ~runtime.enroll))
     with _naming(getattr(args, source), DimensionMismatch) if source else nullcontext():
         scored = score_trials(trials, cosine_scorer, profile_vectors, runtime_vectors,
                               enroll_map, runtime_map)

@@ -47,8 +47,9 @@ FLOAT_FMT = "%.9g"
 
 # The rows that each stage holds at a time, so that the memory a stage needs
 # beyond its input and result does not grow with the corpus or trial list.
-# Stages over rows in memory cut them with row_blocks; build_all_profiles and
-# _blocks state their own cuts.
+# Stages over rows in memory cut them with row_blocks (build_all_profiles the
+# speakers of each enrollment count); _blocks, reading a stream of unknown
+# length, cuts BLOCK_ROWS lines at a time.
 BLOCK_ROWS = 512
 
 
@@ -58,6 +59,15 @@ def row_blocks(n: int, size: int = BLOCK_ROWS) -> list[slice]:
     matrix product the bits of one call on all rows (tests check it on the BLAS)."""
     k = -(-n // size)
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def group_rows(owner) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows grouped by their owner in 0..max(owner), each owner's in row
+    order: ``(order, counts, starts)``, where owner o's rows are
+    ``order[starts[o]:starts[o] + counts[o]]``; an owner with no rows counts 0."""
+    owner = np.asarray(owner, dtype=np.intp)
+    counts = np.bincount(owner)
+    return np.argsort(owner, kind="stable"), counts, np.cumsum(counts) - counts
 
 
 # A record's fields in file order, the three ids first: the JSONL keys.
@@ -293,10 +303,12 @@ def profile_corpus(speakers: list[str], model_id: str | None, vectors) -> Corpus
 def build_all_profiles(corpus: Corpus, model_id: str) -> Corpus:
     """The profile set of the enrolled speakers, in first-row order: normalize each
     enrollment embedding, average per speaker, normalize again. Built once per corpus;
-    later calls return the same set. The speakers go in blocks of about BLOCK_ROWS
-    enrollment rows, none split across two (not row_blocks: their row counts vary), and
-    only the profiles are kept. A zero or overflowing row is refused (naming it) before
-    a zero mean (naming its speaker), as when all rows are normalized first."""
+    later calls return the same set. The speakers with k enrollment rows go together,
+    in row_blocks of max(1, BLOCK_ROWS // k) speakers, and only the profiles are kept.
+    Every row is checked before any mean: a zero or overflowing row is refused
+    (naming it) before a zero mean (naming its speaker). Of several refused rows,
+    the first in that order is named: speakers of fewer rows first, then in
+    first-row order, each speaker's rows in row order."""
     if model_id != corpus.model_id:
         raise ModelMismatch(f"profiles of model {model_id!r} asked of a corpus "
                             f"of model {corpus.model_id!r}")
@@ -305,40 +317,30 @@ def build_all_profiles(corpus: Corpus, model_id: str) -> Corpus:
     rows = np.flatnonzero(corpus.enroll)
     if not len(rows):
         raise EmptyEnrollment("no enrollment records to build profiles from")
-    speakers, owner = _index_column([corpus.speakers[i] for i in rows.tolist()])
-    # Each speaker's rows in row order, one speaker after another.
-    rows = rows[np.argsort(owner, kind="stable")]
-    counts = np.bincount(owner)
-    ends = np.cumsum(counts)
-    # A block ends with the speaker whose rows reach the next multiple of BLOCK_ROWS.
-    cuts = np.searchsorted(ends, np.arange(BLOCK_ROWS, ends[-1], BLOCK_ROWS)) + 1
-    edges = np.unique(np.concatenate(([0], cuts, [len(counts)]))).tolist()
+    speakers, owner = _index_column(_take(corpus.speakers, rows))
+    order, counts, starts = group_rows(owner)
+    rows = rows[order]
     profiles = np.empty((len(speakers), corpus.dim))
-    zero_mean = None  # the first block's ZeroVector of a mean, raised after every row
-    for lo, hi in zip(edges, edges[1:]):
-        first = ends[lo] - counts[lo]
-        block = rows[first:ends[hi - 1]]
+    # mean(axis=1) over the (n_k, k, d) block of speakers with k rows makes the
+    # same additions in the same order as mean(axis=0) over each speaker's rows
+    # alone, so the bits do not depend on the other speakers, on how the rows
+    # interleave or on the blocks.
+    for k in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == k)
+        for block in row_blocks(len(group), max(1, BLOCK_ROWS // k)):
+            block_rows = rows[starts[group[block], None] + np.arange(k)].ravel()
+            try:
+                units = length_normalize(corpus.vectors[block_rows])
+            except ZeroVector as exc:
+                utterance = corpus.utterances[block_rows[exc.row]]
+                raise ZeroVector(f"utterance {utterance!r}: {exc}") from exc
+            profiles[group[block]] = units.reshape(-1, k, corpus.dim).mean(axis=1)
+    for block in row_blocks(len(speakers)):
         try:
-            units = length_normalize(corpus.vectors[block])
+            profiles[block] = length_normalize(profiles[block])
         except ZeroVector as exc:
-            utterance = corpus.utterances[block[exc.row]]
-            raise ZeroVector(f"utterance {utterance!r}: {exc}") from exc
-        starts, block_counts = ends[lo:hi] - counts[lo:hi] - first, counts[lo:hi]
-        means = np.empty((hi - lo, corpus.dim))
-        # The speakers with k rows at once: mean(axis=1) over their (n_k, k, d)
-        # block makes the same additions in the same order as mean(axis=0) over
-        # each speaker's rows alone, so the bits do not depend on the other
-        # speakers, on how the rows interleave or on the blocks.
-        for k in np.unique(block_counts).tolist():
-            group = np.flatnonzero(block_counts == k)
-            means[group] = units[starts[group, None] + np.arange(k)].mean(axis=1)
-        try:
-            profiles[lo:hi] = length_normalize(means)
-        except ZeroVector as exc:
-            zero_mean = zero_mean or ZeroVector(
-                f"the mean enrollment vector of speaker {speakers[lo + exc.row]!r}: {exc}")
-    if zero_mean is not None:
-        raise zero_mean
+            raise ZeroVector(f"the mean enrollment vector of speaker "
+                             f"{speakers[block.start + exc.row]!r}: {exc}") from exc
     corpus._profiles = profile_corpus(speakers, model_id, profiles)
     return corpus._profiles
 

@@ -104,8 +104,9 @@ class Prng:
     def integers(self, lo: int, hi: int, n: int | None = None):
         return self._gen.integers(lo, hi, size=n)
 
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
+    def choice(self, n: int, size: int) -> np.ndarray:
+        """size distinct draws from range(n)."""
+        return self._gen.choice(n, size=size, replace=False)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

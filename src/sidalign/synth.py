@@ -16,12 +16,11 @@ generate draws it in blocks of whole speakers, each filled from the same stream.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BLOCK_ROWS, Corpus, TrialSet, row_blocks
+from .data import BLOCK_ROWS, Corpus, TrialSet, _index_column, _take, group_rows, row_blocks
 from .errors import ConfigInvalid, InsufficientData, ZeroVector
 from .numerics import Prng, finite_number, length_normalize, random_orthogonal
 
@@ -179,42 +178,35 @@ def make_trials(corpus_y: Corpus, n_target: int, n_imposter: int, seed: int) -> 
         raise ConfigInvalid(f"trial counts must be >= 0, got {n_target} target and "
                             f"{n_imposter} imposter trials")
     prng = Prng(seed)
-    rows = corpus_y.rows("runtime")
-    runtime_speakers = [corpus_y.speakers[i] for i in rows]
-    runtime_utts = [corpus_y.utterances[i] for i in rows]
-    speakers = list(dict.fromkeys(runtime_speakers))
+    rows = np.flatnonzero(~corpus_y.enroll)
+    speakers, owner = _index_column(_take(corpus_y.speakers, rows))
     if len(speakers) < 2:
         raise InsufficientData("need at least 2 speakers with runtime utterances")
 
     # The imposter pool pairs each speaker in turn with every runtime
     # utterance of the others, and is indexed through per-speaker cumulative
-    # sizes, not built. own[spk] holds p_m - m for the m-th runtime position
-    # p_m of spk: the count of other speakers' utterances before it.
-    own = {spk: [] for spk in speakers}
-    for pos, speaker in enumerate(runtime_speakers):
-        mine = own[speaker]
-        mine.append(pos - len(mine))
-    pool_ends = np.cumsum([len(rows) - len(own[spk]) for spk in speakers])
+    # sizes, not built. The m-th runtime position p of a speaker has p - m
+    # other speakers' utterances before it. own holds those counts plus
+    # shift = speaker * (len(rows) + 1): one ascending array for all speakers.
+    order, counts, starts = group_rows(owner)
+    shift = np.arange(len(counts)) * (len(rows) + 1)
+    own = order - np.arange(len(rows)) + np.repeat(starts + shift, counts)
+    pool_ends = np.cumsum(len(rows) - counts)
     n_pool = int(pool_ends[-1])
     if n_target > len(rows):
-        raise InsufficientData(
-            f"requested {n_target} target trials, only {len(rows)} available"
-        )
+        raise InsufficientData(f"requested {n_target} target trials, only {len(rows)} "
+                               f"available")
     if n_imposter > n_pool:
-        raise InsufficientData(
-            f"requested {n_imposter} imposter trials, only {n_pool} available"
-        )
+        raise InsufficientData(f"requested {n_imposter} imposter trials, only {n_pool} "
+                               f"available")
 
-    t_idx = sorted(prng.choice(len(rows), n_target, replace=False).tolist())
-    i_idx = np.sort(prng.choice(n_pool, n_imposter, replace=False))
-    enroll = [runtime_speakers[j] for j in t_idx]
-    test = [runtime_utts[j] for j in t_idx]
-    for k, j in zip(np.searchsorted(pool_ends, i_idx, side="right"), i_idx):
-        spk = speakers[k]
-        offset = int(j) - (int(pool_ends[k - 1]) if k else 0)
-        # The offset-th foreign utterance follows each own one with <= offset before it.
-        skipped = bisect_right(own[spk], offset)
-        enroll.append(spk)
-        test.append(runtime_utts[offset + skipped])
-    return TrialSet.of_columns(enroll, test,
-                               ["target"] * n_target + ["imposter"] * n_imposter)
+    targets = rows[np.sort(prng.choice(len(rows), n_target))]
+    i_idx = np.sort(prng.choice(n_pool, n_imposter))
+    spk = np.searchsorted(pool_ends, i_idx, side="right")  # each imposter trial's speaker
+    offset = i_idx - pool_ends[spk] + len(rows) - counts[spk]
+    # The offset-th foreign utterance follows each own one with <= offset before it.
+    skipped = np.searchsorted(own, offset + shift[spk], side="right") - starts[spk]
+    return TrialSet.of_columns(
+        _take(corpus_y.speakers, targets) + _take(speakers, spk),
+        _take(corpus_y.utterances, np.concatenate((targets, rows[offset + skipped]))),
+        ["target"] * n_target + ["imposter"] * n_imposter)

@@ -24,7 +24,7 @@ def gradient_check(params, loss_fn, analytic_grads, h=1e-5, n_samples=200,
             flat_index.append((pi, j))
     total = len(flat_index)
     if total > n_samples:
-        picks = prng.choice(total, n_samples, replace=False)
+        picks = prng.choice(total, n_samples)
     else:
         picks = np.arange(total)
     worst = 0.0

@@ -359,8 +359,7 @@ class TestTraining:
         assert ckpt.trained_epochs == 1  # the logged loss is the checkpoint's
 
         outside = [i for i, s in enumerate(ids[:30]) if s not in ids[20:]]
-        picks = np.array(outside)[Prng(cfg.seed + 101).choice(len(outside), 8,
-                                                               replace=False)]
+        picks = np.array(outside)[Prng(cfg.seed + 101).choice(len(outside), 8)]
         train32, val32 = train_pair.astype(np.float32), val_pair.astype(np.float32)
         bank = NegativeBank(val32.n_speakers + np.arange(8), train32.e_x[picks])
         want = loss_m3(ckpt.f1.astype(np.float32), ckpt.f2.astype(np.float32), ckpt.w,
@@ -747,7 +746,7 @@ def reference_sample_batch(pairs, size, prng):
     """One scalar integers() call per speaker; returns (speaker rows, the
     chosen (x, y) runtime pairs)."""
     size = min(size, len(pairs))
-    spk_idx = prng.choice(len(pairs), size, replace=False)
+    spk_idx = prng.choice(len(pairs), size)
     chosen = []
     for si in spk_idx:
         utts = pairs[int(si)]
@@ -764,7 +763,7 @@ def reference_bank(speaker_ids, batch_speaker_ids, m, prng):
     if m > len(candidates):
         raise InsufficientData(
             f"bank of {m} requested, only {len(candidates)} disjoint speakers")
-    picks = prng.choice(len(candidates), m, replace=False)
+    picks = prng.choice(len(candidates), m)
     return np.array([candidates[int(i)] for i in picks])
 
 

@@ -528,6 +528,8 @@ class TestErrors:
         ("--checkpoint", lambda paths: replaced(paths["m2"], True, "gamma"), 1),
         ("--checkpoint", lambda paths: replaced(paths["m2"], "q", "w"), 1),
         ("--checkpoint", lambda paths: replaced(paths["m2"], 0.5, "w"), 1),
+        # a seed no training can have drawn from
+        ("--checkpoint", lambda paths: replaced(paths["m2"], -5, "seed"), 1),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "vector-zero", "vector-norm-overflows",
@@ -557,7 +559,8 @@ class TestErrors:
             "checkpoint-float32-overflow", "checkpoint-fractional-epochs",
             "profiles-runtime-rows", "config-doc-key", "config-fields-key",
             "config-method-key", "checkpoint-alpha-list", "checkpoint-beta-null",
-            "checkpoint-gamma-boolean", "checkpoint-quoted-w", "checkpoint-m2-with-w"])
+            "checkpoint-gamma-boolean", "checkpoint-quoted-w", "checkpoint-m2-with-w",
+            "checkpoint-negative-seed"])
     def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
                                             request, option, content, code):
         paths = scored_fixture
@@ -608,6 +611,9 @@ class TestErrors:
         if case in ("checkpoint-alpha-list", "checkpoint-beta-null",
                     "checkpoint-gamma-boolean", "checkpoint-quoted-w", "checkpoint-m2-with-w"):
             assert "bad_input: malformed checkpoint: " in line and "must be finite" in line
+        if case == "checkpoint-negative-seed":
+            assert ("bad_input: malformed checkpoint: ValueError('seed -5 and trained_epochs "
+                    in line and line.endswith(" must be whole numbers >= 0')"))
         if case == "fusion-boolean-entry":
             assert "bad_input: malformed fusion transform: " in line and "m is not" in line
         if case in ("vector-zero", "vector-norm-overflows"):
@@ -725,6 +731,25 @@ class TestErrors:
         }[command]
         line = one_error_line(capsys, [command] + argv + settings)
         assert f"seed {seed} is negative" in line and "missing" not in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, settings, seed", [
+        ("synth", ["--trial-seed", "-3"], -3),
+        ("logit-align", ["--seed", "-4"], -4),
+    ], ids=["synth-trial-seed-without-trials", "logit-align-seed-over-every-speaker"])
+    def test_negative_seed_that_is_not_drawn_exit_one(self, scored_fixture, tmp_path, capsys,
+                                                      command, settings, seed):
+        # synth writes no trial list and logit-align fuses every speaker, so
+        # neither draws from the seed; it is refused all the same, before any file
+        paths = scored_fixture
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["--n-speakers", "6", "--out-x", str(out), "--out-y", str(out)],
+            "logit-align": ["--profiles-x", str(paths["prof_x"]),
+                            "--profiles-y", str(paths["prof_y"]), "--out", str(out)],
+        }[command]
+        line = one_error_line(capsys, [command] + argv + settings)
+        assert line.endswith(f"seed {seed} is negative; a seed must be >= 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n-target", "--n-imposter"])

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -320,6 +320,17 @@ class TestBuildAllProfiles:
                                              f"'{utterance}' \\({split}\\) of speaker 'b' "
                                              f"is not a profile row"):
             load_profiles(path)
+
+    @pytest.mark.parametrize("b_rows, named", [(1, "b1"), (2, "a2")],
+                             ids=["fewer-rows-first", "then-first-row-order"])
+    def test_of_two_refused_rows_the_grouped_order_names_one(self, b_rows, named):
+        # Zero rows a2 and b1. Speakers with fewer enrollment rows come first:
+        # b with one row is named before a with two; of two speakers with two
+        # rows each, a, whose first row comes first.
+        records = [rec("a", "a1", [1, 0]), rec("a", "a2", [0, 0]), rec("b", "b1", [0, 0]),
+                   rec("b", "b2", [1, 0])][:2 + b_rows]
+        with pytest.raises(ZeroVector, match=f"^utterance '{named}': cannot normalize"):
+            build_all_profiles(corpus_of(records), "X")
 
     def test_zero_row_is_refused_before_a_zero_mean_of_an_earlier_block(self):
         # Speaker a's mean, of norm 5e-14, is in the first block and the zero row
@@ -754,6 +765,24 @@ class TestBulkReader:
             load_embeddings(path)
         assert str(exc.value).startswith(f"{path}:{data.BLOCK_ROWS + 3}: 'utf-8' codec ")
 
+    @pytest.mark.parametrize("n, bad", [(600, 590),
+                                        (3 * data.BLOCK_ROWS, 2 * data.BLOCK_ROWS + 7)],
+                             ids=["next-block", "block-after-next"])
+    def test_bad_byte_blocks_after_a_json_error_is_named_first(self, tmp_path, n, bad):
+        # json.dumps lines, line 2 cut short: the line reader refuses it, and
+        # the blocks after it are still decoded, up to the bad byte's
+        lines = [json.dumps({"speaker_id": "s", "utterance_id": f"u{i}", "model_id": "M",
+                             "split": "enroll", "vector": [0.5, 0.25]}) for i in range(n)]
+        lines[1] = lines[1][:-1]
+        text = ("\n".join(lines) + "\n").encode()
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(text.replace(f'"u{bad - 1}"'.encode(), b'"u\xff"'))
+        at = path.read_bytes().index(b"\xff")
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == (f"{path}:{bad}: 'utf-8' codec can't decode byte 0xff "
+                                  f"in position {at}: invalid start byte")
+
     @pytest.mark.parametrize("ends, bad", [(["\r"], 701), (["\n", "\r\n", "\r"], 1101),
                                            (["\r", "\r\n"], 1499)])
     def test_bad_byte_is_named_at_its_text_line(self, tmp_path, ends, bad):
@@ -1075,6 +1104,18 @@ def test_row_blocks_cut_range_into_equal_blocks(size, times, plus):
     assert len(blocks) == -(-n // size)
     assert all(0 < length <= size for length in lengths)
     assert max(lengths, default=0) - min(lengths, default=0) <= 1
+
+
+@given(st.lists(st.integers(0, 6), max_size=40))
+@example([])
+@example([3, 0, 3, 3])  # owners 1 and 2 have no rows
+def test_group_rows_match_a_brute_force_grouping(owner):
+    order, counts, starts = data.group_rows(owner)
+    n_owners = max(owner, default=-1) + 1
+    want = [[i for i, o in enumerate(owner) if o == k] for k in range(n_owners)]
+    assert counts.tolist() == [len(rows) for rows in want]
+    assert [order[s:s + c].tolist() for s, c in zip(starts, counts)] == want
+    assert order.tolist() == [i for rows in want for i in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sidalign.data import BLOCK_ROWS, FIELDS, Corpus
+from sidalign.data import BLOCK_ROWS, Corpus
 from sidalign.errors import ConfigInvalid, InsufficientData
 from sidalign.metrics import cosine_scorer, eer, roc, score_trials
 from sidalign.numerics import Prng, length_normalize
@@ -138,10 +138,26 @@ def reference_trials(corpus_y, n_target, n_imposter, seed):
     imposter_pool = [(spk, r.utterance_id)
                      for spk in dict.fromkeys(r.speaker_id for r in runtime)
                      for r in runtime if r.speaker_id != spk]
-    t_idx = prng.choice(len(target_pool), n_target, replace=False)
-    i_idx = prng.choice(len(imposter_pool), n_imposter, replace=False)
+    t_idx = prng.choice(len(target_pool), n_target)
+    i_idx = prng.choice(len(imposter_pool), n_imposter)
     return ([(*target_pool[j], "target") for j in sorted(t_idx)]
             + [(*imposter_pool[j], "imposter") for j in sorted(i_idx)])
+
+
+@st.composite
+def trial_layouts(draw):
+    """(rows, n_target, n_imposter, seed): the rows of 2 to 12 speakers, at least
+    two of them with runtime rows, as (speaker, split) in any order, and trial
+    counts their pools hold, often the whole imposter pool."""
+    runtime = draw(st.lists(st.integers(0, 5), min_size=2, max_size=12).filter(
+        lambda counts: sum(map(bool, counts)) >= 2))
+    enroll = draw(st.lists(st.integers(0, 2), min_size=len(runtime), max_size=len(runtime)))
+    rows = draw(st.permutations(
+        [(k, "runtime") for k, n in enumerate(runtime) for _ in range(n)]
+        + [(k, "enroll") for k, n in enumerate(enroll) for _ in range(n)]))
+    n_pool = sum(sum(runtime) - n for n in runtime if n)
+    return (rows, draw(st.integers(0, sum(runtime))),
+            draw(st.just(n_pool) | st.integers(0, n_pool)), draw(st.integers(0, 2**32)))
 
 
 def trial_tuples(ts):
@@ -191,20 +207,22 @@ class TestReference:
             tracemalloc.stop()
         assert peak <= 4.5 * (cx.vectors.nbytes + cy.vectors.nbytes)
 
-    def test_trials_match_reference_in_any_record_order(self):
-        _, cy, _ = generate(small_config(n_speakers=25, n_runtime_utts=3))
-        # drop some runtime utterances so speakers have unequal pools
-        uneven = [r for i, r in enumerate(cy.records) if r.split == "enroll" or i % 4]
-        orders = {
-            "grouped": uneven,
-            "interleaved": sorted(uneven, key=lambda r: r.utterance_id[-4:]),
-            "reversed": uneven[::-1],
-        }
-        for name, records in orders.items():
-            corpus = Corpus(*([getattr(r, f) for r in records] for f in FIELDS))
-            for seed in (0, 1, 2):
-                got = trial_tuples(make_trials(corpus, 30, 200, seed))
-                assert got == reference_trials(corpus, 30, 200, seed), name
+    @given(trial_layouts())
+    # one runtime utterance per speaker, the full imposter pool drawn; the same
+    # speakers grouped and interleaved; a speaker with enrollment rows alone
+    @example(([(0, "runtime"), (1, "runtime"), (2, "runtime")], 3, 6, 0))
+    @example(([(0, "runtime"), (0, "runtime"), (1, "runtime"), (1, "runtime"),
+               (1, "enroll")], 2, 4, 1))
+    @example(([(0, "runtime"), (1, "runtime"), (1, "enroll"), (0, "runtime"),
+               (1, "runtime")], 2, 4, 1))
+    @example(([(2, "enroll"), (1, "runtime"), (0, "runtime"), (1, "runtime")], 3, 3, 5))
+    def test_trials_match_reference_in_any_record_order(self, layout):
+        rows, n_target, n_imposter, seed = layout
+        n = len(rows)
+        corpus = Corpus([f"s{k}" for k, _ in rows], [f"u{i}" for i in range(n)], ["Y"] * n,
+                        [split for _, split in rows], np.ones((n, 2)))
+        got = trial_tuples(make_trials(corpus, n_target, n_imposter, seed))
+        assert got == reference_trials(corpus, n_target, n_imposter, seed)
 
 
 class TestGenerate:
