@@ -54,7 +54,7 @@ from .numerics import Prng, finite_number, whole_number
 # its (enrollment, runtime) sides; None leaves a side in its own space.
 VARIANTS = {"m1": (None, "f1"), "m2": ("f1", None), "m3": ("f1", "f2")}
 
-# Training runs in float32; checkpoints, scoring and metrics stay float64.
+# Training runs in float32, and so do the maps of the networks it returns.
 TRAIN_DTYPE = np.float32
 
 
@@ -291,10 +291,12 @@ class PairedData:
         return len(self.speaker_ids)
 
     def astype(self, dtype) -> "PairedData":
-        """A copy whose profile and runtime matrices are cast to dtype."""
+        """A copy whose profile and runtime matrices are cast to dtype by _cast
+        (shared where they are of it), as training casts them."""
         out = copy.copy(self)
-        for name in ("e_x", "e_y", "r_x", "r_y"):
-            setattr(out, name, getattr(self, name).astype(dtype))
+        for name, view in (("e_x", "X profiles"), ("e_y", "Y profiles"),
+                           ("r_x", "X runtime vectors"), ("r_y", "Y runtime vectors")):
+            setattr(out, name, _cast(getattr(self, name), dtype, view, "training"))
         return out
 
     def sample_batch(self, size: int, prng: Prng) -> PairBatch:
@@ -358,9 +360,9 @@ def sample_negative_bank(paired: PairedData, excluded, m: int,
 
 @dataclass
 class Checkpoint:
-    """A trained aligner. ``dtype`` is "float32" when every parameter of its
-    networks is a float32 value, as training and float32 files give them:
-    save_checkpoint then writes them at 9 significant digits."""
+    """A trained aligner. Its networks map in the dtype of their arrays:
+    float32 as training and float32 files give them, float64 as a float64
+    file (or a hand-built float64 network) does."""
 
     variant: str
     f1: Mlp
@@ -372,7 +374,14 @@ class Checkpoint:
     seed: int
     trained_epochs: int
     log: list[dict] = field(default_factory=list)
-    dtype: str = "float64"
+
+    @property
+    def dtype(self) -> str:
+        """"float32" when all of its networks' arrays are (save_checkpoint then
+        writes them at 9 significant digits), else "float64"."""
+        nets = [f for f in (self.f1, self.f2) if f is not None]
+        float32 = all(p.dtype == np.float32 for f in nets for p in f.parameters())
+        return "float32" if float32 else "float64"
 
 
 def train(config: NessaConfig, train_pair: PairedData,
@@ -380,30 +389,28 @@ def train(config: NessaConfig, train_pair: PairedData,
     """Minibatch Adam training; returns the best-validation checkpoint.
 
     The networks, w, Adam's state and both splits' matrices are float32
-    (TRAIN_DTYPE); the checkpoint holds float64 copies, which are exact, and
-    its dtype says "float32". A paired value beyond float32's range raises
-    ParseError before the first step. A non-finite training or validation
-    loss, or a non-finite parameter in a checkpoint, raises TrainingDiverged:
-    numpy's overflow warnings are off while training, since the loss or the
-    parameters carry any overflow.
+    (TRAIN_DTYPE), and so are the checkpoint's copies of the networks, which
+    map in float32; w is the float of a float32. A paired value beyond
+    float32's range raises ParseError before the first step. A non-finite
+    training or validation loss, or a non-finite parameter in a checkpoint,
+    raises TrainingDiverged: numpy's overflow warnings are off while training,
+    since the loss or the parameters carry any overflow.
     """
     config.validate()
     with np.errstate(over="ignore", invalid="ignore"):
-        return _train(config, _train_copy(train_pair),
-                      _train_copy(val_pair) if val_pair is not None else None)
+        return _train(config, train_pair.astype(TRAIN_DTYPE),
+                      val_pair.astype(TRAIN_DTYPE) if val_pair is not None else None)
 
 
-def _train_copy(pair: PairedData) -> PairedData:
-    """pair cast to TRAIN_DTYPE; ParseError, as Corpus gives for a non-finite
-    vector, if a cast row is not finite, which is a value beyond the dtype's
-    range."""
-    cast = pair.astype(TRAIN_DTYPE)
-    for name, view in (("e_x", "X profiles"), ("e_y", "Y profiles"),
-                       ("r_x", "X runtime vectors"), ("r_y", "Y runtime vectors")):
-        if not np.isfinite(getattr(cast, name)).all():
-            limit = float(np.finfo(TRAIN_DTYPE).max)
-            raise ParseError(f"{view} hold a value beyond ±{limit:.4g}, the range of "
-                             f"{np.dtype(TRAIN_DTYPE).name} training")
+def _cast(values: np.ndarray, dtype, view: str, use: str) -> np.ndarray:
+    """values as dtype (values itself if of it); ParseError naming the view, as
+    Corpus gives for a non-finite vector, if the cast holds an inf: a value
+    beyond dtype's range."""
+    with np.errstate(over="ignore"):
+        cast = values.astype(dtype, copy=False)
+    if cast is not values and np.isinf(cast).any():
+        raise ParseError(f"{view} hold a value beyond ±{float(np.finfo(dtype).max):.4g}, "
+                         f"the range of {np.dtype(dtype).name} {use}")
     return cast
 
 
@@ -449,14 +456,13 @@ def _train(config: NessaConfig, train_pair: PairedData,
         return val_pair and objective(val_pair.full_batch(), val_bank, False)[0]
 
     def snapshot(epochs: int) -> Checkpoint:
-        """float64 copies of the networks, which hold the float32 bits."""
+        """A checkpoint of float32 copies of the networks."""
         if not all(np.isfinite(p).all() for p in params):
             raise TrainingDiverged(
                 f"training diverged: a parameter is not finite after {epochs} epochs")
-        f1, f2 = ([f.astype(np.float64) for f in nets] + [None])[:2]
+        f1, f2 = ([f.astype(TRAIN_DTYPE) for f in nets] + [None])[:2]
         return Checkpoint(config.variant, f1, f2, float(w[0]) if m3 else None,
-                          config.alpha, config.beta, config.gamma, config.seed, epochs,
-                          dtype=np.dtype(TRAIN_DTYPE).name)
+                          config.alpha, config.beta, config.gamma, config.seed, epochs)
 
     best = snapshot(0)
     best_val = (_finite_loss(val_loss(), "the validation", "before training")
@@ -497,7 +503,8 @@ def _train(config: NessaConfig, train_pair: PairedData,
 
 
 def _map_side(ckpt: Checkpoint, side: int, what: str, vectors) -> np.ndarray:
-    """forward(net, vectors)[0] of one side's network, one data.row_blocks block at a time."""
+    """forward(net, vectors)[0] of one side's network, one data.row_blocks block
+    at a time; a value beyond its dtype's range is _cast's ParseError."""
     name = VARIANTS[ckpt.variant][side]
     if name is None:
         raise VariantMismatch(f"variant {ckpt.variant!r} does not map {what}")
@@ -505,9 +512,10 @@ def _map_side(ckpt: Checkpoint, side: int, what: str, vectors) -> np.ndarray:
     x = np.asarray(vectors)
     if x.ndim != 2 or x.shape[1] != net.layer_dims[0]:
         forward(net, x)  # raises DimensionMismatch, naming the shape
+    view = ("X profiles", "Y runtime vectors")[side]
     out = np.empty((len(x), net.layer_dims[-1]), np.result_type(*net.weights))
     for block in row_blocks(len(x)):
-        out[block] = forward(net, x[block])[0]
+        out[block] = forward(net, _cast(x[block], net.weights[0].dtype, view, "mapping"))[0]
     return out
 
 
@@ -541,8 +549,7 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
         "gamma": ckpt.gamma,
         "w": ckpt.w,
     }
-    net = {"seed": ckpt.seed, "trained_epochs": ckpt.trained_epochs,
-           "float32": ckpt.dtype == "float32"}
+    net = {"seed": ckpt.seed, "trained_epochs": ckpt.trained_epochs}
     if ckpt.variant == "m3":
         obj["f1"] = mlp_to_dict(ckpt.f1, **net)
         obj["f2"] = mlp_to_dict(ckpt.f2, **net)
@@ -567,11 +574,12 @@ def checkpoint_from_dict(obj: dict) -> Checkpoint:
             finite_number(w) if m3 and "w" in obj else w is None):
         raise ValueError(f"alpha, beta, gamma {settings!r} must be finite numbers and w "
                          f"{w!r} {'one too' if m3 else 'null'}")
-    nets = [f1, obj["f2"]] if m3 else [f1]
-    float32 = all(net.get("dtype") == "float32" for net in nets)
-    return Checkpoint(obj["variant"], mlp_from_dict(f1),
-                      mlp_from_dict(obj["f2"]) if m3 else None, w, *settings,
-                      *map(int, counts), dtype="float32" if float32 else "float64")
+    dicts = [f1, obj["f2"]] if m3 else [f1]
+    nets = [mlp_from_dict(net) for net in dicts]
+    if not all(net.get("dtype") == "float32" for net in dicts):  # maps in float64
+        nets = [net.astype(np.float64) for net in nets]
+    return Checkpoint(obj["variant"], nets[0], nets[1] if m3 else None, w, *settings,
+                      *map(int, counts))
 
 
 def save_checkpoint(ckpt: Checkpoint, path, extra: dict | None = None) -> None:

@@ -144,7 +144,8 @@ def _apply_config(cfg: SynthConfig, path) -> None:
 
 @contextmanager
 def _naming(path, kind):
-    """Prefix path to an error of type kind that the block raises."""
+    """Prefix path to an error of type kind that the block raises (or, as a
+    decorator, the function it wraps)."""
     try:
         yield
     except kind as exc:
@@ -226,8 +227,11 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     scorer_id = args.scorer
     profile_view, runtime_view, source = SCORERS[scorer_id]
-    enroll_map, runtime_map = _side_maps(scorer_id, source, args)
     paths = {"x": args.corpus_x, "y": args.corpus_y}
+    # a value a map cannot hold names the file of the view the map reads
+    enroll_map, runtime_map = (fn and _naming(paths[view], ParseError)(fn) for fn, view
+                               in zip(_side_maps(scorer_id, source, args),
+                                      (profile_view, runtime_view)))
     corpora = {v: load_embeddings(paths[v])
                for v in dict.fromkeys((profile_view, runtime_view))}
     if profile_view != runtime_view:

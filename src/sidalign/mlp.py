@@ -3,8 +3,9 @@
 Three weight layers, ReLU on the hidden layers, linear output (a ReLU output
 would confine embeddings to the positive orthant and cripple cosine scoring).
 Forward/backward operate on batches of rows (n, d) in the dtype of the
-network's weights: training runs float32 networks, scoring and the gradient
-check float64 ones, through the same code. Parameters are plain numpy arrays
+network's weights, through the same code: a trained network, or one read from
+a float32 file, runs in float32, and a float64 one (the gradient check's, or
+one read from a float64 file) in float64. Parameters are plain numpy arrays
 that training updates in place.
 """
 
@@ -123,10 +124,9 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         p -= lr * (m / (1 - b1**state.t)) / (np.sqrt(v / (1 - b2**state.t)) + ADAM_EPS)
 
 
-def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0,
-                float32: bool = False) -> dict:
-    """The network as a JSON-ready dict. float32 says that every parameter is
-    a finite float32 value (ValueError otherwise), under a "dtype" key."""
+def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0) -> dict:
+    """The network as a JSON-ready dict. A network of float32 arrays says so
+    under a "dtype" key, and must hold finite values (ValueError otherwise)."""
     obj = {
         "layer_dims": m.layer_dims,
         "weights": [w.ravel().tolist() for w in m.weights],
@@ -136,22 +136,19 @@ def mlp_to_dict(m: Mlp, seed: int = 0, trained_epochs: int = 0,
         "seed": seed,
         "trained_epochs": trained_epochs,
     }
-    if float32:
-        with np.errstate(over="ignore"):  # a value beyond float32 casts to inf
-            exact = all(np.isfinite(p).all() and (p.astype(np.float32) == p).all()
-                        for p in m.parameters())
-        if not exact:
-            raise ValueError("a float32 network holds a value that float32 cannot")
+    if all(p.dtype == np.float32 for p in m.parameters()):
+        if not all(np.isfinite(p).all() for p in m.parameters()):
+            raise ValueError("a float32 network holds a value that is not finite")
         obj["dtype"] = "float32"
     return obj
 
 
 def mlp_from_dict(obj: dict) -> Mlp:
-    """The network that mlp_to_dict wrote, in float64; ValueError unless the
-    activations are relu then linear, the layer dims whole numbers, and every
-    layer a list of JSON numbers of its shape. Under "dtype": "float32" each
-    value is read through float32, and one that becomes infinite is refused;
-    every value must be finite."""
+    """The network that mlp_to_dict wrote, in the dtype its "dtype" key names
+    (float64 without one); ValueError unless the activations are relu then
+    linear, the layer dims whole numbers, and every layer a list of JSON
+    numbers of its shape. Every value must be finite in that dtype: one that
+    float32 reads as infinite is refused."""
     activations = (obj["activation"], obj["output_activation"])
     if activations != ("relu", "linear"):
         raise ValueError(f"activations {activations}, expected ('relu', 'linear')")
@@ -175,12 +172,11 @@ def mlp_from_dict(obj: dict) -> Mlp:
 
 
 def _layer(values, size: int, name: str, dtype: str) -> np.ndarray:
-    """A flat list of ``size`` finite numbers (not bools) as float64, read
-    through dtype."""
+    """A flat list of ``size`` finite numbers (not bools) as an array of dtype."""
     if not number_list(values):
         raise ValueError(f"{name} is not a list of numbers")
     with np.errstate(over="ignore"):  # a value beyond float32 reads as inf
-        a = np.array(values, dtype=dtype).astype(np.float64, copy=False)
+        a = np.array(values, dtype=dtype)
     if a.shape != (size,):
         raise ValueError(f"{name} has shape {a.shape}, expected ({size},)")
     if not np.isfinite(a).all():

@@ -154,17 +154,20 @@ def library_scores(scorer, paths, trials):
     run = {v: {r.utterance_id: r.vector for r in c.records if r.split == "runtime"}
            for v, c in corpora.items()}
 
-    def same(v):
-        return v
+    def same(vectors):
+        return vectors
 
     def net(variant, name):
+        # one forward over every vector of the side, as the CLI maps them: a
+        # float32 network rounds a row alone (GEMV) otherwise than in a block
         mlp = getattr(load_checkpoint(paths[variant]), name)
-        return lambda v: forward(mlp, v[None, :])[0][0]
+        return lambda vectors: dict(zip(vectors, forward(mlp, np.stack(list(
+            vectors.values())))[0]))
 
     def block(side):
         fusion = load_fusion(paths["fusion"])
         cols = fusion.m[:, :fusion.d] if side == 0 else fusion.m[:, fusion.d:]
-        return lambda v: cols @ v
+        return lambda vectors: {key: cols @ v for key, v in vectors.items()}
 
     makers = {
         "logit-fused": lambda: (block(0), block(1)),
@@ -174,10 +177,9 @@ def library_scores(scorer, paths, trials):
     }
     maps = makers[scorer]() if scorer in makers else (same, same)
     views = {"cosine-sym-x": ("x", "x"), "cosine-sym-y": ("y", "y")}.get(scorer, ("x", "y"))
-    return np.array([
-        cosine_similarity(maps[0](prof[views[0]][t.enroll_speaker_id]),
-                          maps[1](run[views[1]][t.test_utterance_id]))
-        for t in trials.trials])
+    p, r = maps[0](prof[views[0]]), maps[1](run[views[1]])
+    return np.array([cosine_similarity(p[t.enroll_speaker_id], r[t.test_utterance_id])
+                     for t in trials.trials])
 
 
 def test_score_and_eval_build_no_trial(scored_fixture, tmp_path):
@@ -292,6 +294,17 @@ def runtime_rows(path):
         if obj["split"] == "runtime":
             rows.setdefault(obj["speaker_id"], line)
     return "".join(rows.values())
+
+
+def beyond_float32(path):
+    """The corpus file with the first value of its first runtime vector set to
+    1e39, which float64 holds and float32 does not."""
+    lines = path.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if '"split": "runtime"' in line)
+    obj = json.loads(lines[i])
+    obj["vector"][0] = 1e39
+    lines[i] = json.dumps(obj) + "\n"
+    return "".join(lines)
 
 
 def zero_first_enrollment(path):
@@ -530,6 +543,9 @@ class TestErrors:
         ("--checkpoint", lambda paths: replaced(paths["m2"], 0.5, "w"), 1),
         # a seed no training can have drawn from
         ("--checkpoint", lambda paths: replaced(paths["m2"], -5, "seed"), 1),
+        # a Y runtime value that is finite but beyond the float32 maps' range
+        ("nessa-m1", lambda paths: beyond_float32(paths["y"]), 1),
+        ("nessa-m3", lambda paths: beyond_float32(paths["y"]), 1),
     ], ids=["vector-strings", "vector-quoted-numbers", "vector-booleans", "vector-empty",
             "vector-scalar", "vector-ragged", "embeddings-not-utf8",
             "vector-int-too-large", "vector-zero", "vector-norm-overflows",
@@ -560,7 +576,8 @@ class TestErrors:
             "profiles-runtime-rows", "config-doc-key", "config-fields-key",
             "config-method-key", "checkpoint-alpha-list", "checkpoint-beta-null",
             "checkpoint-gamma-boolean", "checkpoint-quoted-w", "checkpoint-m2-with-w",
-            "checkpoint-negative-seed"])
+            "checkpoint-negative-seed", "runtime-beyond-float32-m1",
+            "runtime-beyond-float32-m3"])
     def test_malformed_input_one_error_line(self, scored_fixture, tmp_path, capsys,
                                             request, option, content, code):
         paths = scored_fixture
@@ -568,6 +585,12 @@ class TestErrors:
         content = content(paths) if callable(content) else content or ""
         bad.write_bytes(content if isinstance(content, bytes) else content.encode())
         out = str(tmp_path / "out")
+
+        def nessa_score(variant, out):  # with bad as the Y corpus
+            return ["score", "--scorer", f"nessa-{variant}", "--checkpoint",
+                    str(paths[variant]), "--trials", str(paths["trials"]),
+                    "--corpus-x", str(paths["x"]), "--corpus-y", str(bad), "--out", out]
+
         corpora = ["--trials", str(paths["trials"]), "--corpus-x", str(paths["x"]),
                    "--corpus-y", str(paths["y"]), "--out", out]
         argv = {
@@ -585,6 +608,8 @@ class TestErrors:
             "--candidate-report": ["eval", "--scores", str(paths["scores"]),
                                    "--baseline-report", str(paths["report"]),
                                    "--candidate-report", str(bad), "--out", out],
+            "nessa-m1": nessa_score("m1", out),
+            "nessa-m3": nessa_score("m3", out),
         }[option]
         line = one_error_line(capsys, argv, code)
         if code == 1:
@@ -630,6 +655,11 @@ class TestErrors:
             assert "bad_input: expected dimension 4 inputs" in line
         if case == "checkpoint-other-dimension":
             assert "bad_input: input of shape (" in line and "expects (n, 4)" in line
+        if case.startswith("runtime-beyond-float32"):
+            assert line.endswith("bad_input: Y runtime vectors hold a value beyond "
+                                 "±3.403e+38, the range of float32 mapping")
+            # m2 maps the X profiles only, so it scores the same files
+            assert main(nessa_score("m2", str(tmp_path / "m2.tsv"))) == 0
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_rows_exit_one(self, scored_fixture, tmp_path, capsys):
